@@ -40,9 +40,7 @@ from .acquisition import (
     write_data,
 )
 from .misfit_adjoint import (
-    MisfitReport,
     ReciprocityGapMatrix,
-    adjoint_solve,
     misfit,
     misfit_and_gradient,
     misfit_only,
@@ -52,6 +50,7 @@ from .misfit_adjoint import (
 from .inversion import (
     InversionResult,
     IterationRecord,
+    Objective,
     OptimConfig,
     line_search,
     pr_direction,

@@ -14,15 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import acquisition
+from . import config as config_mod
 from .errors import ExportError
-from .geometry import NodalField, coefficient_gradient, evaluate_model
+from .geometry import NodalField, PiecewiseLinearModel, evaluate_model
 from .helmholtz import (
     assemble,
     write_field_csv,
     write_field_structured_points,
 )
-from .misfit_adjoint import misfit_and_gradient, misfit_only
-from . import config as config_mod
+from .inversion import Objective
+from .misfit_adjoint import misfit_only
+
+# not called here: bench/spans.py wraps these two names on this module
+from .geometry import coefficient_gradient  # noqa: F401
+from .misfit_adjoint import misfit_and_gradient  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -125,20 +131,11 @@ def gradcheck(cfg, n_probes=0, steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
     obs = config_mod.build_obs_sources(cfg, grid)
     sim = config_mod.build_sim_sources(cfg, grid)
     truth = config_mod.build_true_field(cfg, grid)
-    from .acquisition import synthesize
-
-    data = synthesize(truth, obs, receivers, phys)
+    data = acquisition.synthesize(truth, obs, receivers, phys)
     model = config_mod.build_initial_model(cfg, partition)
-
-    def misfit_of(vec):
-        m = model.with_coefficient_vector(vec)
-        system = assemble(grid, evaluate_model(m), phys)
-        value, _ = misfit_only(system, sim, data)
-        return value
-
-    system = assemble(grid, evaluate_model(model), phys)
-    _, _, nodal, _ = misfit_and_gradient(system, sim, data)
-    adjoint = coefficient_gradient(nodal, partition)
+    objective = Objective(model, sim, data, phys)
+    base = model.coefficient_vector.copy()
+    j0, adjoint = objective.value_and_gradient(base)
 
     free = ~np.repeat(partition.frozen, 1 + grid.dim)
     candidates = np.nonzero(free)[0]
@@ -146,8 +143,6 @@ def gradcheck(cfg, n_probes=0, steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
         rng = np.random.default_rng(seed)
         candidates = np.sort(rng.choice(candidates, size=n_probes, replace=False))
 
-    base = model.coefficient_vector.copy()
-    j0 = misfit_of(base)
     scales = _coefficient_scales(model)
     eps_floor = 1e-10 * max(np.max(np.abs(adjoint)), 1e-300)
 
@@ -161,7 +156,7 @@ def gradcheck(cfg, n_probes=0, steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
                 plus[k] += delta
                 minus = base.copy()
                 minus[k] -= delta
-                jp, jm = misfit_of(plus), misfit_of(minus)
+                jp, jm = objective.value(plus), objective.value(minus)
                 if abs(jp - jm) < 1e3 * np.finfo(float).eps * max(abs(jp), abs(jm), j0):
                     continue
                 fd = (jp - jm) / (2 * delta)
@@ -237,12 +232,10 @@ def evaluate_pair(model_a, model_b, sim_sources, obs_sources, receivers, phys):
     Model a plays the simulation role, model b supplies the observations;
     both use the same grid and discretization.
     """
-    from .acquisition import synthesize
-
     field_a = evaluate_model(model_a)
     field_b = evaluate_model(model_b)
     linf = float(np.max(np.abs(field_a.values - field_b.values)))
-    data = synthesize(field_b, obs_sources, receivers, phys)
+    data = acquisition.synthesize(field_b, obs_sources, receivers, phys)
     system = assemble(field_a.grid, field_a, phys)
     value, _ = misfit_only(system, sim_sources, data)
     return linf, value
@@ -262,8 +255,6 @@ def probe_stability(partition, c_min, c_max, phys, receivers,
     if water_speed is None:
         water_speed = phys.water_speed
     rng = np.random.default_rng(seed)
-    from .geometry import PiecewiseLinearModel
-
     pairs = []
     ratios = []
     for _ in range(n_pairs):

@@ -2,8 +2,8 @@
 
 Every run writes a resolved-configuration snapshot next to its outputs;
 re-running from the snapshot reproduces the outputs bit-exactly for a fixed
-seed.  CAUCHYFWI_THREADS caps the BLAS thread pools so accumulation order
-stays deterministic on any machine.
+seed and BLAS thread count.  CAUCHYFWI_THREADS caps the BLAS thread pools
+through threadpoolctl; a cap that cannot be applied is a config error.
 """
 
 from __future__ import annotations
@@ -46,7 +46,11 @@ from .errors import (
     UndefinedSnrError,
 )
 from .geometry import evaluate_model, read_model, write_model, write_partition
-from .helmholtz import read_field_structured_points
+from .helmholtz import (
+    assemble,
+    read_field_structured_points,
+    write_field_structured_points,
+)
 from .inversion import relative_l2_error, run_inversion, write_iteration_log
 from .misfit_adjoint import misfit_only
 
@@ -56,11 +60,16 @@ def _limit_threads():
     if not n:
         return None
     try:
+        limit = int(n)
+    except ValueError:
+        raise ConfigError(f"CAUCHYFWI_THREADS must be an integer, got {n!r}") from None
+    try:
+        # optional dependency, needed only when the cap is requested
         import threadpoolctl
-
-        return threadpoolctl.threadpool_limits(limits=int(n))
-    except (ImportError, ValueError):
-        return None
+    except ImportError:
+        raise ConfigError("CAUCHYFWI_THREADS is set but threadpoolctl is not "
+                          "installed, so the thread cap cannot be applied") from None
+    return threadpoolctl.threadpool_limits(limits=limit)
 
 
 def _load_config(path):
@@ -101,8 +110,6 @@ def cmd_synth(args):
     write_geometry_csv(prefix + ".receivers.csv", receivers.positions, receivers.weights)
     write_geometry_csv(prefix + ".sources.csv", obs.positions, obs.weights)
     truth_inv = config_mod.build_true_field(cfg, grid)
-    from .helmholtz import write_field_structured_points
-
     write_field_structured_points(truth_inv, prefix + ".true_speed.txt")
     _snapshot_config(cfg, prefix)
     print(f"synthesized {data.n_sources} sources x {data.n_receivers} receivers "
@@ -131,8 +138,6 @@ def cmd_invert(args):
     final_field = evaluate_model(result.model)
     export_field(final_field, prefix + ".speed.txt", fmt="structured-points")
     if args.dump_pairs:
-        from .helmholtz import assemble
-
         system = assemble(grid, final_field, phys)
         _, gap = misfit_only(system, sim, data)
         np.savetxt(args.dump_pairs, np.abs(gap.values) ** 2, delimiter=", ")
@@ -277,8 +282,9 @@ def cli_main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    limiter = _limit_threads()
+    limiter = None
     try:
+        limiter = _limit_threads()
         return args.func(args)
     except Exception as exc:  # categorized reporting, nonzero exit
         for types, label in _ERROR_CATEGORIES:

@@ -78,9 +78,5 @@ class ConfigError(CauchyFwiError):
         super().__init__(message)
 
 
-class LineSearchError(CauchyFwiError):
-    """Backtracking exhausted its budget without an acceptable step."""
-
-
 class ExportError(CauchyFwiError):
     """Unsupported export format or non-exportable field."""

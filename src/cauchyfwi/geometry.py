@@ -341,7 +341,8 @@ class PiecewiseLinearModel:
     flattened row-major view is the coefficient vector used by the
     optimizer.  Frozen subdomains are pinned to water_speed when given.
     Admissibility (all evaluated nodes in [c_min, c_max]) is enforced by
-    evaluate(), not at construction, so that trial steps can be rejected.
+    evaluate_model(), not at construction, so that trial steps can be
+    rejected.
     """
 
     partition: Partition
@@ -377,9 +378,6 @@ class PiecewiseLinearModel:
             self.partition, np.asarray(vec, dtype=float),
             self.c_min, self.c_max, self.water_speed,
         )
-
-    def evaluate(self, check_bounds=True):
-        return evaluate_model(self, check_bounds=check_bounds)
 
 
 def evaluate_model(model, check_bounds=True):

@@ -193,13 +193,11 @@ class HelmholtzSystem:
 
     def green(self, source):
         """Field response to a unit point source (one solve)."""
-        return NodalField(self.grid, self._green_block([source])[:, 0])
+        return NodalField(self.grid, self.green_many([source])[:, 0])
 
     def green_many(self, sources):
         """(n_nodes, n_sources) responses solved against one factorization."""
-        return self._green_block(list(sources))
-
-    def _green_block(self, sources):
+        sources = list(sources)
         m = self.grid.n_nodes
         scale = self.grid.boundary_scale()
         rhs = np.zeros((m, len(sources)), dtype=complex)

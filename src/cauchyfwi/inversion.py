@@ -12,7 +12,7 @@ automatic steepest-descent restart).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,18 +65,6 @@ class IterationRecord:
 
 
 @dataclass
-class InversionState:
-    """Mutable driver state; frozen coefficients never change."""
-
-    coefficients: np.ndarray
-    gradient_prev: np.ndarray = None
-    direction_prev: np.ndarray = None
-    misfit_history: list = field(default_factory=list)
-    iteration: int = 0
-    termination: str = ""
-
-
-@dataclass
 class InversionResult:
     model: object
     records: list
@@ -113,7 +101,6 @@ class LineSearchResult:
     misfit: float
     coefficients: np.ndarray
     backtracks: int
-    evaluations: int
 
 
 def line_search(coefficients, misfit_0, grad, direction, misfit_fn, cfg, speed_range):
@@ -132,19 +119,17 @@ def line_search(coefficients, misfit_0, grad, direction, misfit_fn, cfg, speed_r
     if smax == 0:
         raise ValueError("zero search direction")
     alpha = cfg.initial_step_fraction * speed_range / smax
-    evaluations = 0
     for m in range(cfg.max_backtracks + 1):
         trial = coefficients - alpha * np.asarray(direction)
         try:
             value = misfit_fn(trial)
-            evaluations += 1
         except BoundsViolationError:
             value = None
         if value is not None and value <= misfit_0 - cfg.armijo_c1 * alpha * gs:
-            return LineSearchResult(True, alpha, value, trial, m, evaluations)
+            return LineSearchResult(True, alpha, value, trial, m)
         alpha *= cfg.backtrack_rho
     return LineSearchResult(False, 0.0, misfit_0, np.asarray(coefficients),
-                            cfg.max_backtracks + 1, evaluations)
+                            cfg.max_backtracks + 1)
 
 
 def stagnation(history, cfg):
@@ -177,6 +162,42 @@ def relative_l2_error(reference, reconstruction):
     return float(np.sqrt(w @ (ref - rec) ** 2) / denom)
 
 
+class Objective:
+    """Misfit of a coefficient vector, alone or with its coefficient gradient.
+
+    model supplies the partition, the speed bounds and the frozen
+    coefficients; each evaluation swaps in a new coefficient vector and
+    raises BoundsViolationError when the evaluated speed leaves the bounds.
+    solves counts the right-hand sides solved over all evaluations so far.
+    """
+
+    def __init__(self, model, sim_sources, data, phys):
+        self.model = model
+        self.sim_sources = sim_sources
+        self.data = data
+        self.phys = phys
+        self.solves = 0
+
+    def _system(self, vec):
+        model = self.model.with_coefficient_vector(vec)
+        return assemble(model.partition.grid, evaluate_model(model), self.phys)
+
+    def value(self, vec):
+        """Misfit alone: n_sim forward solves."""
+        system = self._system(vec)
+        value, _ = misfit_only(system, self.sim_sources, self.data)
+        self.solves += system.solve_count
+        return value
+
+    def value_and_gradient(self, vec):
+        """Misfit and its coefficient gradient: n_sim forward plus n_sim
+        adjoint solves on one factorization."""
+        system = self._system(vec)
+        value, nodal_grad = misfit_and_gradient(system, self.sim_sources, self.data)
+        self.solves += system.solve_count
+        return value, coefficient_gradient(nodal_grad, self.model.partition)
+
+
 def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
     """Reconstruct the wave speed from Cauchy data.
 
@@ -187,21 +208,9 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
     termination reason.  The accepted misfit sequence is non-increasing and
     frozen coefficients are bit-identical to the initial model's.
     """
-    grid = initial_model.partition.grid
-    partition = initial_model.partition
-    receivers = data.receivers
-
-    def replace_coeffs(vec):
-        return initial_model.with_coefficient_vector(vec)
-
-    def misfit_of(vec):
-        model = replace_coeffs(vec)
-        speed = evaluate_model(model)
-        system = assemble(grid, speed, phys)
-        value, _ = misfit_only(system, sim_sources, data)
-        return value
-
-    state = InversionState(coefficients=initial_model.coefficient_vector.copy())
+    objective = Objective(initial_model, sim_sources, data, phys)
+    coefficients = initial_model.coefficient_vector.copy()
+    grad_prev = direction_prev = None
     records = []
     speed_range = initial_model.c_max - initial_model.c_min
     restarted = False
@@ -209,40 +218,32 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
 
     for j in range(1, cfg.n_iter_max + 1):
         t0 = time.perf_counter()
-        model = replace_coeffs(state.coefficients)
-        speed = evaluate_model(model)
-        system = assemble(grid, speed, phys)
-        value, gap, nodal_grad, report = misfit_and_gradient(system, sim_sources, data)
-        grad = coefficient_gradient(nodal_grad, partition)
+        solves_0 = objective.solves
+        value, grad = objective.value_and_gradient(coefficients)
         grad_norm = float(np.linalg.norm(grad))
-        state.iteration = j
-        state.misfit_history.append(value)
 
         if grad_norm == 0.0:
             reason = "stationary"
             records.append(IterationRecord(j, value, grad_norm, 0.0, 0,
                                            time.perf_counter() - t0,
-                                           system.solve_count))
+                                           objective.solves - solves_0))
             break
 
-        direction = pr_direction(grad, state.gradient_prev, state.direction_prev)
+        direction = pr_direction(grad, grad_prev, direction_prev)
         if float(grad @ direction) <= 0:
             direction = grad.copy()
 
-        result = line_search(state.coefficients, value, grad, direction,
-                             misfit_of, cfg, speed_range)
-        trial_evals = result.evaluations
+        result = line_search(coefficients, value, grad, direction,
+                             objective.value, cfg, speed_range)
         if not result.ok and not restarted:
             # one automatic steepest-descent restart
             restarted = True
             direction = grad.copy()
-            result = line_search(state.coefficients, value, grad, direction,
-                                 misfit_of, cfg, speed_range)
-            trial_evals += result.evaluations
+            result = line_search(coefficients, value, grad, direction,
+                                 objective.value, cfg, speed_range)
         records.append(IterationRecord(
             j, value, grad_norm, result.alpha, result.backtracks,
-            time.perf_counter() - t0,
-            system.solve_count + trial_evals * sim_sources.n_sources,
+            time.perf_counter() - t0, objective.solves - solves_0,
         ))
         if callback is not None:
             callback(records[-1])
@@ -250,19 +251,18 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
             reason = "line_search_failure"
             break
 
-        state.coefficients = result.coefficients
-        state.gradient_prev = grad
-        state.direction_prev = direction
+        coefficients = result.coefficients
+        grad_prev = grad
+        direction_prev = direction
         restarted = False
 
-        stop, _ = stagnation(state.misfit_history, cfg)
+        stop, _ = stagnation([r.misfit for r in records], cfg)
         if stop:
             reason = "stagnation"
             break
 
-    state.termination = reason
-    final = replace_coeffs(state.coefficients)
-    return InversionResult(final, records, reason)
+    return InversionResult(initial_model.with_coefficient_vector(coefficients),
+                           records, reason)
 
 
 def write_iteration_log(records, path):

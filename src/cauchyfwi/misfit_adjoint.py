@@ -29,7 +29,6 @@ discretization order.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,17 +64,6 @@ class ReciprocityGapMatrix:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "sim_weights", wy)
         object.__setattr__(self, "obs_weights", wz)
-
-
-@dataclass(frozen=True)
-class MisfitReport:
-    """One misfit evaluation: value, per-pair power, cost bookkeeping."""
-
-    value: float
-    pair_power: np.ndarray
-    wall_time_s: float
-    n_forward_solves: int
-    n_adjoint_solves: int
 
 
 def reciprocity_gap(sim_values, sim_dnu, data, sim_weights):
@@ -125,13 +113,6 @@ def _aggregated_adjoint_rhs(gap, data, receivers, grid):
     return rhs
 
 
-def adjoint_solve(system, gap, data, receivers, y_index):
-    """Adjoint field for one simulation source, all observations aggregated."""
-    rhs = _aggregated_adjoint_rhs(gap, data, receivers, system.grid)[y_index]
-    rhs[system.dirichlet_mask] = 0.0
-    return NodalField(system.grid, system.solve(-rhs))
-
-
 def solve_adjoint_fields(system, gap, data, receivers):
     """(n_nodes, n_sim) adjoint fields solved as one block."""
     rhs = _aggregated_adjoint_rhs(gap, data, receivers, system.grid)
@@ -170,25 +151,13 @@ def misfit_only(system, sim_sources, data):
 
 
 def misfit_and_gradient(system, sim_sources, data):
-    """Misfit, gap matrix, nodal gradient, and a cost report.
+    """Misfit value and nodal gradient.
 
     Exactly n_sim forward and n_sim adjoint solves on the shared
     factorization; accumulations run in fixed source order.
     """
-    t0 = time.perf_counter()
-    before = system.solve_count
     fields, vals, dnu = simulate_traces(system, sim_sources, data.receivers)
-    n_forward = system.solve_count - before
     gap = reciprocity_gap(vals, dnu, data, sim_sources.weights)
-    value = misfit(gap)
     adj = solve_adjoint_fields(system, gap, data, data.receivers)
-    n_adjoint = system.solve_count - before - n_forward
     grad = nodal_gradient(fields, adj, system.speed, system.phys, sim_sources.weights)
-    report = MisfitReport(
-        value=value,
-        pair_power=np.abs(gap.values) ** 2,
-        wall_time_s=time.perf_counter() - t0,
-        n_forward_solves=n_forward,
-        n_adjoint_solves=n_adjoint,
-    )
-    return value, gap, grad, report
+    return misfit(gap), grad

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,19 @@ class TestCliFlow:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config:")
+
+    def test_unappliable_thread_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "starter.cfg")
+        monkeypatch.setenv("CAUCHYFWI_THREADS", "1")
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        assert cli_main(["init", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: CAUCHYFWI_THREADS is set but threadpoolctl")
+        monkeypatch.setenv("CAUCHYFWI_THREADS", "two")
+        assert cli_main(["init", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: CAUCHYFWI_THREADS must be an integer")
+        assert not (tmp_path / "starter.cfg").exists()
 
     def test_missing_data_categorized_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

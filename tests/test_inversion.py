@@ -10,8 +10,9 @@ from cauchyfwi.geometry import (
     build_partition,
     evaluate_model,
 )
-from cauchyfwi.helmholtz import PhysicsConfig
+from cauchyfwi.helmholtz import HelmholtzSystem, PhysicsConfig
 from cauchyfwi.inversion import (
+    Objective,
     OptimConfig,
     line_search,
     pr_direction,
@@ -221,6 +222,27 @@ class TestRelativeL2Error:
             relative_l2_error(zero, one)
 
 
+class TestObjective:
+    def test_values_agree_and_solves_are_counted(self):
+        truth, initial, data, sim = small_problem(seed=1)
+        objective = Objective(initial, sim, data, PHYS)
+        vec = initial.coefficient_vector
+        value, grad = objective.value_and_gradient(vec)
+        assert objective.solves == 2 * sim.n_sources
+        assert objective.value(vec) == value
+        assert objective.solves == 3 * sim.n_sources
+        assert grad.shape == vec.shape
+
+    def test_bound_violation_raises_without_solves(self):
+        truth, initial, data, sim = small_problem(seed=1)
+        objective = Objective(initial, sim, data, PHYS)
+        vec = initial.coefficient_vector.copy()
+        vec[~np.repeat(initial.partition.frozen, 3)] = 4000.0
+        with pytest.raises(BoundsViolationError):
+            objective.value(vec)
+        assert objective.solves == 0
+
+
 class TestRunInversion:
     def test_misfit_decreases_and_sequence_non_increasing(self):
         truth, initial, data, sim = small_problem()
@@ -278,6 +300,29 @@ class TestRunInversion:
         drift = np.abs(result.model.coefficient_vector - truth.coefficient_vector)
         assert drift.max() <= 1e-6 * scale
         assert result.records[0].misfit <= 1e-16
+
+    def test_n_solves_counts_the_columns_solved(self, monkeypatch):
+        truth, initial, data, sim = small_problem(seed=1)
+        columns = []
+        solve = HelmholtzSystem.solve
+
+        def counting_solve(system, rhs):
+            columns.append(1 if np.ndim(rhs) == 1 else np.shape(rhs)[1])
+            return solve(system, rhs)
+
+        monkeypatch.setattr(HelmholtzSystem, "solve", counting_solve)
+        per_record = []
+        seen = [0]
+
+        def callback(record):
+            per_record.append((record.n_solves, sum(columns) - seen[0]))
+            seen[0] = sum(columns)
+
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=4, n_eps=2, eps_j=1e-9)
+        result = run_inversion(data, sim, initial, cfg, PHYS, callback=callback)
+        assert sum(r.n_solves for r in result.records) == sum(columns)
+        assert all(counted == solved for counted, solved in per_record)
+        assert all(r.n_solves >= 2 * sim.n_sources for r in result.records)
 
     def test_iteration_log_csv(self, tmp_path):
         truth, initial, data, sim = small_problem(seed=7)

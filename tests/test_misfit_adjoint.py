@@ -14,21 +14,20 @@ from cauchyfwi.geometry import (
     NodalField,
     PiecewiseLinearModel,
     build_partition,
-    coefficient_gradient,
     evaluate_model,
     fit_coefficients,
 )
 from cauchyfwi.helmholtz import PhysicsConfig, assemble
+from cauchyfwi.inversion import Objective
 from cauchyfwi.misfit_adjoint import (
     ReciprocityGapMatrix,
     _aggregated_adjoint_rhs,
-    adjoint_solve,
     misfit,
     misfit_and_gradient,
-    misfit_only,
     nodal_gradient,
     reciprocity_gap,
     simulate_traces,
+    solve_adjoint_fields,
 )
 from cauchyfwi.phantom import layered_inclusion_phantom
 
@@ -193,8 +192,8 @@ class TestAdjointSolve:
         gap = ReciprocityGapMatrix(
             np.zeros((sim.n_sources, obs.n_sources), complex),
             sim.weights, obs.weights)
-        field = adjoint_solve(system, gap, data, receivers, 0)
-        assert np.all(field.values == 0.0)
+        field = solve_adjoint_fields(system, gap, data, receivers)[:, 0]
+        assert np.all(field == 0.0)
 
     def test_linear_in_gap(self):
         grid, _, receivers, obs, sim, truth, _, data = crime_scenario()
@@ -202,11 +201,11 @@ class TestAdjointSolve:
         rng = np.random.default_rng(4)
         s = rng.normal(size=(sim.n_sources, obs.n_sources)) \
             + 1j * rng.normal(size=(sim.n_sources, obs.n_sources))
-        one = adjoint_solve(system, ReciprocityGapMatrix(s, sim.weights, obs.weights),
-                            data, receivers, 1)
-        two = adjoint_solve(system, ReciprocityGapMatrix(2 * s, sim.weights, obs.weights),
-                            data, receivers, 1)
-        assert np.allclose(two.values, 2 * one.values, rtol=1e-12, atol=0)
+        one = solve_adjoint_fields(
+            system, ReciprocityGapMatrix(s, sim.weights, obs.weights), data, receivers)[:, 1]
+        two = solve_adjoint_fields(
+            system, ReciprocityGapMatrix(2 * s, sim.weights, obs.weights), data, receivers)[:, 1]
+        assert np.allclose(two, 2 * one, rtol=1e-12, atol=0)
 
 
 class TestNodalGradient:
@@ -222,7 +221,7 @@ class TestNodalGradient:
     def test_free_surface_nodes_zeroed(self):
         grid, _, receivers, obs, sim, truth, _, data = crime_scenario()
         system = assemble(grid, evaluate_model(truth), PHYS)
-        _, _, grad, _ = misfit_and_gradient(system, sim, data)
+        _, grad = misfit_and_gradient(system, sim, data)
         assert np.all(grad.values[grid.free_surface_mask()] == 0.0)
 
     def test_descent_raises_speed_in_slow_inclusion(self):
@@ -241,7 +240,7 @@ class TestNodalGradient:
             grid, 30.0, 1500.0, 1600.0, 0.0, center, 40.0, 1600.0)
         data = synthesize(truth, obs, receivers, PHYS)
         system = assemble(grid, background, PHYS)
-        _, _, grad, _ = misfit_and_gradient(system, sim, data)
+        _, grad = misfit_and_gradient(system, sim, data)
         r = np.linalg.norm(grid.node_positions() - np.array(center), axis=1)
         inside = r <= 40.0
         assert grad.values[inside].mean() < 0.0
@@ -250,18 +249,10 @@ class TestNodalGradient:
 class TestGradientAgainstFiniteDifferences:
     def test_coefficient_gradient_matches_central_differences(self):
         grid, partition, receivers, obs, sim, truth, initial, data = crime_scenario()
-
-        def misfit_of(vec):
-            model = initial.with_coefficient_vector(vec)
-            system = assemble(grid, evaluate_model(model), PHYS)
-            value, _ = misfit_only(system, sim, data)
-            return value
-
-        system = assemble(grid, evaluate_model(initial), PHYS)
-        _, _, nodal, _ = misfit_and_gradient(system, sim, data)
-        adjoint = coefficient_gradient(nodal, partition)
-
+        objective = Objective(initial, sim, data, PHYS)
         base = initial.coefficient_vector.copy()
+        _, adjoint = objective.value_and_gradient(base)
+
         span = 3400.0 - 1250.0
         scales = np.empty_like(base)
         scales.reshape(-1, 3)[:, 0] = span
@@ -277,7 +268,7 @@ class TestGradientAgainstFiniteDifferences:
                 plus, minus = base.copy(), base.copy()
                 plus[k] += delta
                 minus[k] -= delta
-                fd = (misfit_of(plus) - misfit_of(minus)) / (2 * delta)
+                fd = (objective.value(plus) - objective.value(minus)) / (2 * delta)
                 err = abs(adjoint[k] - fd) / max(abs(fd), 1e-12 * np.abs(adjoint).max())
                 best = min(best, err)
             worst = max(worst, best)
@@ -287,10 +278,16 @@ class TestGradientAgainstFiniteDifferences:
         grid, partition, receivers, obs, sim, truth, initial, data = crime_scenario()
         system = assemble(grid, evaluate_model(initial), PHYS)
         assert system.solve_count == 0
-        _, _, _, report = misfit_and_gradient(system, sim, data)
-        assert report.n_forward_solves == sim.n_sources
-        assert report.n_adjoint_solves == sim.n_sources
-        assert system.solve_count == 2 * sim.n_sources
+        _, vals, dnu = simulate_traces(system, sim, receivers)
+        n_forward = system.solve_count
+        gap = reciprocity_gap(vals, dnu, data, sim.weights)
+        solve_adjoint_fields(system, gap, data, receivers)
+        n_adjoint = system.solve_count - n_forward
+        assert n_forward == sim.n_sources
+        assert n_adjoint == sim.n_sources
+        before = system.solve_count
+        misfit_and_gradient(system, sim, data)
+        assert system.solve_count - before == 2 * sim.n_sources
 
     def test_3d_gradient_matches_central_differences(self):
         grid = Grid((80.0, 60.0, 70.0), (9, 7, 8))
@@ -312,18 +309,10 @@ class TestGradientAgainstFiniteDifferences:
         initial = PiecewiseLinearModel(partition, start, 1250.0, 3400.0,
                                        water_speed=1500.0)
         data = synthesize(evaluate_model(truth), obs, receivers, PHYS)
-
-        def misfit_of(vec):
-            model = initial.with_coefficient_vector(vec)
-            system = assemble(grid, evaluate_model(model), PHYS)
-            value, _ = misfit_only(system, sim, data)
-            return value
-
-        system = assemble(grid, evaluate_model(initial), PHYS)
-        _, _, nodal, _ = misfit_and_gradient(system, sim, data)
-        adjoint = coefficient_gradient(nodal, partition)
-
+        objective = Objective(initial, sim, data, PHYS)
         base = initial.coefficient_vector.copy()
+        _, adjoint = objective.value_and_gradient(base)
+
         span = 3400.0 - 1250.0
         scales = np.empty_like(base).reshape(n, 4)
         scales[:, 0] = span
@@ -339,7 +328,7 @@ class TestGradientAgainstFiniteDifferences:
                 plus, minus = base.copy(), base.copy()
                 plus[k] += delta
                 minus[k] -= delta
-                fd = (misfit_of(plus) - misfit_of(minus)) / (2 * delta)
+                fd = (objective.value(plus) - objective.value(minus)) / (2 * delta)
                 err = abs(adjoint[k] - fd) / max(abs(fd), 1e-12 * np.abs(adjoint).max())
                 best = min(best, err)
             assert best <= 1e-4
