@@ -52,6 +52,7 @@ from .inversion import (
     IterationRecord,
     Objective,
     OptimConfig,
+    RejectedTrials,
     line_search,
     pr_direction,
     relative_l2_error,

@@ -237,7 +237,7 @@ def evaluate_pair(model_a, model_b, sim_sources, obs_sources, receivers, phys):
     linf = float(np.max(np.abs(field_a.values - field_b.values)))
     data = acquisition.synthesize(field_b, obs_sources, receivers, phys)
     system = assemble(field_a.grid, field_a, phys)
-    value, _ = misfit_only(system, sim_sources, data)
+    value, _, _ = misfit_only(system, sim_sources, data)
     return linf, value
 
 

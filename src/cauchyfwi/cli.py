@@ -139,7 +139,7 @@ def cmd_invert(args):
     export_field(final_field, prefix + ".speed.txt", fmt="structured-points")
     if args.dump_pairs:
         system = assemble(grid, final_field, phys)
-        _, gap = misfit_only(system, sim, data)
+        _, gap, _ = misfit_only(system, sim, data)
         np.savetxt(args.dump_pairs, np.abs(gap.values) ** 2, delimiter=", ")
 
     summary = [

@@ -177,7 +177,8 @@ class HelmholtzSystem:
         """Solve A u = rhs for one vector or a (n_nodes, k) block.
 
         Direct factorization; the residual satisfies |A u - b| <= 1e-10 |b|
-        for well-scaled inputs and output is deterministic.
+        for well-scaled inputs and output is deterministic.  A non-finite
+        result raises SolverBreakdownError.
         """
         b = np.asarray(rhs, dtype=complex)
         if b.shape[0] != self.grid.n_nodes:
@@ -188,6 +189,8 @@ class HelmholtzSystem:
             x = self.factorization.solve(b)
         except (RuntimeError, ValueError) as exc:
             raise SolverBreakdownError(f"triangular solve failed: {exc}") from exc
+        if not np.isfinite(x).all():
+            raise SolverBreakdownError("triangular solve returned non-finite values")
         self.solve_count += 1 if b.ndim == 1 else b.shape[1]
         return x
 

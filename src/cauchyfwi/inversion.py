@@ -11,15 +11,16 @@ automatic steepest-descent restart).
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundsViolationError
+from .errors import BoundsViolationError, SolverBreakdownError
 from .geometry import coefficient_gradient, evaluate_model
 from .helmholtz import assemble
-from .misfit_adjoint import misfit_and_gradient, misfit_only
+from .misfit_adjoint import misfit_and_gradient, misfit_only, source_specs
 
 
 @dataclass
@@ -54,7 +55,24 @@ class OptimConfig:
 
 
 @dataclass
+class RejectedTrials:
+    """Line-search trials rejected, by cause.
+
+    bounds: the trial speed left the bounds; armijo: the trial failed the
+    Armijo test; early: those Armijo rejections proven before every forward
+    solve had run; breakdown: the factorization or a solve failed.
+    """
+
+    bounds: int = 0
+    armijo: int = 0
+    early: int = 0
+    breakdown: int = 0
+
+
+@dataclass
 class IterationRecord:
+    """One driver iteration; rejected sums both line searches of a restart."""
+
     iteration: int
     misfit: float
     grad_norm: float
@@ -62,6 +80,7 @@ class IterationRecord:
     backtracks: int
     wall_time_s: float
     n_solves: int
+    rejected: RejectedTrials = field(default_factory=RejectedTrials)
 
 
 @dataclass
@@ -101,14 +120,21 @@ class LineSearchResult:
     misfit: float
     coefficients: np.ndarray
     backtracks: int
+    rejected: RejectedTrials = field(default_factory=RejectedTrials)
 
 
-def line_search(coefficients, misfit_0, grad, direction, misfit_fn, cfg, speed_range):
+def line_search(coefficients, misfit_0, grad, direction, misfit_fn, cfg, speed_range,
+                rejected=None):
     """Backtracking along c - alpha * s under Armijo plus bound feasibility.
 
     The first trial step moves the largest coefficient by
-    initial_step_fraction of the admissible speed range.  A trial that
-    violates the speed bounds is rejected regardless of its misfit.
+    initial_step_fraction of the admissible speed range.
+    misfit_fn(trial, bound) returns the trial's misfit, or inf once that
+    misfit is proven to exceed bound, the trial's Armijo bound.  A trial
+    that violates the speed bounds (BoundsViolationError) or breaks the
+    solver (SolverBreakdownError) is rejected regardless of its misfit.
+    Rejected trials are counted into `rejected` (a new RejectedTrials if
+    None), which the result carries.
     Requires <grad, direction> > 0 (a descent direction for the subtractive
     update); the caller resets the direction otherwise.
     """
@@ -119,17 +145,26 @@ def line_search(coefficients, misfit_0, grad, direction, misfit_fn, cfg, speed_r
     if smax == 0:
         raise ValueError("zero search direction")
     alpha = cfg.initial_step_fraction * speed_range / smax
+    if rejected is None:
+        rejected = RejectedTrials()
     for m in range(cfg.max_backtracks + 1):
         trial = coefficients - alpha * np.asarray(direction)
+        bound = misfit_0 - cfg.armijo_c1 * alpha * gs
         try:
-            value = misfit_fn(trial)
+            value = misfit_fn(trial, bound)
         except BoundsViolationError:
-            value = None
-        if value is not None and value <= misfit_0 - cfg.armijo_c1 * alpha * gs:
-            return LineSearchResult(True, alpha, value, trial, m)
+            rejected.bounds += 1
+        except SolverBreakdownError:
+            rejected.breakdown += 1
+        else:
+            if value <= bound:
+                return LineSearchResult(True, alpha, value, trial, m, rejected)
+            rejected.armijo += 1
+            if value == math.inf:
+                rejected.early += 1
         alpha *= cfg.backtrack_rho
     return LineSearchResult(False, 0.0, misfit_0, np.asarray(coefficients),
-                            cfg.max_backtracks + 1)
+                            cfg.max_backtracks + 1, rejected)
 
 
 def stagnation(history, cfg):
@@ -169,6 +204,12 @@ class Objective:
     coefficients; each evaluation swaps in a new coefficient vector and
     raises BoundsViolationError when the evaluated speed leaves the bounds.
     solves counts the right-hand sides solved over all evaluations so far.
+
+    The last value call whose forward solves all ran keeps its vector's
+    bytes, system (with its factorization), forward fields and gap matrix;
+    a value_and_gradient call at the same bytes reuses them and solves only
+    the adjoints.  Every call drops the kept entry first, so at most one
+    system is alive.
     """
 
     def __init__(self, model, sim_sources, data, phys):
@@ -177,33 +218,64 @@ class Objective:
         self.data = data
         self.phys = phys
         self.solves = 0
+        self._specs = source_specs(model.partition.grid, sim_sources)
+        self._order = None  # sources by descending misfit share at the last gradient
+        self._kept = None
 
     def _system(self, vec):
         model = self.model.with_coefficient_vector(vec)
         return assemble(model.partition.grid, evaluate_model(model), self.phys)
 
-    def value(self, vec):
-        """Misfit alone: n_sim forward solves."""
+    def value(self, vec, bound=None):
+        """Misfit alone: n_sim forward solves, fewer when the misfit is
+        proven above bound early, and then inf is returned.
+
+        The sources are tried in descending order of their misfit share at
+        the last value_and_gradient vector, so an excess shows early.
+        """
+        self._kept = None
         system = self._system(vec)
-        value, _ = misfit_only(system, self.sim_sources, self.data)
-        self.solves += system.solve_count
+        try:
+            value, gap, fields = misfit_only(system, self.sim_sources, self.data, bound=bound,
+                                             order=self._order, specs=self._specs)
+        finally:
+            self.solves += system.solve_count
+        if gap is not None:
+            self._kept = (_key(vec), system, fields, gap)
         return value
 
     def value_and_gradient(self, vec):
-        """Misfit and its coefficient gradient: n_sim forward plus n_sim
-        adjoint solves on one factorization."""
-        system = self._system(vec)
-        value, nodal_grad = misfit_and_gradient(system, self.sim_sources, self.data)
-        self.solves += system.solve_count
+        """Misfit and its coefficient gradient: n_sim adjoint solves, plus
+        n_sim forward solves on a new factorization unless the last value
+        call was at the same vector."""
+        if self._kept is None or self._kept[0] != _key(vec):
+            self.value(vec)  # drops the kept system before assembling
+        _, system, fields, gap = self._kept
+        self._kept = None
+        before = system.solve_count
+        try:
+            value, nodal_grad = misfit_and_gradient(system, self.sim_sources, self.data,
+                                                    forward=(fields, gap))
+        finally:
+            self.solves += system.solve_count - before
+        share = gap.sim_weights * ((np.abs(gap.values) ** 2) @ gap.obs_weights)
+        self._order = np.argsort(-share, kind="stable")
         return value, coefficient_gradient(nodal_grad, self.model.partition)
+
+
+def _key(vec):
+    return np.asarray(vec, dtype=float).tobytes()
 
 
 def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
     """Reconstruct the wave speed from Cauchy data.
 
-    Per iteration: assemble, n_sim forward solves, gap matrix, misfit,
-    n_sim aggregated adjoint solves, nodal gradient, projection onto the
-    partition coefficients, conjugate direction, backtracking update.
+    Per iteration: n_sim aggregated adjoint solves on the factorization and
+    forward fields of the model the previous line search accepted (the
+    first iteration assembles and solves its n_sim forward fields), nodal
+    gradient, projection onto the partition coefficients, conjugate
+    direction, backtracking update.  Each trial of the update assembles,
+    factorizes and runs up to n_sim forward solves.
     Returns the last accepted model, one record per iteration, and the
     termination reason.  The accepted misfit sequence is non-increasing and
     frozen coefficients are bit-identical to the initial model's.
@@ -233,17 +305,18 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
         if float(grad @ direction) <= 0:
             direction = grad.copy()
 
+        rejected = RejectedTrials()
         result = line_search(coefficients, value, grad, direction,
-                             objective.value, cfg, speed_range)
+                             objective.value, cfg, speed_range, rejected)
         if not result.ok and not restarted:
             # one automatic steepest-descent restart
             restarted = True
             direction = grad.copy()
             result = line_search(coefficients, value, grad, direction,
-                                 objective.value, cfg, speed_range)
+                                 objective.value, cfg, speed_range, rejected)
         records.append(IterationRecord(
             j, value, grad_norm, result.alpha, result.backtracks,
-            time.perf_counter() - t0, objective.solves - solves_0,
+            time.perf_counter() - t0, objective.solves - solves_0, rejected,
         ))
         if callback is not None:
             callback(records[-1])

@@ -12,9 +12,10 @@ telescopes to zero exactly, which is what drives the misfit
     J = sum_{y,z} w_y w_z |S[y, z]|^2
 
 toward zero at the true model.  One misfit-plus-gradient evaluation costs
-exactly n_sim forward and n_sim adjoint solves on one shared factorization:
-the observation sources are aggregated into a single adjoint right-hand
-side per simulation source.
+n_sim adjoint solves on one shared factorization, plus the n_sim forward
+solves unless the caller passes forward fields it already has: the
+observation sources are aggregated into a single adjoint right-hand side
+per simulation source.
 
 Discrete consistency: the adjoint source is assembled as the exact
 transpose of the trace and normal-derivative sampling operators (monopole
@@ -29,6 +30,7 @@ discretization order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,12 @@ from . import helmholtz
 from .errors import GeometryError
 from .geometry import NodalField
 from .helmholtz import SourceSpec
+
+# Sources per forward block solve, so that a misfit bound may stop the
+# solves early, and the relative margin above the bound that the partial
+# misfit must pass, far above the rounding of the partial sums.
+FORWARD_BLOCK = 8
+REJECT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,29 +143,76 @@ def nodal_gradient(forward_fields, adjoint_fields, speed, phys, sim_weights):
     return NodalField(speed.grid, grad, unit="1/(m/s)")
 
 
-def simulate_traces(system, sim_sources, receivers):
-    """Forward solves for every simulation source plus their traces."""
-    specs = [SourceSpec.from_position(system.grid, p) for p in sim_sources.positions]
+def source_specs(grid, sim_sources):
+    """Unit point sources of a source set, snapped to the grid."""
+    return [SourceSpec.from_position(grid, p) for p in sim_sources.positions]
+
+
+def simulate_traces(system, sim_sources, receivers, specs=None):
+    """Forward solves for every simulation source plus their traces.
+
+    specs, if given, replaces source_specs(system.grid, sim_sources): the
+    sources solved, in their column order.
+    """
+    if specs is None:
+        specs = source_specs(system.grid, sim_sources)
     fields = system.green_many(specs)
     vals, dnu = helmholtz.traces_many(fields, system.grid, receivers)
     return fields, vals, dnu
 
 
-def misfit_only(system, sim_sources, data):
-    """Misfit value alone: n_sim forward solves, no adjoints."""
-    _, vals, dnu = simulate_traces(system, sim_sources, data.receivers)
+def misfit_only(system, sim_sources, data, bound=None, order=None, specs=None):
+    """Misfit value, gap matrix and forward fields: n_sim forward solves at
+    most, no adjoints.
+
+    The sources are solved in blocks of FORWARD_BLOCK, taken in `order`
+    (default: source order).  With a bound, once the misfit of the sources
+    solved so far exceeds it by the relative REJECT_MARGIN, the call returns
+    (inf, None, None): every source adds a nonnegative term, so the full
+    misfit exceeds the bound too.  Otherwise the value comes from the full
+    Fortran-ordered field block, bit-identical to the value without a bound,
+    since each column of a block solve equals that column solved alone.
+    """
+    if specs is None:
+        specs = source_specs(system.grid, sim_sources)
+    n_sim = len(specs)
+    order = np.arange(n_sim) if order is None else np.asarray(order)
+    # one block is returned as solved; a C-ordered block of several would
+    # change the summation order of the products downstream
+    fields = None
+    if n_sim > FORWARD_BLOCK:
+        fields = np.empty((system.grid.n_nodes, n_sim), dtype=complex, order="F")
+    partial = 0.0
+    for start in range(0, n_sim, FORWARD_BLOCK):
+        cols = np.sort(order[start:start + FORWARD_BLOCK])
+        block, vals, dnu = simulate_traces(system, sim_sources, data.receivers,
+                                           [specs[c] for c in cols])
+        if fields is None:
+            fields = block
+        else:
+            fields[:, cols] = block
+        if bound is not None and start + FORWARD_BLOCK < n_sim:
+            partial += misfit(reciprocity_gap(vals, dnu, data, sim_sources.weights[cols]))
+            if partial > bound + REJECT_MARGIN * abs(bound):
+                return math.inf, None, None
+    vals, dnu = helmholtz.traces_many(fields, system.grid, data.receivers)
     gap = reciprocity_gap(vals, dnu, data, sim_sources.weights)
-    return misfit(gap), gap
+    return misfit(gap), gap, fields
 
 
-def misfit_and_gradient(system, sim_sources, data):
+def misfit_and_gradient(system, sim_sources, data, forward=None):
     """Misfit value and nodal gradient.
 
-    Exactly n_sim forward and n_sim adjoint solves on the shared
-    factorization; accumulations run in fixed source order.
+    Exactly n_sim adjoint solves on the shared factorization, plus n_sim
+    forward solves unless forward = (fields, gap) passes the forward fields
+    and gap matrix already solved on this system; accumulations run in
+    fixed source order.
     """
-    fields, vals, dnu = simulate_traces(system, sim_sources, data.receivers)
-    gap = reciprocity_gap(vals, dnu, data, sim_sources.weights)
+    if forward is None:
+        fields, vals, dnu = simulate_traces(system, sim_sources, data.receivers)
+        gap = reciprocity_gap(vals, dnu, data, sim_sources.weights)
+    else:
+        fields, gap = forward
     adj = solve_adjoint_fields(system, gap, data, data.receivers)
     grad = nodal_gradient(fields, adj, system.speed, system.phys, sim_sources.weights)
     return misfit(gap), grad

@@ -145,8 +145,8 @@ def run_zero_residual(tag):
     perturbed[j, 0] *= 1.10
     init = truth.with_coefficient_vector(perturbed.ravel())
 
-    j_true, _ = misfit_only(assemble(grid, truth_field, phys), sim, data)
-    j_init, _ = misfit_only(assemble(grid, evaluate_model(init), phys), sim, data)
+    j_true, _, _ = misfit_only(assemble(grid, truth_field, phys), sim, data)
+    j_init, _, _ = misfit_only(assemble(grid, evaluate_model(init), phys), sim, data)
     return {
         "j_true": j_true,
         "j_init": j_init,

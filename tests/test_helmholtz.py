@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import hankel1
 
+from cauchyfwi import config as C
 from cauchyfwi.acquisition import receiver_layer
-from cauchyfwi.errors import AssemblyError, InvalidSourceError
-from cauchyfwi.geometry import Grid, NodalField
+from cauchyfwi.config import DEFAULT_CONFIG, parse_config
+from cauchyfwi.errors import AssemblyError, InvalidSourceError, SolverBreakdownError
+from cauchyfwi.geometry import Grid, NodalField, evaluate_model
 from cauchyfwi.helmholtz import (
+    HelmholtzSystem,
     PhysicsConfig,
     SourceSpec,
     assemble,
@@ -187,6 +191,26 @@ class TestSolve:
             single = system.solve(b[:, col])
             assert np.allclose(block[:, col], single, rtol=0, atol=1e-14)
 
+    def test_block_columns_bit_equal_on_default_config(self):
+        # bounded misfits solve the sources in blocks of a few columns and
+        # must reproduce the one-block fields bit for bit
+        cfg = parse_config(DEFAULT_CONFIG)
+        grid = C.build_grid(cfg)
+        model = C.build_initial_model(cfg, C.build_partition_for(cfg, grid))
+        system = assemble(grid, evaluate_model(model), C.build_physics(cfg))
+        specs = [SourceSpec.from_position(grid, p)
+                 for p in C.build_sim_sources(cfg, grid).positions]
+        full = system.green_many(specs)
+        order = np.random.default_rng(10).permutation(len(specs))
+        blocks = np.empty_like(full, order="F")
+        for start in range(0, len(specs), 8):
+            cols = order[start:start + 8]
+            blocks[:, cols] = system.green_many([specs[c] for c in cols])
+        assert blocks.tobytes(order="F") == full.tobytes(order="F")
+        for col in order[:3]:
+            single = system.green_many([specs[col]])
+            assert single.tobytes() == full[:, col].tobytes()
+
 
 class TestGreen:
     def test_reciprocity_between_interior_points(self):
@@ -268,10 +292,6 @@ class TestTraces:
 
 class TestSolverBreakdown:
     def test_singular_factorization_reported(self):
-        from cauchyfwi.errors import SolverBreakdownError
-        from cauchyfwi.helmholtz import HelmholtzSystem
-        import scipy.sparse as sp
-
         grid = Grid((20.0, 20.0), (3, 3))
         speed = constant_speed(grid)
         singular = sp.csc_matrix((9, 9), dtype=complex)
@@ -279,6 +299,15 @@ class TestSolverBreakdown:
                                  grid.free_surface_mask())
         with pytest.raises(SolverBreakdownError):
             system.factorization
+
+    def test_non_finite_solution_reported(self):
+        grid = Grid((20.0, 20.0), (3, 3))
+        tiny = sp.identity(9, dtype=complex, format="csc") * 1e-300
+        system = HelmholtzSystem(grid, constant_speed(grid), PHYS, tiny, True,
+                                 grid.free_surface_mask())
+        with pytest.raises(SolverBreakdownError):
+            system.solve(np.full(9, 1e10, dtype=complex))  # 1e310 overflows
+        assert system.solve_count == 0
 
 
 class TestFieldExport:

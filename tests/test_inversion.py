@@ -1,8 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from cauchyfwi import inversion
+
 from cauchyfwi.acquisition import receiver_layer, source_lattice, synthesize
-from cauchyfwi.errors import BoundsViolationError
+from cauchyfwi.errors import BoundsViolationError, SolverBreakdownError
 from cauchyfwi.geometry import (
     Grid,
     NodalField,
@@ -10,10 +15,11 @@ from cauchyfwi.geometry import (
     build_partition,
     evaluate_model,
 )
-from cauchyfwi.helmholtz import HelmholtzSystem, PhysicsConfig
+from cauchyfwi.helmholtz import HelmholtzSystem, PhysicsConfig, assemble
 from cauchyfwi.inversion import (
     Objective,
     OptimConfig,
+    RejectedTrials,
     line_search,
     pr_direction,
     relative_l2_error,
@@ -21,6 +27,7 @@ from cauchyfwi.inversion import (
     stagnation,
     write_iteration_log,
 )
+from cauchyfwi.misfit_adjoint import FORWARD_BLOCK
 
 PHYS = PhysicsConfig(freq_hz=25.0, water_speed=1500.0)
 
@@ -91,7 +98,7 @@ class TestPrDirection:
 
 class TestLineSearch:
     def quadratic(self, q, c_star):
-        def f(c):
+        def f(c, bound=None):
             d = c - c_star
             return 0.5 * float(d @ q @ d)
         return f
@@ -134,7 +141,7 @@ class TestLineSearch:
         f_raw = self.quadratic(q, np.zeros(2))
         calls = []
 
-        def f(c):
+        def f(c, bound=None):
             calls.append(c.copy())
             if c[0] < 0.75:
                 raise BoundsViolationError("out of bounds", node=0, value=c[0])
@@ -149,7 +156,7 @@ class TestLineSearch:
         assert result.coefficients[0] >= 0.75
 
     def test_exhausted_budget_reports_failure(self):
-        def f(c):
+        def f(c, bound=None):
             return 1.0  # no decrease anywhere
 
         g = np.array([1.0])
@@ -162,7 +169,50 @@ class TestLineSearch:
         cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1)
         with pytest.raises(ValueError):
             line_search(np.zeros(2), 1.0, np.array([1.0, 0.0]),
-                        np.array([-1.0, 0.0]), lambda c: 0.0, cfg, 1.0)
+                        np.array([-1.0, 0.0]), lambda c, bound=None: 0.0, cfg, 1.0)
+
+    def test_solver_breakdown_is_a_rejected_trial(self):
+        q = np.eye(2)
+        c0 = np.array([1.0, 1.0])
+        f_raw = self.quadratic(q, np.zeros(2))
+        calls = []
+
+        def f(c, bound=None):
+            calls.append(c.copy())
+            if len(calls) == 1:
+                raise SolverBreakdownError("triangular solve returned non-finite values")
+            return f_raw(c)
+
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1)
+        result = line_search(c0, f_raw(c0), c0, c0, f, cfg, 50.0)
+        assert result.ok
+        assert result.backtracks == 1
+        assert result.rejected == RejectedTrials(breakdown=1)
+
+    def test_rejections_are_counted_by_cause(self):
+        # trial 1 leaves the bounds, trial 2 is stopped early, trial 3
+        # fails Armijo on its full misfit, trial 4 is accepted
+        c0 = np.array([1.0])
+        bounds_seen = []
+
+        def f(c, bound=None):
+            bounds_seen.append(bound)
+            trial = len(bounds_seen)
+            if trial == 1:
+                raise BoundsViolationError("out of bounds", node=0, value=c[0])
+            if trial == 2:
+                return np.inf
+            if trial == 3:
+                return 2.0
+            return 0.5
+
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1)
+        result = line_search(c0, 1.0, c0, c0, f, cfg, 50.0)
+        assert result.ok and result.backtracks == 3 and result.misfit == 0.5
+        assert result.rejected == RejectedTrials(bounds=1, armijo=2, early=1)
+        # each trial gets its own Armijo bound, below the starting misfit
+        alphas = 0.5 * 0.5 ** np.arange(4)
+        assert bounds_seen == [1.0 - cfg.armijo_c1 * a for a in alphas]
 
 
 class TestStagnation:
@@ -222,6 +272,26 @@ class TestRelativeL2Error:
             relative_l2_error(zero, one)
 
 
+def many_source_problem():
+    """small_problem with 12 simulation sources, more than one forward block."""
+    truth, initial, data, _ = small_problem(seed=1)
+    sim = source_lattice(initial.partition.grid, depth_m=10.0, count=6,
+                         margin_m=20.0, role="simulation", depth_span_m=10.0,
+                         n_layers=2)
+    assert sim.n_sources > FORWARD_BLOCK
+    return initial, data, sim
+
+
+def nearby_vectors(model, n, seed):
+    rng = np.random.default_rng(seed)
+    base = model.coefficient_vector
+    free = ~np.repeat(model.partition.frozen, 3)
+    for _ in range(n):
+        vec = base.copy()
+        vec[free] *= 1.0 + 0.01 * rng.normal(size=free.sum())
+        yield vec
+
+
 class TestObjective:
     def test_values_agree_and_solves_are_counted(self):
         truth, initial, data, sim = small_problem(seed=1)
@@ -241,6 +311,82 @@ class TestObjective:
         with pytest.raises(BoundsViolationError):
             objective.value(vec)
         assert objective.solves == 0
+
+    def test_bounded_value_decides_the_bound_exactly(self):
+        initial, data, sim = many_source_problem()
+        objective = Objective(initial, sim, data, PHYS)
+        objective.value_and_gradient(initial.coefficient_vector)
+        early = 0
+        for vec in nearby_vectors(initial, 4, seed=11):
+            full = Objective(initial, sim, data, PHYS).value(vec)
+            for bound in [-1.0, 0.0] + [full * (1.0 + d) for d in (
+                    -0.9, -0.5, -1e-3, -1e-9, -1e-13, 0.0, 1e-13, 1e-9, 1e-3, 1.0)]:
+                solves_0 = objective.solves
+                value = objective.value(vec, bound)
+                assert (value <= bound) == (full <= bound)
+                if value <= bound:
+                    assert value == full
+                if value == np.inf:
+                    early += 1
+                    assert objective.solves - solves_0 < sim.n_sources
+        assert early > 0
+
+    @pytest.mark.parametrize("problem", ["many_sources", "few_sources"])
+    @pytest.mark.parametrize("bound", [None, np.inf])
+    def test_gradient_reuses_the_last_value_solves(self, problem, bound):
+        if problem == "many_sources":
+            initial, data, sim = many_source_problem()
+        else:
+            truth, initial, data, sim = small_problem(seed=1)
+        vec = next(nearby_vectors(initial, 1, seed=12))
+        fresh_value, fresh_grad = Objective(initial, sim, data, PHYS).value_and_gradient(vec)
+        objective = Objective(initial, sim, data, PHYS)
+        objective.value_and_gradient(initial.coefficient_vector)  # sets the source order
+        objective.value(vec, bound)
+        solves_0 = objective.solves
+        value, grad = objective.value_and_gradient(vec)
+        assert objective.solves - solves_0 == sim.n_sources
+        assert value == fresh_value
+        assert grad.tobytes() == fresh_grad.tobytes()
+
+    def test_other_vector_misses_the_kept_solves(self):
+        initial, data, sim = many_source_problem()
+        vec = next(nearby_vectors(initial, 1, seed=13))
+        other = vec.copy()
+        k = np.nonzero(~np.repeat(initial.partition.frozen, 3))[0][0]
+        other.view(np.int64)[k] ^= 1  # the last bit of one coefficient
+        fresh_value, fresh_grad = Objective(initial, sim, data, PHYS).value_and_gradient(other)
+        objective = Objective(initial, sim, data, PHYS)
+        objective.value(vec)
+        solves_0 = objective.solves
+        value, grad = objective.value_and_gradient(other)
+        assert objective.solves - solves_0 == 2 * sim.n_sources
+        assert value == fresh_value
+        assert grad.tobytes() == fresh_grad.tobytes()
+        # a trial stopped early keeps nothing either
+        assert objective.value(vec, 0.0) == np.inf
+        solves_0 = objective.solves
+        objective.value_and_gradient(vec)
+        assert objective.solves - solves_0 == 2 * sim.n_sources
+
+    def test_a_miss_releases_the_kept_system_before_assembling(self, monkeypatch):
+        initial, data, sim = many_source_problem()
+        vec, other = nearby_vectors(initial, 2, seed=14)
+        systems, alive = [], []
+
+        def recording_assemble(*args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in systems))
+            system = assemble(*args)
+            systems.append(weakref.ref(system))
+            return system
+
+        monkeypatch.setattr(inversion, "assemble", recording_assemble)
+        objective = Objective(initial, sim, data, PHYS)
+        objective.value(vec)
+        objective.value_and_gradient(other)
+        objective.value(vec)
+        assert alive == [0, 0, 0]
 
 
 class TestRunInversion:
@@ -323,6 +469,33 @@ class TestRunInversion:
         assert sum(r.n_solves for r in result.records) == sum(columns)
         assert all(counted == solved for counted, solved in per_record)
         assert all(r.n_solves >= 2 * sim.n_sources for r in result.records)
+
+    def test_rejected_trials_are_counted(self, monkeypatch):
+        truth, initial, data, sim = small_problem(seed=1)
+        outcomes = []
+        value = Objective.value
+
+        def recording_value(objective, vec, bound=None):
+            if bound is None:  # not a trial: the first gradient's forward solves
+                return value(objective, vec)
+            try:
+                v = value(objective, vec, bound)
+            except BoundsViolationError:
+                outcomes.append("bounds")
+                raise
+            outcomes.append("accepted" if v <= bound else "armijo")
+            return v
+
+        monkeypatch.setattr(Objective, "value", recording_value)
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=4, n_eps=2, eps_j=1e-9)
+        result = run_inversion(data, sim, initial, cfg, PHYS)
+        def total(cause):
+            return sum(getattr(r.rejected, cause) for r in result.records)
+
+        assert total("bounds") == outcomes.count("bounds") > 0
+        assert total("armijo") == outcomes.count("armijo")
+        assert total("breakdown") == 0
+        assert outcomes.count("accepted") == len(result.records)
 
     def test_iteration_log_csv(self, tmp_path):
         truth, initial, data, sim = small_problem(seed=7)

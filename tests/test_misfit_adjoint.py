@@ -24,6 +24,7 @@ from cauchyfwi.misfit_adjoint import (
     _aggregated_adjoint_rhs,
     misfit,
     misfit_and_gradient,
+    misfit_only,
     nodal_gradient,
     reciprocity_gap,
     simulate_traces,
@@ -288,6 +289,19 @@ class TestGradientAgainstFiniteDifferences:
         before = system.solve_count
         misfit_and_gradient(system, sim, data)
         assert system.solve_count - before == 2 * sim.n_sources
+
+    def test_kept_forward_fields_cost_only_the_adjoints(self):
+        grid, partition, receivers, obs, sim, truth, initial, data = crime_scenario()
+        system = assemble(grid, evaluate_model(initial), PHYS)
+        value, gap, fields = misfit_only(system, sim, data)
+        before = system.solve_count
+        kept_value, kept_grad = misfit_and_gradient(system, sim, data,
+                                                    forward=(fields, gap))
+        assert system.solve_count - before == sim.n_sources
+        fresh = assemble(grid, evaluate_model(initial), PHYS)
+        fresh_value, fresh_grad = misfit_and_gradient(fresh, sim, data)
+        assert kept_value == fresh_value == value
+        assert kept_grad.values.tobytes() == fresh_grad.values.tobytes()
 
     def test_3d_gradient_matches_central_differences(self):
         grid = Grid((80.0, 60.0, 70.0), (9, 7, 8))
