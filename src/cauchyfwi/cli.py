@@ -2,13 +2,17 @@
 
 Every run writes a resolved-configuration snapshot next to its outputs;
 re-running from the snapshot reproduces the outputs bit-exactly for a fixed
-seed and BLAS thread count.  CAUCHYFWI_THREADS caps the BLAS thread pools
-through threadpoolctl; a cap that cannot be applied is a config error.
+seed and BLAS thread count.  synth and invert write each output file to a
+temporary file beside it and rename that over the target, so an
+interrupted run leaves no half-written file.  CAUCHYFWI_THREADS caps the
+BLAS thread pools through threadpoolctl; a cap that cannot be applied is a
+config error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -77,11 +81,27 @@ def _load_config(path):
         return config_mod.parse_config(f.read())
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield a temporary path beside path and rename it to path once the
+    block returns; if the block raises, delete it and leave path as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_text(path, text):
+    with _replacing(path) as tmp, open(tmp, "w") as f:
+        f.write(text)
+
+
 def _snapshot_config(cfg, prefix):
-    path = prefix + ".resolved.cfg"
-    with open(path, "w") as f:
-        f.write(config_mod.render_config(cfg))
-    return path
+    _write_text(prefix + ".resolved.cfg", config_mod.render_config(cfg))
 
 
 def cmd_init(args):
@@ -106,11 +126,15 @@ def cmd_synth(args):
         data = add_noise(data, cfg.snr_db, cfg.seed)
 
     prefix = args.out_prefix
-    write_data(data, prefix + ".cauchy.txt")
-    write_geometry_csv(prefix + ".receivers.csv", receivers.positions, receivers.weights)
-    write_geometry_csv(prefix + ".sources.csv", obs.positions, obs.weights)
+    with _replacing(prefix + ".cauchy.txt") as tmp:
+        write_data(data, tmp)
+    with _replacing(prefix + ".receivers.csv") as tmp:
+        write_geometry_csv(tmp, receivers.positions, receivers.weights)
+    with _replacing(prefix + ".sources.csv") as tmp:
+        write_geometry_csv(tmp, obs.positions, obs.weights)
     truth_inv = config_mod.build_true_field(cfg, grid)
-    write_field_structured_points(truth_inv, prefix + ".true_speed.txt")
+    with _replacing(prefix + ".true_speed.txt") as tmp:
+        write_field_structured_points(truth_inv, tmp)
     _snapshot_config(cfg, prefix)
     print(f"synthesized {data.n_sources} sources x {data.n_receivers} receivers "
           f"at {cfg.freq_hz} Hz (snr {data.provenance.snr_db} dB) -> {prefix}.cauchy.txt")
@@ -132,30 +156,39 @@ def cmd_invert(args):
     result = run_inversion(data, sim, initial, optim, phys)
 
     prefix = args.out_prefix
-    write_model(result.model, prefix + ".model.txt")
-    write_partition(partition, prefix + ".partition.txt")
-    write_iteration_log(result.records, prefix + ".log.csv")
+    with _replacing(prefix + ".model.txt") as tmp:
+        write_model(result.model, tmp)
+    with _replacing(prefix + ".partition.txt") as tmp:
+        write_partition(partition, tmp)
+    with _replacing(prefix + ".log.csv") as tmp:
+        write_iteration_log(result.records, tmp)
     final_field = evaluate_model(result.model)
-    export_field(final_field, prefix + ".speed.txt", fmt="structured-points")
+    with _replacing(prefix + ".speed.txt") as tmp:
+        export_field(final_field, tmp, fmt="structured-points")
     if args.dump_pairs:
         system = assemble(grid, final_field, phys)
         _, gap, _ = misfit_only(system, sim, data)
-        np.savetxt(args.dump_pairs, np.abs(gap.values) ** 2, delimiter=", ")
+        with _replacing(args.dump_pairs) as tmp:
+            np.savetxt(tmp, np.abs(gap.values) ** 2, delimiter=", ")
 
+    records = result.records
     summary = [
-        f"iterations {len(result.records)}",
+        f"iterations {len(records)}",
         f"termination {result.reason}",
-        f"misfit_first {result.records[0].misfit:.17g}",
-        f"misfit_last {result.records[-1].misfit:.17g}",
+        f"misfit_first {records[0].misfit:.17g}",
+        f"misfit_last {records[-1].misfit:.17g}",
+        f"wall_time_s {sum(r.wall_time_s for r in records):.6g}",
+        f"rhs_solves {sum(r.n_solves for r in records)}",
     ]
+    summary += [f"rejected_{cause} {sum(getattr(r.rejected, cause) for r in records)}"
+                for cause in ("bounds", "armijo", "early", "breakdown")]
     if args.truth_field:
         truth = read_field_structured_points(args.truth_field)
         e_init = relative_l2_error(truth, evaluate_model(initial))
         e_final = relative_l2_error(truth, final_field)
         summary.append(f"rel_l2_initial {e_init:.6g}")
         summary.append(f"rel_l2_final {e_final:.6g}")
-    with open(prefix + ".summary.txt", "w") as f:
-        f.write("\n".join(summary) + "\n")
+    _write_text(prefix + ".summary.txt", "\n".join(summary) + "\n")
     _snapshot_config(cfg, prefix)
     print("\n".join(summary))
     print(f"model -> {prefix}.model.txt")

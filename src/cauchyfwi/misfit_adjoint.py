@@ -38,12 +38,11 @@ import numpy as np
 from . import helmholtz
 from .errors import GeometryError
 from .geometry import NodalField
-from .helmholtz import SourceSpec
+from .helmholtz import FORWARD_BLOCK, SourceSpec
 
-# Sources per forward block solve, so that a misfit bound may stop the
-# solves early, and the relative margin above the bound that the partial
-# misfit must pass, far above the rounding of the partial sums.
-FORWARD_BLOCK = 8
+# The relative margin above a misfit bound that the partial misfit must
+# pass, far above the rounding of the partial sums.  The sources are solved
+# FORWARD_BLOCK at a time, so that the bound may stop the solves early.
 REJECT_MARGIN = 1e-9
 
 

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from cauchyfwi import cli
 from cauchyfwi.cli import cli_main
 from cauchyfwi.config import (
     DEFAULT_CONFIG,
@@ -161,6 +162,39 @@ class TestCliFlow:
         summary = (tmp_path / "result.summary.txt").read_text()
         assert "termination" in summary
         assert "rel_l2_final" in summary
+        totals = dict(line.split(" ", 1) for line in summary.splitlines())
+        rows = (tmp_path / "result.log.csv").read_text().strip().splitlines()[1:]
+        assert int(totals["rhs_solves"]) == sum(int(r.split(",")[4]) for r in rows)
+        assert float(totals["wall_time_s"]) > 0
+        rejected = {cause: int(totals["rejected_" + cause])
+                    for cause in ("bounds", "armijo", "early", "breakdown")}
+        assert min(rejected.values()) >= 0
+        assert rejected["early"] <= rejected["armijo"]
+
+    def test_failed_write_leaves_no_partial_or_temp_file(self, tmp_path, monkeypatch):
+        def partial_then_fail(*args):
+            path = next(a for a in args if isinstance(a, str))
+            with open(path, "w") as f:
+                f.write("partial")
+            raise OSError("disk full")
+
+        cfg = self.write_config(tmp_path)
+        prefix = str(tmp_path / "run")
+        with monkeypatch.context() as m:
+            m.setattr(cli, "write_data", partial_then_fail)
+            assert cli_main(["synth", "--config", cfg, "--out-prefix", prefix]) == 1
+        assert not (tmp_path / "run.cauchy.txt").exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+        assert cli_main(["synth", "--config", cfg, "--out-prefix", prefix]) == 0
+        log = tmp_path / "result.log.csv"
+        log.write_text("previous log\n")
+        monkeypatch.setattr(cli, "write_iteration_log", partial_then_fail)
+        code = cli_main(["invert", "--config", cfg, "--data-prefix", prefix,
+                         "--out-prefix", str(tmp_path / "result")])
+        assert code == 1
+        assert log.read_text() == "previous log\n"
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_invert_decoupled_sources_decreases_misfit(self, tmp_path):
         cfg = self.write_config(tmp_path)

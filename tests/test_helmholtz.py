@@ -152,13 +152,24 @@ class TestSolve:
         assert np.all(x == 0)
 
     def test_residual_bound(self):
-        grid = Grid((40.0, 40.0), (5, 5))
-        system = assemble(grid, constant_speed(grid), PHYS)
+        # one vector on a small constant grid, a 32-column block on the
+        # default config's true model, and one vector on a small 3-D grid
+        cfg = parse_config(DEFAULT_CONFIG)
+        grid_5 = Grid((40.0, 40.0), (5, 5))
+        grid_cfg = C.build_grid(cfg)
+        grid_3d = Grid((60.0, 40.0, 50.0), (7, 5, 6))
         rng = np.random.default_rng(6)
-        b = rng.normal(size=grid.n_nodes) + 1j * rng.normal(size=grid.n_nodes)
-        x = system.solve(b)
-        residual = np.linalg.norm(system.matrix @ x - b)
-        assert residual <= 1e-10 * np.linalg.norm(b)
+        for system, block in (
+            (assemble(grid_5, constant_speed(grid_5), PHYS), ()),
+            (assemble(grid_cfg, C.build_true_field(cfg, grid_cfg),
+                      C.build_physics(cfg)), (32,)),
+            (assemble(grid_3d, constant_speed(grid_3d), PHYS), ()),
+        ):
+            shape = (system.grid.n_nodes, *block)
+            b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            x = system.solve(b)
+            residual = np.linalg.norm(system.matrix @ x - b, axis=0)
+            assert np.all(residual <= 1e-10 * np.linalg.norm(b, axis=0))
 
     def test_agrees_with_dense_lu(self):
         grid = Grid((40.0, 40.0), (5, 5))
@@ -193,23 +204,40 @@ class TestSolve:
 
     def test_block_columns_bit_equal_on_default_config(self):
         # bounded misfits solve the sources in blocks of a few columns and
-        # must reproduce the one-block fields bit for bit
+        # must reproduce the one-block fields bit for bit, at the process's
+        # BLAS thread count: on the inversion grid at the starting model,
+        # and on the h/2 synthesis grid at the true model
+        cfg = parse_config(DEFAULT_CONFIG)
+        grid = C.build_grid(cfg)
+        fine = C.build_grid(cfg, refine=2)
+        model = C.build_initial_model(cfg, C.build_partition_for(cfg, grid))
+        phys = C.build_physics(cfg)
+        for speed, sources in (
+            (evaluate_model(model), C.build_sim_sources(cfg, grid)),
+            (C.build_true_field(cfg, fine), C.build_obs_sources(cfg, grid)),
+        ):
+            system = assemble(speed.grid, speed, phys)
+            specs = [SourceSpec.from_position(speed.grid, p) for p in sources.positions]
+            assert len(specs) == 32
+            full = system.green_many(specs)
+            order = np.random.default_rng(10).permutation(len(specs))
+            blocks = np.empty_like(full, order="F")
+            for start in range(0, len(specs), 8):
+                cols = order[start:start + 8]
+                blocks[:, cols] = system.green_many([specs[c] for c in cols])
+            assert blocks.tobytes(order="F") == full.tobytes(order="F")
+            for col in order[:3]:
+                single = system.green_many([specs[col]])
+                assert single.tobytes() == full[:, col].tobytes()
+
+    def test_symmetric_ordering_keeps_fill_low(self):
+        # MMD on A^T + A leaves 93,263 nonzeros in L + U here; the default
+        # COLAMD ordering left 150,722
         cfg = parse_config(DEFAULT_CONFIG)
         grid = C.build_grid(cfg)
         model = C.build_initial_model(cfg, C.build_partition_for(cfg, grid))
-        system = assemble(grid, evaluate_model(model), C.build_physics(cfg))
-        specs = [SourceSpec.from_position(grid, p)
-                 for p in C.build_sim_sources(cfg, grid).positions]
-        full = system.green_many(specs)
-        order = np.random.default_rng(10).permutation(len(specs))
-        blocks = np.empty_like(full, order="F")
-        for start in range(0, len(specs), 8):
-            cols = order[start:start + 8]
-            blocks[:, cols] = system.green_many([specs[c] for c in cols])
-        assert blocks.tobytes(order="F") == full.tobytes(order="F")
-        for col in order[:3]:
-            single = system.green_many([specs[col]])
-            assert single.tobytes() == full[:, col].tobytes()
+        lu = assemble(grid, evaluate_model(model), C.build_physics(cfg)).factorization
+        assert lu.L.nnz + lu.U.nnz < 100_000
 
 
 class TestGreen:
