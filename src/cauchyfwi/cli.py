@@ -2,11 +2,9 @@
 
 Every run writes a resolved-configuration snapshot next to its outputs;
 re-running from the snapshot reproduces the outputs bit-exactly for a fixed
-seed and BLAS thread count.  synth and invert write each output file to a
-temporary file beside it and rename that over the target, so an
-interrupted run leaves no half-written file.  CAUCHYFWI_THREADS caps the
-BLAS thread pools through threadpoolctl; a cap that cannot be applied is a
-config error.
+seed, at 1 and at 2 OpenBLAS threads alike.  init, synth and invert write each
+output file to a temporary file beside it and rename that over the target,
+so an interrupted run leaves no half-written file.
 """
 
 from __future__ import annotations
@@ -59,23 +57,6 @@ from .inversion import relative_l2_error, run_inversion, write_iteration_log
 from .misfit_adjoint import misfit_only
 
 
-def _limit_threads():
-    n = os.environ.get("CAUCHYFWI_THREADS")
-    if not n:
-        return None
-    try:
-        limit = int(n)
-    except ValueError:
-        raise ConfigError(f"CAUCHYFWI_THREADS must be an integer, got {n!r}") from None
-    try:
-        # optional dependency, needed only when the cap is requested
-        import threadpoolctl
-    except ImportError:
-        raise ConfigError("CAUCHYFWI_THREADS is set but threadpoolctl is not "
-                          "installed, so the thread cap cannot be applied") from None
-    return threadpoolctl.threadpool_limits(limits=limit)
-
-
 def _load_config(path):
     with open(path) as f:
         return config_mod.parse_config(f.read())
@@ -107,8 +88,7 @@ def _snapshot_config(cfg, prefix):
 def cmd_init(args):
     if os.path.exists(args.out) and not args.force:
         raise ConfigError(f"{args.out} exists; pass --force to overwrite")
-    with open(args.out, "w") as f:
-        f.write(config_mod.DEFAULT_CONFIG)
+    _write_text(args.out, config_mod.DEFAULT_CONFIG)
     print(f"wrote starter configuration to {args.out}")
     return 0
 
@@ -315,9 +295,7 @@ def cli_main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    limiter = None
     try:
-        limiter = _limit_threads()
         return args.func(args)
     except Exception as exc:  # categorized reporting, nonzero exit
         for types, label in _ERROR_CATEGORIES:
@@ -326,9 +304,6 @@ def cli_main(argv=None):
                 return 1
         print(f"error: internal: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if limiter is not None:
-            limiter.unregister()
 
 
 def main():

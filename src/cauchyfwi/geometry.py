@@ -23,9 +23,6 @@ from .errors import (
     RankDeficiencyError,
 )
 
-FREE_SURFACE = "free_surface"
-ABSORBING = "absorbing"
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -72,15 +69,6 @@ class Grid:
     def cell_volume(self):
         return float(np.prod(self.spacing))
 
-    def face_tag(self, axis, side):
-        """Boundary tag of face (axis, side); side 0 is the low end."""
-        if axis == self.dim - 1 and side == 0:
-            return FREE_SURFACE
-        return ABSORBING
-
-    def axis_coords(self, axis):
-        return np.linspace(0.0, self.extent[axis], self.shape[axis])
-
     def multi_indices(self):
         """(n_nodes, dim) integer node indices in C (row-major) order."""
         return _multi_indices(self)
@@ -103,10 +91,6 @@ class Grid:
 
     def ravel_index(self, multi):
         return int(np.ravel_multi_index(tuple(int(i) for i in multi), self.shape))
-
-    def position_of(self, flat_index):
-        multi = np.unravel_index(int(flat_index), self.shape)
-        return np.array([i * h for i, h in zip(multi, self.spacing)])
 
     def nearest_node(self, position):
         """Flat index of the grid node closest to a physical position."""
@@ -364,10 +348,6 @@ class PiecewiseLinearModel:
             coeffs[self.partition.frozen, 1:] = 0.0
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def n_coefficients(self):
-        return self.coeffs.size
 
     @property
     def coefficient_vector(self):

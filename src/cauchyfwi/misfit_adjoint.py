@@ -133,9 +133,16 @@ def nodal_gradient(forward_fields, adjoint_fields, speed, phys, sim_weights):
     grad(x) = -Re( sum_y w_y 2 k^2 c(x)^-3 G(x, y) gamma(x, y) ), the
     product unconjugated and the real part taken at the end.  Zero on the
     pressure-free surface, where the field itself vanishes.
+
+    The sum over y runs in source order, one column at a time: as a
+    matrix-vector product OpenBLAS splits it across its threads, and the
+    last bits then depend on the thread count.
     """
     wy = np.asarray(sim_weights, dtype=float)
-    pair = (forward_fields * adjoint_fields) @ wy
+    prod = forward_fields * adjoint_fields
+    pair = np.zeros(prod.shape[0], dtype=complex)
+    for y in range(wy.size):
+        pair += wy[y] * prod[:, y]
     c = np.asarray(speed.values, dtype=float)
     grad = -2.0 * phys.k ** 2 * c ** -3 * np.real(pair)
     grad[speed.grid.free_surface_mask()] = 0.0

@@ -34,9 +34,12 @@ class TestGrid:
         assert grid2d.n_nodes == 21 * 11
 
     def test_exactly_one_free_surface_face(self, grid3d):
-        tags = [grid3d.face_tag(a, s) for a in range(3) for s in (0, 1)]
-        assert tags.count("free_surface") == 1
-        assert grid3d.face_tag(2, 0) == "free_surface"
+        mask = grid3d.free_surface_mask()
+        idx = grid3d.multi_indices()
+        marked = [(a, s) for a in range(3) for s in (0, 1)
+                  if mask[idx[:, a] == s * (grid3d.shape[a] - 1)].all()]
+        assert marked == [(2, 0)]
+        assert mask.sum() == grid3d.shape[0] * grid3d.shape[1]  # none off that face
 
     def test_node_weights_sum_to_volume(self, grid2d, grid3d):
         for g in (grid2d, grid3d):
@@ -52,7 +55,7 @@ class TestGrid:
 
     def test_nearest_node_snaps(self, grid2d):
         node = grid2d.nearest_node((52.0, 48.0))
-        assert np.allclose(grid2d.position_of(node), (50.0, 50.0))
+        assert np.allclose(grid2d.node_positions()[node], (50.0, 50.0))
 
     def test_refine_keeps_extent(self, grid2d):
         fine = grid2d.refine(2)

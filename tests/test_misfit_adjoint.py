@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import cauchyfwi
 from cauchyfwi.acquisition import (
     CauchyDataSet,
     Provenance,
@@ -245,6 +250,26 @@ class TestNodalGradient:
         r = np.linalg.norm(grid.node_positions() - np.array(center), axis=1)
         inside = r <= 40.0
         assert grad.values[inside].mean() < 0.0
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one core")
+    def test_results_independent_of_blas_thread_count(self):
+        # the helper prints the thread count in effect, then digests of the
+        # nodal gradient of random 3321 x 32 blocks, a 32-column solve and
+        # two objective evaluations on the default configuration
+        helper = os.path.join(os.path.dirname(__file__), "blas_thread_digests.py")
+        src = os.path.dirname(os.path.dirname(cauchyfwi.__file__))
+        outputs = {}
+        for threads in (1, 2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, helper], env=env, capture_output=True,
+                                 text=True, timeout=600)
+            assert run.returncode == 0, run.stderr
+            first, rest = run.stdout.split("\n", 1)
+            assert first == f"openblas_threads {threads}"
+            outputs[threads] = rest
+        assert len(outputs[1].splitlines()) == 4
+        assert outputs[1] == outputs[2]
 
 
 class TestGradientAgainstFiniteDifferences:
