@@ -2,8 +2,8 @@
 
 Reconstructs piecewise-linear acoustic wave-speed models by minimizing a
 reciprocity-gap misfit between simulated point-source fields and measured
-pressure / normal-velocity traces, with an adjoint-state gradient and a
-conjugate-gradient driver.
+pressure / normal-velocity traces, with an adjoint-state gradient and an
+L-BFGS driver.
 """
 
 from .geometry import (
@@ -53,8 +53,8 @@ from .inversion import (
     Objective,
     OptimConfig,
     RejectedTrials,
+    lbfgs_direction,
     line_search,
-    pr_direction,
     relative_l2_error,
     run_inversion,
     stagnation,

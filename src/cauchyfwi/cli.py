@@ -1,10 +1,10 @@
 """Command-line front end: synth, invert, gradcheck, probe, export, init.
 
-Every run writes a resolved-configuration snapshot next to its outputs;
-re-running from the snapshot reproduces the outputs bit-exactly for a fixed
-seed, at 1 and at 2 OpenBLAS threads alike.  init, synth and invert write each
-output file to a temporary file beside it and rename that over the target,
-so an interrupted run leaves no half-written file.
+synth and invert write a resolved-configuration snapshot next to their
+outputs; re-running from the snapshot reproduces the outputs bit-exactly for
+a fixed seed, at 1 and at 2 OpenBLAS threads alike.  Every subcommand writes
+each output file to a temporary file beside it and renames that over the
+target, so an interrupted run leaves no half-written file.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def cmd_invert(args):
         f"rhs_solves {sum(r.n_solves for r in records)}",
     ]
     summary += [f"rejected_{cause} {sum(getattr(r.rejected, cause) for r in records)}"
-                for cause in ("bounds", "armijo", "early", "breakdown")]
+                for cause in ("bounds", "armijo", "breakdown")]
     if args.truth_field:
         truth = read_field_structured_points(args.truth_field)
         e_init = relative_l2_error(truth, evaluate_model(initial))
@@ -179,7 +179,8 @@ def cmd_gradcheck(args):
     cfg = _load_config(args.config)
     report = gradcheck(cfg, n_probes=args.probes, seed=args.seed)
     if args.out:
-        write_gradcheck_csv(report, args.out)
+        with _replacing(args.out) as tmp:
+            write_gradcheck_csv(report, tmp)
     n_total = len(report.checks)
     n_bad = sum(1 for c in report.checks
                 if not c.conclusive or c.rel_error > report.tolerance)
@@ -201,7 +202,8 @@ def cmd_probe(args):
                              n_pairs=args.pairs, seed=args.seed,
                              water_speed=cfg.water_speed_m_per_s)
     if args.out:
-        write_stability_csv(report, args.out)
+        with _replacing(args.out) as tmp:
+            write_stability_csv(report, tmp)
     print(f"stability probe over {args.pairs} pairs: ratio in "
           f"[{report.ratio_min:.6g}, {report.ratio_max:.6g}] m/s per sqrt(J), "
           f"{report.n_flagged} flagged")
@@ -215,7 +217,8 @@ def cmd_export(args):
     model = read_model(args.model, partition, cfg.c_min_m_per_s,
                        cfg.c_max_m_per_s, cfg.water_speed_m_per_s)
     field = evaluate_model(model)
-    export_field(field, args.out, fmt=args.format, sigma=args.sigma)
+    with _replacing(args.out) as tmp:
+        export_field(field, tmp, fmt=args.format, sigma=args.sigma)
     print(f"exported {args.out} ({args.format}, sigma {args.sigma})")
     return 0
 

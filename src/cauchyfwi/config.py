@@ -2,8 +2,9 @@
 
 Every physical quantity carries its unit in the key name.  Unknown keys are
 rejected, and validation reports every failure at once so a bad file can be
-fixed in one pass.  Each CLI run archives its resolved configuration; the
-archived text reproduces the run bit-exactly under the same seed.
+fixed in one pass.  The synth and invert commands archive the resolved
+configuration; the archived text reproduces the run bit-exactly under the
+same seed.
 """
 
 from __future__ import annotations
@@ -171,6 +172,12 @@ def validate(cfg):
             problems.append("partition.tile_y_m required for a 3D grid")
     if not 0 < cfg.c_min_m_per_s < cfg.c_max_m_per_s:
         problems.append("physics speeds need 0 < c_min < c_max")
+    if math.isnan(cfg.snr_db) or cfg.snr_db == -math.inf:
+        problems.append(f"noise.snr_db must be a number or inf, got {cfg.snr_db}")
+    try:
+        build_optimizer(cfg)
+    except ValueError as exc:
+        problems.append(f"optimizer: {exc}")
     if problems:
         raise ConfigError("configuration rejected", problems)
 

@@ -1,18 +1,19 @@
-"""Nonlinear conjugate-gradient driver with backtracking and stagnation stop.
+"""L-BFGS driver with backtracking and stagnation stop.
 
 Each iteration solves the forward problem for the current model, forms the
-reciprocity-gap misfit and its coefficient-space gradient, builds a
-clamped-beta conjugate direction, and backtracks along c - alpha * s until
-the Armijo condition holds and the trial model stays inside the speed
-bounds.  The run stops at the iteration cap, on stagnation of the misfit
-over a trailing window, or when the line search fails twice (once after an
-automatic steepest-descent restart).
+reciprocity-gap misfit and its coefficient-space gradient, builds an L-BFGS
+direction from the last LBFGS_PAIRS steps, and backtracks along
+c - alpha * s until the Armijo condition holds and the trial model stays
+inside the speed bounds.  The run stops at the iteration cap, on stagnation
+of the misfit over a trailing window, or when the line search fails twice
+(once after an automatic steepest-descent restart, which drops the stored
+pairs).
 """
 
 from __future__ import annotations
 
-import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,11 @@ from .geometry import coefficient_gradient, evaluate_model
 from .helmholtz import assemble
 from .misfit_adjoint import misfit_and_gradient, misfit_only, source_specs
 
+# Stored L-BFGS pairs; the model has a few dozen free coefficients.
+LBFGS_PAIRS = 5
+# A pair is skipped unless s'y > CURVATURE_TOL |s| |y|.
+CURVATURE_TOL = 1e-12
+
 
 @dataclass
 class OptimConfig:
@@ -29,7 +35,11 @@ class OptimConfig:
 
     The iteration floor keeps the run alive through early slow progress;
     stagnation then stops it once the relative misfit decrease over the
-    last n_eps iterations drops below eps_j.
+    last n_eps iterations drops below eps_j.  initial_step_fraction sets
+    the first trial step only where no L-BFGS pair is stored, on the first
+    iteration and after a restart: that step moves the largest coefficient
+    by this fraction of the speed range.  Elsewhere the first trial is the
+    unit step.
     """
 
     n_iter_min: int = 50
@@ -52,6 +62,10 @@ class OptimConfig:
             raise ValueError("armijo_c1 must lie in (0, 1)")
         if not 0 < self.backtrack_rho < 1:
             raise ValueError("backtrack_rho must lie in (0, 1)")
+        if not self.initial_step_fraction > 0:
+            raise ValueError("initial_step_fraction must be positive")
+        if self.max_backtracks < 0:
+            raise ValueError("max_backtracks must not be negative")
 
 
 @dataclass
@@ -59,13 +73,11 @@ class RejectedTrials:
     """Line-search trials rejected, by cause.
 
     bounds: the trial speed left the bounds; armijo: the trial failed the
-    Armijo test; early: those Armijo rejections proven before every forward
-    solve had run; breakdown: the factorization or a solve failed.
+    Armijo test; breakdown: the factorization or a solve failed.
     """
 
     bounds: int = 0
     armijo: int = 0
-    early: int = 0
     breakdown: int = 0
 
 
@@ -94,23 +106,37 @@ class InversionResult:
         return [r.misfit for r in self.records]
 
 
-def pr_direction(grad, grad_prev, dir_prev):
-    """Conjugate direction with the clamped two-gradient beta.
+def lbfgs_direction(grad, pairs):
+    """L-BFGS search direction H g by the two-loop recursion.
 
-    beta = max(0, <g, g - g_prev> / <g_prev, g_prev>); the clamp restores
-    steepest descent whenever the curvature estimate turns negative.  The
-    first iteration (or a vanished previous gradient) returns the gradient
-    itself.  The update convention is c - alpha * s, so s aligns with +g.
+    pairs holds (s, y) steps and gradient changes, oldest first; the initial
+    inverse Hessian is gamma I with gamma = s'y / y'y of the newest pair, and
+    no pairs give the gradient itself.  The update convention is
+    c - alpha * s, so the direction aligns with +g.  It is a descent
+    direction whenever every pair has s'y > 0, which update_pairs ensures.
     """
-    g = np.asarray(grad, dtype=float)
-    if grad_prev is None or dir_prev is None:
-        return g.copy()
-    gp = np.asarray(grad_prev, dtype=float)
-    denom = float(gp @ gp)
-    if denom == 0.0:
-        return g.copy()
-    beta = max(0.0, float(g @ (g - gp)) / denom)
-    return g + beta * np.asarray(dir_prev, dtype=float)
+    q = np.array(grad, dtype=float)
+    if not pairs:
+        return q
+    rhos = [1.0 / float(s @ y) for s, y in pairs]
+    alphas = []
+    for (s, y), rho in zip(reversed(pairs), reversed(rhos)):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    s, y = pairs[-1]
+    r = (float(s @ y) / float(y @ y)) * q
+    for (s, y), rho, a in zip(pairs, rhos, reversed(alphas)):
+        r += (a - rho * float(y @ r)) * s
+    return r
+
+
+def update_pairs(pairs, s, y):
+    """Store (s, y) unless it fails the curvature test
+    s'y > CURVATURE_TOL |s| |y|; pairs is a deque that drops its oldest
+    pair beyond its maxlen."""
+    if float(s @ y) > CURVATURE_TOL * float(np.linalg.norm(s) * np.linalg.norm(y)):
+        pairs.append((s, y))
 
 
 @dataclass
@@ -123,14 +149,12 @@ class LineSearchResult:
     rejected: RejectedTrials = field(default_factory=RejectedTrials)
 
 
-def line_search(coefficients, misfit_0, grad, direction, misfit_fn, cfg, speed_range,
+def line_search(coefficients, misfit_0, grad, direction, misfit_fn, cfg, alpha,
                 rejected=None):
     """Backtracking along c - alpha * s under Armijo plus bound feasibility.
 
-    The first trial step moves the largest coefficient by
-    initial_step_fraction of the admissible speed range.
-    misfit_fn(trial, bound) returns the trial's misfit, or inf once that
-    misfit is proven to exceed bound, the trial's Armijo bound.  A trial
+    alpha is the first trial step; each rejection multiplies it by
+    backtrack_rho.  misfit_fn(trial) returns the trial's misfit.  A trial
     that violates the speed bounds (BoundsViolationError) or breaks the
     solver (SolverBreakdownError) is rejected regardless of its misfit.
     Rejected trials are counted into `rejected` (a new RejectedTrials if
@@ -141,27 +165,20 @@ def line_search(coefficients, misfit_0, grad, direction, misfit_fn, cfg, speed_r
     gs = float(np.asarray(grad) @ np.asarray(direction))
     if gs <= 0:
         raise ValueError("line search needs a descent direction (<g, s> > 0)")
-    smax = float(np.max(np.abs(direction)))
-    if smax == 0:
-        raise ValueError("zero search direction")
-    alpha = cfg.initial_step_fraction * speed_range / smax
     if rejected is None:
         rejected = RejectedTrials()
     for m in range(cfg.max_backtracks + 1):
         trial = coefficients - alpha * np.asarray(direction)
-        bound = misfit_0 - cfg.armijo_c1 * alpha * gs
         try:
-            value = misfit_fn(trial, bound)
+            value = misfit_fn(trial)
         except BoundsViolationError:
             rejected.bounds += 1
         except SolverBreakdownError:
             rejected.breakdown += 1
         else:
-            if value <= bound:
+            if value <= misfit_0 - cfg.armijo_c1 * alpha * gs:
                 return LineSearchResult(True, alpha, value, trial, m, rejected)
             rejected.armijo += 1
-            if value == math.inf:
-                rejected.early += 1
         alpha *= cfg.backtrack_rho
     return LineSearchResult(False, 0.0, misfit_0, np.asarray(coefficients),
                             cfg.max_backtracks + 1, rejected)
@@ -205,11 +222,10 @@ class Objective:
     raises BoundsViolationError when the evaluated speed leaves the bounds.
     solves counts the right-hand sides solved over all evaluations so far.
 
-    The last value call whose forward solves all ran keeps its vector's
-    bytes, system (with its factorization), forward fields and gap matrix;
-    a value_and_gradient call at the same bytes reuses them and solves only
-    the adjoints.  Every call drops the kept entry first, so at most one
-    system is alive.
+    The last value call keeps its vector's bytes, system (with its
+    factorization), forward fields and gap matrix; a value_and_gradient
+    call at the same bytes reuses them and solves only the adjoints.  Every
+    call drops the kept entry first, so at most one system is alive.
     """
 
     def __init__(self, model, sim_sources, data, phys):
@@ -219,29 +235,22 @@ class Objective:
         self.phys = phys
         self.solves = 0
         self._specs = source_specs(model.partition.grid, sim_sources)
-        self._order = None  # sources by descending misfit share at the last gradient
         self._kept = None
 
     def _system(self, vec):
         model = self.model.with_coefficient_vector(vec)
         return assemble(model.partition.grid, evaluate_model(model), self.phys)
 
-    def value(self, vec, bound=None):
-        """Misfit alone: n_sim forward solves, fewer when the misfit is
-        proven above bound early, and then inf is returned.
-
-        The sources are tried in descending order of their misfit share at
-        the last value_and_gradient vector, so an excess shows early.
-        """
+    def value(self, vec):
+        """Misfit alone: n_sim forward solves."""
         self._kept = None
         system = self._system(vec)
         try:
-            value, gap, fields = misfit_only(system, self.sim_sources, self.data, bound=bound,
-                                             order=self._order, specs=self._specs)
+            value, gap, fields = misfit_only(system, self.sim_sources, self.data,
+                                             specs=self._specs)
         finally:
             self.solves += system.solve_count
-        if gap is not None:
-            self._kept = (_key(vec), system, fields, gap)
+        self._kept = (_key(vec), system, fields, gap)
         return value
 
     def value_and_gradient(self, vec):
@@ -258,8 +267,6 @@ class Objective:
                                                     forward=(fields, gap))
         finally:
             self.solves += system.solve_count - before
-        share = gap.sim_weights * ((np.abs(gap.values) ** 2) @ gap.obs_weights)
-        self._order = np.argsort(-share, kind="stable")
         return value, coefficient_gradient(nodal_grad, self.model.partition)
 
 
@@ -273,20 +280,27 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
     Per iteration: n_sim aggregated adjoint solves on the factorization and
     forward fields of the model the previous line search accepted (the
     first iteration assembles and solves its n_sim forward fields), nodal
-    gradient, projection onto the partition coefficients, conjugate
+    gradient, projection onto the partition coefficients, L-BFGS
     direction, backtracking update.  Each trial of the update assembles,
-    factorizes and runs up to n_sim forward solves.
+    factorizes and runs n_sim forward solves.
     Returns the last accepted model, one record per iteration, and the
     termination reason.  The accepted misfit sequence is non-increasing and
     frozen coefficients are bit-identical to the initial model's.
     """
     objective = Objective(initial_model, sim_sources, data, phys)
     coefficients = initial_model.coefficient_vector.copy()
-    grad_prev = direction_prev = None
+    pairs = deque(maxlen=LBFGS_PAIRS)
+    grad_prev = step = None
     records = []
     speed_range = initial_model.c_max - initial_model.c_min
-    restarted = False
     reason = "max_iterations"
+
+    def first_trial(direction):
+        # the unit step of an L-BFGS direction; without pairs, the step that
+        # moves the largest coefficient by initial_step_fraction of the range
+        if pairs:
+            return 1.0
+        return cfg.initial_step_fraction * speed_range / float(np.max(np.abs(direction)))
 
     for j in range(1, cfg.n_iter_max + 1):
         t0 = time.perf_counter()
@@ -301,19 +315,22 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
                                            objective.solves - solves_0))
             break
 
-        direction = pr_direction(grad, grad_prev, direction_prev)
+        if step is not None:
+            update_pairs(pairs, step, grad - grad_prev)
+        direction = lbfgs_direction(grad, pairs)
         if float(grad @ direction) <= 0:
+            pairs.clear()
             direction = grad.copy()
 
         rejected = RejectedTrials()
-        result = line_search(coefficients, value, grad, direction,
-                             objective.value, cfg, speed_range, rejected)
-        if not result.ok and not restarted:
-            # one automatic steepest-descent restart
-            restarted = True
+        result = line_search(coefficients, value, grad, direction, objective.value,
+                             cfg, first_trial(direction), rejected)
+        if not result.ok:
+            # one automatic steepest-descent restart, which forgets the pairs
+            pairs.clear()
             direction = grad.copy()
-            result = line_search(coefficients, value, grad, direction,
-                                 objective.value, cfg, speed_range, rejected)
+            result = line_search(coefficients, value, grad, direction, objective.value,
+                                 cfg, first_trial(direction), rejected)
         records.append(IterationRecord(
             j, value, grad_norm, result.alpha, result.backtracks,
             time.perf_counter() - t0, objective.solves - solves_0, rejected,
@@ -324,10 +341,9 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
             reason = "line_search_failure"
             break
 
+        step = result.coefficients - coefficients
         coefficients = result.coefficients
         grad_prev = grad
-        direction_prev = direction
-        restarted = False
 
         stop, _ = stagnation([r.misfit for r in records], cfg)
         if stop:

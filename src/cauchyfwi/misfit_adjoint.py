@@ -30,7 +30,6 @@ discretization order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +37,7 @@ import numpy as np
 from . import helmholtz
 from .errors import GeometryError
 from .geometry import NodalField
-from .helmholtz import FORWARD_BLOCK, SourceSpec
-
-# The relative margin above a misfit bound that the partial misfit must
-# pass, far above the rounding of the partial sums.  The sources are solved
-# FORWARD_BLOCK at a time, so that the bound may stop the solves early.
-REJECT_MARGIN = 1e-9
+from .helmholtz import SourceSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,41 +161,10 @@ def simulate_traces(system, sim_sources, receivers, specs=None):
     return fields, vals, dnu
 
 
-def misfit_only(system, sim_sources, data, bound=None, order=None, specs=None):
-    """Misfit value, gap matrix and forward fields: n_sim forward solves at
-    most, no adjoints.
-
-    The sources are solved in blocks of FORWARD_BLOCK, taken in `order`
-    (default: source order).  With a bound, once the misfit of the sources
-    solved so far exceeds it by the relative REJECT_MARGIN, the call returns
-    (inf, None, None): every source adds a nonnegative term, so the full
-    misfit exceeds the bound too.  Otherwise the value comes from the full
-    Fortran-ordered field block, bit-identical to the value without a bound,
-    since each column of a block solve equals that column solved alone.
-    """
-    if specs is None:
-        specs = source_specs(system.grid, sim_sources)
-    n_sim = len(specs)
-    order = np.arange(n_sim) if order is None else np.asarray(order)
-    # one block is returned as solved; a C-ordered block of several would
-    # change the summation order of the products downstream
-    fields = None
-    if n_sim > FORWARD_BLOCK:
-        fields = np.empty((system.grid.n_nodes, n_sim), dtype=complex, order="F")
-    partial = 0.0
-    for start in range(0, n_sim, FORWARD_BLOCK):
-        cols = np.sort(order[start:start + FORWARD_BLOCK])
-        block, vals, dnu = simulate_traces(system, sim_sources, data.receivers,
-                                           [specs[c] for c in cols])
-        if fields is None:
-            fields = block
-        else:
-            fields[:, cols] = block
-        if bound is not None and start + FORWARD_BLOCK < n_sim:
-            partial += misfit(reciprocity_gap(vals, dnu, data, sim_sources.weights[cols]))
-            if partial > bound + REJECT_MARGIN * abs(bound):
-                return math.inf, None, None
-    vals, dnu = helmholtz.traces_many(fields, system.grid, data.receivers)
+def misfit_only(system, sim_sources, data, specs=None):
+    """Misfit value, gap matrix and forward fields: n_sim forward solves,
+    no adjoints.  specs is passed on to simulate_traces."""
+    fields, vals, dnu = simulate_traces(system, sim_sources, data.receivers, specs)
     gap = reciprocity_gap(vals, dnu, data, sim_sources.weights)
     return misfit(gap), gap, fields
 

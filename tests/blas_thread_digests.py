@@ -17,7 +17,7 @@ from cauchyfwi.acquisition import add_noise, synthesize
 from cauchyfwi.config import DEFAULT_CONFIG, parse_config
 from cauchyfwi.geometry import evaluate_model
 from cauchyfwi.helmholtz import assemble
-from cauchyfwi.inversion import Objective
+from cauchyfwi.inversion import Objective, OptimConfig, run_inversion
 from cauchyfwi.misfit_adjoint import nodal_gradient, source_specs
 
 THREAD_GETTERS = [f"{prefix}_get_num_threads{suffix}"
@@ -78,6 +78,12 @@ def main():
     for name, v in (("start", vec), ("perturbed", vec + step.ravel())):
         value, grad = objective.value_and_gradient(v)
         print("objective", name, value.hex(), digest(grad))
+
+    # four iterations: the last two take L-BFGS directions from stored pairs
+    optim = OptimConfig(n_iter_min=1, n_iter_max=4, n_eps=1)
+    result = run_inversion(data, sim, initial, optim, phys)
+    print("run_inversion", len(result.records),
+          digest(result.misfit_history, result.model.coefficient_vector))
 
 
 if __name__ == "__main__":

@@ -165,9 +165,8 @@ class TestCliFlow:
         assert int(totals["rhs_solves"]) == sum(int(r.split(",")[4]) for r in rows)
         assert float(totals["wall_time_s"]) > 0
         rejected = {cause: int(totals["rejected_" + cause])
-                    for cause in ("bounds", "armijo", "early", "breakdown")}
+                    for cause in ("bounds", "armijo", "breakdown")}
         assert min(rejected.values()) >= 0
-        assert rejected["early"] <= rejected["armijo"]
 
     def test_failed_write_leaves_no_partial_or_temp_file(self, tmp_path, monkeypatch):
         def partial_then_fail(*args):
@@ -200,6 +199,13 @@ class TestCliFlow:
         monkeypatch.setattr(cli.config_mod, "DEFAULT_CONFIG", "[grid]\n\udcff\n")
         assert cli_main(["init", "--out", str(starter), "--force"]) == 1
         assert starter.read_text() == "previous config\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+        probe = tmp_path / "probe.csv"
+        probe.write_text("previous probe\n")
+        monkeypatch.setattr(cli, "write_stability_csv", partial_then_fail)
+        assert cli_main(["probe", "--config", cfg, "--pairs", "1", "--out", str(probe)]) == 1
+        assert probe.read_text() == "previous probe\n"
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_invert_decoupled_sources_decreases_misfit(self, tmp_path):
@@ -261,13 +267,30 @@ class TestCliFlow:
         assert cli_main(["invert", "--no-such-flag"]) != 0
 
     def test_bad_config_categorized_error(self, tmp_path, capsys):
+        prefix = str(tmp_path / "run")
+        assert cli_main(["synth", "--config", self.write_config(tmp_path),
+                         "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        optimizer = "[optimizer]\nn_iter_min = 1\nn_iter_max = 3\nn_eps = 1\n"
+        cases = [("synth", "[grid]\nnot_a_key = 3\n")]
+        cases += [("synth", FAST_CONFIG.replace("snr_db = 15", f"snr_db = {snr}"))
+                  for snr in ("nan", "-inf")]
+        cases += [("invert", FAST_CONFIG.replace(optimizer, optimizer.replace(old, new)))
+                  for old, new in (
+                      ("n_iter_min = 1", "n_iter_min = 5"),
+                      ("n_eps = 1", "n_eps = 1\neps_j = 0"),
+                      ("n_eps = 1", "n_eps = 1\nbacktrack_rho = 1.5"),
+                      ("n_eps = 1", "n_eps = 1\ninitial_step_fraction = 0"),
+                      ("n_eps = 1", "n_eps = 1\nmax_backtracks = -1"))]
         path = tmp_path / "bad.cfg"
-        path.write_text("[grid]\nnot_a_key = 3\n")
-        code = cli_main(["synth", "--config", str(path), "--out-prefix",
-                         str(tmp_path / "x")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config:")
+        for command, text in cases:
+            path.write_text(text)
+            args = ["--config", str(path), "--out-prefix", str(tmp_path / "x")]
+            if command == "invert":
+                args += ["--data-prefix", prefix]
+            assert cli_main([command] + args) == 1, text
+            err = capsys.readouterr().err
+            assert err.startswith("error: config:"), err
 
     def test_missing_data_categorized_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

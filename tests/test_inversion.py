@@ -1,5 +1,6 @@
 import gc
 import weakref
+from collections import deque
 
 import numpy as np
 import pytest
@@ -15,19 +16,20 @@ from cauchyfwi.geometry import (
     build_partition,
     evaluate_model,
 )
-from cauchyfwi.helmholtz import HelmholtzSystem, PhysicsConfig, assemble
+from cauchyfwi.helmholtz import FORWARD_BLOCK, HelmholtzSystem, PhysicsConfig, assemble
 from cauchyfwi.inversion import (
+    LBFGS_PAIRS,
     Objective,
     OptimConfig,
     RejectedTrials,
+    lbfgs_direction,
     line_search,
-    pr_direction,
     relative_l2_error,
     run_inversion,
     stagnation,
+    update_pairs,
     write_iteration_log,
 )
-from cauchyfwi.misfit_adjoint import FORWARD_BLOCK
 
 PHYS = PhysicsConfig(freq_hz=25.0, water_speed=1500.0)
 
@@ -56,49 +58,81 @@ def small_problem(seed=0, perturb=0.08):
     return truth, initial, data, sim
 
 
-class TestPrDirection:
-    def test_first_iteration_returns_gradient(self):
-        g = np.array([1.0, -2.0, 3.0])
-        s = pr_direction(g, None, None)
-        assert np.array_equal(s, g)
+def curved_pairs(rng, n, m):
+    """m (s, y) pairs with y = A s for one symmetric positive definite A."""
+    a = rng.normal(size=(n, n))
+    a = a @ a.T + n * np.eye(n)
+    return [(s, a @ s) for s in rng.normal(size=(m, n))]
 
-    def test_equal_gradients_give_zero_beta(self):
-        g = np.array([1.0, 2.0])
-        s = pr_direction(g, g, np.array([5.0, 5.0]))
-        assert np.array_equal(s, g)
 
-    def test_textbook_arithmetic(self):
-        g_prev = np.array([1.0, 0.0])
-        g = np.array([0.0, 1.0])
-        s_prev = np.array([1.0, 0.0])
-        # beta = <g, g - g_prev> / <g_prev, g_prev> = 1
-        s = pr_direction(g, g_prev, s_prev)
-        assert np.allclose(s, [1.0, 1.0])
-
-    def test_negative_curvature_clamped(self):
-        g_prev = np.array([2.0, 0.0])
-        g = np.array([1.0, 0.0])  # <g, g - g_prev> = -1 -> beta = 0
-        s = pr_direction(g, g_prev, np.array([9.0, 9.0]))
-        assert np.array_equal(s, g)
-
-    def test_matches_direct_recomputation(self):
+class TestLbfgsDirection:
+    def test_one_pair_equals_dense_bfgs_product(self):
         rng = np.random.default_rng(17)
-        g_prev = rng.normal(size=20)
-        g = rng.normal(size=20)
-        s_prev = rng.normal(size=20)
-        s = pr_direction(g, g_prev, s_prev)
-        beta = max(0.0, float(g @ (g - g_prev)) / float(g_prev @ g_prev))
-        assert np.allclose(s, g + beta * s_prev, rtol=1e-14)
+        ((s, y),) = curved_pairs(rng, 6, 1)
+        g = rng.normal(size=6)
+        rho = 1.0 / float(s @ y)
+        h0 = float(s @ y) / float(y @ y) * np.eye(6)
+        v = np.eye(6) - rho * np.outer(y, s)
+        h = v.T @ h0 @ v + rho * np.outer(s, s)
+        assert np.allclose(lbfgs_direction(g, deque([(s, y)])), h @ g, rtol=1e-12, atol=0)
 
-    def test_zero_previous_gradient_restarts(self):
-        g = np.array([1.0, 1.0])
-        s = pr_direction(g, np.zeros(2), np.array([4.0, 4.0]))
-        assert np.array_equal(s, g)
+    def test_descent_whenever_every_pair_has_positive_curvature(self):
+        rng = np.random.default_rng(18)
+        for m in range(LBFGS_PAIRS + 1):
+            pairs = deque(curved_pairs(rng, 8, m), maxlen=LBFGS_PAIRS)
+            for g in rng.normal(size=(20, 8)):
+                assert float(g @ lbfgs_direction(g, pairs)) > 0
+
+    def test_pair_failing_the_curvature_test_leaves_the_direction(self):
+        rng = np.random.default_rng(19)
+        pairs = deque(curved_pairs(rng, 5, 2), maxlen=LBFGS_PAIRS)
+        g = rng.normal(size=5)
+        before = lbfgs_direction(g, pairs).tobytes()
+        s = rng.normal(size=5)
+        orthogonal = np.array([s[1], -s[0], 0.0, 0.0, 0.0])
+        for y in (-s, orthogonal, np.zeros(5)):
+            update_pairs(pairs, s, y)
+            assert len(pairs) == 2
+            assert lbfgs_direction(g, pairs).tobytes() == before
+        update_pairs(pairs, s, s)
+        assert len(pairs) == 3
+
+    def test_restart_clears_the_pairs(self, monkeypatch):
+        truth, initial, data, sim = small_problem(seed=1)
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=4, n_eps=1, eps_j=1e-9)
+        stored, searches = [], []
+        direction = inversion.lbfgs_direction
+
+        def recording_direction(grad, pairs):
+            stored.append(len(pairs))
+            return direction(grad, pairs)
+
+        def failing_third_search(coefficients, misfit_0, grad, d, misfit_fn, cfg, alpha,
+                                 rejected=None):
+            fraction_step = (cfg.initial_step_fraction * (initial.c_max - initial.c_min)
+                             / np.max(np.abs(d)))
+            searches.append((alpha, fraction_step, d.tobytes() == grad.tobytes()))
+            if len(searches) == 3:
+                return inversion.LineSearchResult(False, 0.0, misfit_0, coefficients,
+                                                  cfg.max_backtracks + 1, rejected)
+            return line_search(coefficients, misfit_0, grad, d, misfit_fn, cfg, alpha,
+                               rejected)
+
+        monkeypatch.setattr(inversion, "lbfgs_direction", recording_direction)
+        monkeypatch.setattr(inversion, "line_search", failing_third_search)
+        result = run_inversion(data, sim, initial, cfg, PHYS)
+        assert len(result.records) == 4
+        # iteration 3 fails on its pairs, restarts on the gradient with the
+        # initial_step_fraction step, and iteration 4 has one pair again
+        assert stored == [0, 1, 2, 1]
+        alphas, fraction_steps, on_gradient = zip(*searches)
+        assert alphas == (fraction_steps[0], 1.0, 1.0, fraction_steps[3], 1.0)
+        assert on_gradient == (True, False, False, True, False)
 
 
 class TestLineSearch:
     def quadratic(self, q, c_star):
-        def f(c, bound=None):
+        def f(c):
             d = c - c_star
             return 0.5 * float(d @ q @ d)
         return f
@@ -114,9 +148,8 @@ class TestLineSearch:
         s = g.copy()
         alpha_star = float(g @ s) / float(s @ q @ s)
         cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1)
-        # pick the speed range so the first trial lands below 2 alpha*
-        speed_range = alpha_star * np.max(np.abs(s)) / cfg.initial_step_fraction
-        result = line_search(c0, f(c0), g, s, f, cfg, speed_range)
+        # a first trial below 2 alpha* passes Armijo
+        result = line_search(c0, f(c0), g, s, f, cfg, alpha_star)
         assert result.ok
         assert result.backtracks == 0
         assert result.misfit < f(c0)
@@ -129,8 +162,7 @@ class TestLineSearch:
         g = q @ c0
         alpha_star = float(g @ g) / float(g @ q @ g)
         cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1)
-        speed_range = 40 * alpha_star * np.max(np.abs(g)) / cfg.initial_step_fraction
-        result = line_search(c0, f(c0), g, g, f, cfg, speed_range)
+        result = line_search(c0, f(c0), g, g, f, cfg, 40 * alpha_star)
         assert result.ok
         assert result.backtracks > 0
 
@@ -141,7 +173,7 @@ class TestLineSearch:
         f_raw = self.quadratic(q, np.zeros(2))
         calls = []
 
-        def f(c, bound=None):
+        def f(c):
             calls.append(c.copy())
             if c[0] < 0.75:
                 raise BoundsViolationError("out of bounds", node=0, value=c[0])
@@ -149,19 +181,19 @@ class TestLineSearch:
 
         g = q @ c0
         cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1)
-        speed_range = 100.0  # alpha0 = 1.0 -> trial lands at the origin
-        result = line_search(c0, f_raw(c0), g, g, f, cfg, speed_range)
+        # the first trial lands at the origin
+        result = line_search(c0, f_raw(c0), g, g, f, cfg, 1.0)
         assert result.ok
         assert result.backtracks >= 2
         assert result.coefficients[0] >= 0.75
 
     def test_exhausted_budget_reports_failure(self):
-        def f(c, bound=None):
+        def f(c):
             return 1.0  # no decrease anywhere
 
         g = np.array([1.0])
         cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1, max_backtracks=5)
-        result = line_search(np.array([0.0]), 1.0, g, g, f, cfg, 100.0)
+        result = line_search(np.array([0.0]), 1.0, g, g, f, cfg, 1.0)
         assert not result.ok
         assert result.backtracks == 6
 
@@ -169,7 +201,7 @@ class TestLineSearch:
         cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1)
         with pytest.raises(ValueError):
             line_search(np.zeros(2), 1.0, np.array([1.0, 0.0]),
-                        np.array([-1.0, 0.0]), lambda c, bound=None: 0.0, cfg, 1.0)
+                        np.array([-1.0, 0.0]), lambda c: 0.0, cfg, 1.0)
 
     def test_solver_breakdown_is_a_rejected_trial(self):
         q = np.eye(2)
@@ -177,42 +209,38 @@ class TestLineSearch:
         f_raw = self.quadratic(q, np.zeros(2))
         calls = []
 
-        def f(c, bound=None):
+        def f(c):
             calls.append(c.copy())
             if len(calls) == 1:
                 raise SolverBreakdownError("triangular solve returned non-finite values")
             return f_raw(c)
 
         cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1)
-        result = line_search(c0, f_raw(c0), c0, c0, f, cfg, 50.0)
+        result = line_search(c0, f_raw(c0), c0, c0, f, cfg, 0.5)
         assert result.ok
         assert result.backtracks == 1
         assert result.rejected == RejectedTrials(breakdown=1)
 
     def test_rejections_are_counted_by_cause(self):
-        # trial 1 leaves the bounds, trial 2 is stopped early, trial 3
-        # fails Armijo on its full misfit, trial 4 is accepted
+        # trial 1 leaves the bounds, trial 2 lands just above its Armijo
+        # bound, trial 3 on its own, smaller bound and is accepted
         c0 = np.array([1.0])
-        bounds_seen = []
-
-        def f(c, bound=None):
-            bounds_seen.append(bound)
-            trial = len(bounds_seen)
-            if trial == 1:
-                raise BoundsViolationError("out of bounds", node=0, value=c[0])
-            if trial == 2:
-                return np.inf
-            if trial == 3:
-                return 2.0
-            return 0.5
-
         cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1)
-        result = line_search(c0, 1.0, c0, c0, f, cfg, 50.0)
-        assert result.ok and result.backtracks == 3 and result.misfit == 0.5
-        assert result.rejected == RejectedTrials(bounds=1, armijo=2, early=1)
-        # each trial gets its own Armijo bound, below the starting misfit
-        alphas = 0.5 * 0.5 ** np.arange(4)
-        assert bounds_seen == [1.0 - cfg.armijo_c1 * a for a in alphas]
+        trials = []
+
+        def f(c):
+            trials.append(c[0])
+            if len(trials) == 1:
+                raise BoundsViolationError("out of bounds", node=0, value=c[0])
+            if len(trials) == 2:
+                return np.nextafter(1.0 - cfg.armijo_c1 * 0.25, np.inf)
+            return 1.0 - cfg.armijo_c1 * 0.125
+
+        result = line_search(c0, 1.0, c0, c0, f, cfg, 0.5)
+        assert result.ok and result.backtracks == 2
+        assert result.misfit == 1.0 - cfg.armijo_c1 * 0.125
+        assert result.rejected == RejectedTrials(bounds=1, armijo=1)
+        assert trials == [0.5, 0.75, 0.875]
 
 
 class TestStagnation:
@@ -312,28 +340,8 @@ class TestObjective:
             objective.value(vec)
         assert objective.solves == 0
 
-    def test_bounded_value_decides_the_bound_exactly(self):
-        initial, data, sim = many_source_problem()
-        objective = Objective(initial, sim, data, PHYS)
-        objective.value_and_gradient(initial.coefficient_vector)
-        early = 0
-        for vec in nearby_vectors(initial, 4, seed=11):
-            full = Objective(initial, sim, data, PHYS).value(vec)
-            for bound in [-1.0, 0.0] + [full * (1.0 + d) for d in (
-                    -0.9, -0.5, -1e-3, -1e-9, -1e-13, 0.0, 1e-13, 1e-9, 1e-3, 1.0)]:
-                solves_0 = objective.solves
-                value = objective.value(vec, bound)
-                assert (value <= bound) == (full <= bound)
-                if value <= bound:
-                    assert value == full
-                if value == np.inf:
-                    early += 1
-                    assert objective.solves - solves_0 < sim.n_sources
-        assert early > 0
-
     @pytest.mark.parametrize("problem", ["many_sources", "few_sources"])
-    @pytest.mark.parametrize("bound", [None, np.inf])
-    def test_gradient_reuses_the_last_value_solves(self, problem, bound):
+    def test_gradient_reuses_the_last_value_solves(self, problem):
         if problem == "many_sources":
             initial, data, sim = many_source_problem()
         else:
@@ -341,8 +349,8 @@ class TestObjective:
         vec = next(nearby_vectors(initial, 1, seed=12))
         fresh_value, fresh_grad = Objective(initial, sim, data, PHYS).value_and_gradient(vec)
         objective = Objective(initial, sim, data, PHYS)
-        objective.value_and_gradient(initial.coefficient_vector)  # sets the source order
-        objective.value(vec, bound)
+        objective.value_and_gradient(initial.coefficient_vector)
+        objective.value(vec)
         solves_0 = objective.solves
         value, grad = objective.value_and_gradient(vec)
         assert objective.solves - solves_0 == sim.n_sources
@@ -363,11 +371,6 @@ class TestObjective:
         assert objective.solves - solves_0 == 2 * sim.n_sources
         assert value == fresh_value
         assert grad.tobytes() == fresh_grad.tobytes()
-        # a trial stopped early keeps nothing either
-        assert objective.value(vec, 0.0) == np.inf
-        solves_0 = objective.solves
-        objective.value_and_gradient(vec)
-        assert objective.solves - solves_0 == 2 * sim.n_sources
 
     def test_a_miss_releases_the_kept_system_before_assembling(self, monkeypatch):
         initial, data, sim = many_source_problem()
@@ -475,15 +478,13 @@ class TestRunInversion:
         outcomes = []
         value = Objective.value
 
-        def recording_value(objective, vec, bound=None):
-            if bound is None:  # not a trial: the first gradient's forward solves
-                return value(objective, vec)
+        def recording_value(objective, vec):
             try:
-                v = value(objective, vec, bound)
+                v = value(objective, vec)
             except BoundsViolationError:
                 outcomes.append("bounds")
                 raise
-            outcomes.append("accepted" if v <= bound else "armijo")
+            outcomes.append("evaluated")
             return v
 
         monkeypatch.setattr(Objective, "value", recording_value)
@@ -492,10 +493,12 @@ class TestRunInversion:
         def total(cause):
             return sum(getattr(r.rejected, cause) for r in result.records)
 
+        assert result.reason == "max_iterations"
         assert total("bounds") == outcomes.count("bounds") > 0
-        assert total("armijo") == outcomes.count("armijo")
         assert total("breakdown") == 0
-        assert outcomes.count("accepted") == len(result.records)
+        # the first gradient's forward solves, then per iteration the
+        # Armijo-rejected trials and the accepted one
+        assert outcomes.count("evaluated") == 1 + total("armijo") + len(result.records)
 
     def test_iteration_log_csv(self, tmp_path):
         truth, initial, data, sim = small_problem(seed=7)

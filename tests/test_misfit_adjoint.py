@@ -254,8 +254,9 @@ class TestNodalGradient:
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one core")
     def test_results_independent_of_blas_thread_count(self):
         # the helper prints the thread count in effect, then digests of the
-        # nodal gradient of random 3321 x 32 blocks, a 32-column solve and
-        # two objective evaluations on the default configuration
+        # nodal gradient of random 3321 x 32 blocks, a 32-column solve, two
+        # objective evaluations and four driver iterations on the default
+        # configuration
         helper = os.path.join(os.path.dirname(__file__), "blas_thread_digests.py")
         src = os.path.dirname(os.path.dirname(cauchyfwi.__file__))
         outputs = {}
@@ -268,7 +269,7 @@ class TestNodalGradient:
             first, rest = run.stdout.split("\n", 1)
             assert first == f"openblas_threads {threads}"
             outputs[threads] = rest
-        assert len(outputs[1].splitlines()) == 4
+        assert len(outputs[1].splitlines()) == 5
         assert outputs[1] == outputs[2]
 
 
