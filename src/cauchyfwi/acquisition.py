@@ -47,15 +47,15 @@ class ReceiverArray:
         depth_index: node layer of the surface (0 < depth_index < nz-1)
         lateral_indices: (n, dim-1) lateral node indices per receiver
         weights: surface quadrature weight per receiver, m^(dim-1)
-        upward_normal: normal points from the unknown region up toward the
-            sources when True
+
+    The normal of the surface points from the unknown region up toward the
+    sources.
     """
 
     grid: Grid
     depth_index: int
     lateral_indices: np.ndarray
     weights: np.ndarray
-    upward_normal: bool = True
 
     def __post_init__(self):
         lat = np.atleast_2d(np.asarray(self.lateral_indices, dtype=np.int64))
@@ -125,12 +125,10 @@ class ReceiverArray:
         f_lat = [int(round(r)) for r in ratios[:-1]]
         f_z = int(round(ratios[-1]))
         lat = self.lateral_indices * np.array(f_lat, dtype=np.int64)
-        return ReceiverArray(
-            other, self.depth_index * f_z, lat, self.weights, self.upward_normal
-        )
+        return ReceiverArray(other, self.depth_index * f_z, lat, self.weights)
 
 
-def receiver_layer(grid, depth_m, count=0, margin_m=0.0, upward_normal=True):
+def receiver_layer(grid, depth_m, count=0, margin_m=0.0):
     """Receivers on the node layer nearest depth_m.
 
     count = 0 places one receiver on every lateral node; otherwise count
@@ -163,16 +161,19 @@ def receiver_layer(grid, depth_m, count=0, margin_m=0.0, upward_normal=True):
     for d, idx in enumerate(axes):
         axis_w = _trapezoid_weights(idx * grid.spacing[d])
         w *= axis_w[np.searchsorted(idx, lat[:, d])]
-    return ReceiverArray(grid, layer, lat, w, upward_normal)
+    return ReceiverArray(grid, layer, lat, w)
 
 
 @dataclass(frozen=True, eq=False)
 class SourceSet:
-    """Ordered impulse positions with uniform midpoint quadrature weights."""
+    """Ordered impulse positions with uniform midpoint quadrature weights.
+
+    Observation and simulation sources are both SourceSets; they differ
+    only in how the misfit uses them.
+    """
 
     positions: np.ndarray
     weights: np.ndarray
-    role: str = "observation"
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -181,8 +182,6 @@ class SourceSet:
             raise GeometryError("one weight per source required")
         if (w <= 0).any():
             raise GeometryError("source weights must be positive")
-        if self.role not in ("observation", "simulation"):
-            raise ValueError(f"unknown source role {self.role!r}")
         pos = pos.copy()
         pos.setflags(write=False)
         w = w.copy()
@@ -195,8 +194,7 @@ class SourceSet:
         return self.positions.shape[0]
 
 
-def source_lattice(grid, depth_m, count, margin_m=0.0, role="observation",
-                   depth_span_m=0.0, n_layers=1):
+def source_lattice(grid, depth_m, count, margin_m=0.0, depth_span_m=0.0, n_layers=1):
     """Evenly spaced sources at depth_m (planar) or over a depth span.
 
     count sources per lateral axis sit between the lateral margins; with
@@ -229,7 +227,7 @@ def source_lattice(grid, depth_m, count, margin_m=0.0, role="observation",
         raise GeometryError("sources must sit strictly inside the domain, off the surface")
     mesh = np.meshgrid(*lat_axes, depths, indexing="ij")
     pos = np.column_stack([m.ravel() for m in mesh])
-    return SourceSet(pos, np.full(pos.shape[0], cell), role)
+    return SourceSet(pos, np.full(pos.shape[0], cell))
 
 
 def validate_geometry(sources, receivers, grid):
@@ -428,6 +426,7 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
 
     g = np.zeros((nsrc, nrcv), dtype=complex)
     dg = np.zeros((nsrc, nrcv), dtype=complex)
+    seen = np.zeros((nsrc, nrcv), dtype=bool)
     body = lines[7:]
     if len(body) != nsrc * nrcv:
         off = body[-1][0] if body else len(raw)
@@ -445,6 +444,9 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
             raise DataFormatError(f"{path}: {exc}", off) from exc
         if not (0 <= s < nsrc and 0 <= r < nrcv):
             raise DataFormatError(f"{path}: trace index ({s}, {r}) out of range", off)
+        if seen[s, r]:
+            raise DataFormatError(f"{path}: repeated trace row ({s}, {r})", off)
+        seen[s, r] = True
         g[s, r] = complex(nums[0], nums[1])
         dg[s, r] = complex(nums[2], nums[3])
     prov = Provenance(gshape, gextent, snr, seed)

@@ -62,7 +62,7 @@ def gaussian_smooth(field, sigma):
             norm[lo:hi] += kw
         out /= norm
         vals = np.moveaxis(out, -1, axis)
-    return NodalField(field.grid, vals.ravel(), unit=field.unit)
+    return NodalField(field.grid, vals.ravel())
 
 
 def export_field(field, path, fmt="structured-points", sigma=0.0):
@@ -229,7 +229,7 @@ def _random_admissible_coeffs(partition, c_min, c_max, water_speed, rng):
 def evaluate_pair(model_a, model_b, sim_sources, obs_sources, receivers, phys):
     """Sup-norm distance and two-model misfit of one admissible pair.
 
-    Model a plays the simulation role, model b supplies the observations;
+    Model a is simulated from sim_sources, model b supplies the observations;
     both use the same grid and discretization.
     """
     field_a = evaluate_model(model_a)

@@ -10,7 +10,7 @@ same seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .geometry import Grid, build_partition
@@ -20,7 +20,8 @@ from .inversion import OptimConfig
 from .phantom import layered_inclusion_phantom, initial_depth_model
 
 # (section, key) -> (type, default); None default means required (2D) or
-# conditional on dim = 3 for *_y_m keys.
+# conditional on dim = 3 for *_y_m keys.  The optimizer keys are the
+# OptimConfig fields, in their order and with their defaults.
 _SCHEMA = {
     ("grid", "dim"): (int, 2),
     ("grid", "extent_x_m"): (float, None),
@@ -50,14 +51,7 @@ _SCHEMA = {
     ("noise", "snr_db"): (float, math.inf),
     ("noise", "seed"): (int, 0),
     ("synthesis", "refine"): (int, 2),
-    ("optimizer", "n_iter_min"): (int, 50),
-    ("optimizer", "n_iter_max"): (int, 250),
-    ("optimizer", "n_eps"): (int, 10),
-    ("optimizer", "eps_j"): (float, 0.01),
-    ("optimizer", "armijo_c1"): (float, 1e-4),
-    ("optimizer", "backtrack_rho"): (float, 0.5),
-    ("optimizer", "initial_step_fraction"): (float, 0.01),
-    ("optimizer", "max_backtracks"): (int, 30),
+    **{("optimizer", f.name): (type(f.default), f.default) for f in fields(OptimConfig)},
     ("phantom", "background_surface_m_per_s"): (float, 1600.0),
     ("phantom", "background_gradient_per_s"): (float, 2.0),
     ("phantom", "inclusion_speed_m_per_s"): (float, 2900.0),
@@ -262,7 +256,7 @@ def build_receivers(cfg, grid):
 def build_obs_sources(cfg, grid):
     return source_lattice(
         grid, cfg.obs_source_depth_m, cfg.obs_source_count,
-        margin_m=cfg.source_margin_m, role="observation",
+        margin_m=cfg.source_margin_m,
         depth_span_m=cfg.obs_source_depth_span_m, n_layers=cfg.obs_source_layers,
     )
 
@@ -274,22 +268,14 @@ def build_sim_sources(cfg, grid, decoupled=False):
     letting the computational sources differ from the field acquisition.
     """
     if not decoupled:
-        src = build_obs_sources(cfg, grid)
-        return type(src)(src.positions, src.weights, "simulation")
+        return build_obs_sources(cfg, grid)
     count = cfg.sim_source_count if cfg.sim_source_count > 0 else cfg.obs_source_count
     depth = cfg.sim_source_depth_m if cfg.sim_source_depth_m > 0 else cfg.obs_source_depth_m
-    return source_lattice(grid, depth, count, margin_m=cfg.source_margin_m,
-                          role="simulation")
+    return source_lattice(grid, depth, count, margin_m=cfg.source_margin_m)
 
 
 def build_optimizer(cfg):
-    return OptimConfig(
-        n_iter_min=cfg.n_iter_min, n_iter_max=cfg.n_iter_max,
-        n_eps=cfg.n_eps, eps_j=cfg.eps_j, armijo_c1=cfg.armijo_c1,
-        backtrack_rho=cfg.backtrack_rho,
-        initial_step_fraction=cfg.initial_step_fraction,
-        max_backtracks=cfg.max_backtracks,
-    )
+    return OptimConfig(**{f.name: getattr(cfg, f.name) for f in fields(OptimConfig)})
 
 
 def build_true_field(cfg, grid):

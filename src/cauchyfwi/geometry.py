@@ -162,7 +162,6 @@ class NodalField:
 
     grid: Grid
     values: np.ndarray
-    unit: str = ""
 
     def __post_init__(self):
         vals = np.asarray(self.values).ravel()
@@ -381,7 +380,7 @@ def evaluate_model(model, check_bounds=True):
                 node=node,
                 value=float(vals[node]),
             )
-    return NodalField(grid, vals, unit="m/s")
+    return NodalField(grid, vals)
 
 
 def fit_coefficients(field, partition, c_min, c_max, water_speed=None):
@@ -475,6 +474,7 @@ def read_model(path, partition, c_min, c_max, water_speed=None):
     if len(lines) - 1 != n:
         raise ModelFormatError(f"{path}: expected {n} coefficient rows")
     coeffs = np.zeros((n, 1 + dim))
+    seen = np.zeros(n, dtype=bool)
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3 + dim:
@@ -482,6 +482,9 @@ def read_model(path, partition, c_min, c_max, water_speed=None):
         j = int(parts[0])
         if not 0 <= j < n:
             raise ModelFormatError(f"{path}: subdomain index {j} out of range")
+        if seen[j]:
+            raise ModelFormatError(f"{path}: repeated subdomain index {j}")
+        seen[j] = True
         coeffs[j] = [float(v) for v in parts[1 : 2 + dim]]
         if bool(int(parts[-1])) != bool(partition.frozen[j]):
             raise ModelFormatError(

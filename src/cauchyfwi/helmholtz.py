@@ -153,17 +153,17 @@ def assemble(grid, speed, phys, free_surface=True):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(m, m),
     ).tocsc()
-    return HelmholtzSystem(grid, speed, phys, matrix, free_surface, dirichlet)
+    return HelmholtzSystem(grid, speed, phys, matrix, dirichlet)
 
 
 class HelmholtzSystem:
     """Assembled operator with a lazily cached sparse LU factorization.
 
-    Immutable after construction; the factorization may be shared across
-    per-source solves.  The factorization is SuperLU's with the
-    MMD_AT_PLUS_A column ordering and partial pivoting (see the module
-    docstring).  solve_count tracks the number of right-hand sides solved,
-    for cost accounting.
+    The operator is fixed at construction, but the object is not
+    immutable: it caches the factorization on first use, for every later
+    solve, and solve_count counts the right-hand sides solved, for cost
+    accounting.  The factorization is SuperLU's with the MMD_AT_PLUS_A
+    column ordering and partial pivoting (see the module docstring).
 
     A block of right-hand sides is solved FORWARD_BLOCK columns at a time
     into a Fortran-ordered result.  In chunks this narrow every column came
@@ -174,12 +174,11 @@ class HelmholtzSystem:
     chunks are no slower than one wide solve.
     """
 
-    def __init__(self, grid, speed, phys, matrix, free_surface, dirichlet_mask):
+    def __init__(self, grid, speed, phys, matrix, dirichlet_mask):
         self.grid = grid
         self.speed = speed
         self.phys = phys
         self.matrix = matrix
-        self.free_surface = free_surface
         self.dirichlet_mask = dirichlet_mask
         self.solve_count = 0
         self._factor = None
@@ -244,8 +243,8 @@ class HelmholtzSystem:
 def traces(field, receivers):
     """Sample a field and its normal derivative on a receiver layer.
 
-    The derivative is the centered difference across the layer; the normal
-    points upward (toward the sources) when receivers.upward_normal is set.
+    The derivative is the centered difference across the layer along the
+    upward normal, toward the sources.
     """
     vals, dnu = traces_many(field.values[:, None], field.grid, receivers)
     return vals[0], dnu[0]
@@ -256,9 +255,8 @@ def traces_many(block, grid, receivers):
     if receivers.grid != grid:
         raise AlignmentError("receiver layer was built for a different grid")
     hz = grid.spacing[-1]
-    sign = 1.0 if receivers.upward_normal else -1.0
     vals = block[receivers.value_nodes].T
-    dnu = sign * (block[receivers.above_nodes] - block[receivers.below_nodes]).T / (2 * hz)
+    dnu = (block[receivers.above_nodes] - block[receivers.below_nodes]).T / (2 * hz)
     return vals, dnu
 
 

@@ -5,9 +5,11 @@ reciprocity-gap misfit and its coefficient-space gradient, builds an L-BFGS
 direction from the last LBFGS_PAIRS steps, and backtracks along
 c - alpha * s until the Armijo condition holds and the trial model stays
 inside the speed bounds.  The run stops at the iteration cap, on stagnation
-of the misfit over a trailing window, or when the line search fails twice
-(once after an automatic steepest-descent restart, which drops the stored
-pairs).
+of the misfit over a trailing window, or when a steepest-descent line
+search fails.  A failed search along an L-BFGS direction built from stored
+pairs is retried once as a steepest-descent restart, which drops the
+pairs; a search without pairs is already steepest descent and is not
+repeated.
 """
 
 from __future__ import annotations
@@ -264,7 +266,7 @@ class Objective:
         before = system.solve_count
         try:
             value, nodal_grad = misfit_and_gradient(system, self.sim_sources, self.data,
-                                                    forward=(fields, gap))
+                                                    fields, gap)
         finally:
             self.solves += system.solve_count - before
         return value, coefficient_gradient(nodal_grad, self.model.partition)
@@ -325,8 +327,9 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
         rejected = RejectedTrials()
         result = line_search(coefficients, value, grad, direction, objective.value,
                              cfg, first_trial(direction), rejected)
-        if not result.ok:
-            # one automatic steepest-descent restart, which forgets the pairs
+        if not result.ok and pairs:
+            # one automatic steepest-descent restart, which forgets the pairs;
+            # without pairs it would repeat the failed search
             pairs.clear()
             direction = grad.copy()
             result = line_search(coefficients, value, grad, direction, objective.value,

@@ -11,11 +11,10 @@ telescopes to zero exactly, which is what drives the misfit
 
     J = sum_{y,z} w_y w_z |S[y, z]|^2
 
-toward zero at the true model.  One misfit-plus-gradient evaluation costs
-n_sim adjoint solves on one shared factorization, plus the n_sim forward
-solves unless the caller passes forward fields it already has: the
-observation sources are aggregated into a single adjoint right-hand side
-per simulation source.
+toward zero at the true model.  The misfit costs n_sim forward solves;
+the gradient takes those forward fields and costs n_sim adjoint solves on
+the same factorization: the observation sources are aggregated into a
+single adjoint right-hand side per simulation source.
 
 Discrete consistency: the adjoint source is assembled as the exact
 transpose of the trace and normal-derivative sampling operators (monopole
@@ -104,12 +103,11 @@ def _aggregated_adjoint_rhs(gap, data, receivers, grid):
     dipo = coef @ data.g
     wr = receivers.weights
     hz = grid.spacing[-1]
-    sign = 1.0 if receivers.upward_normal else -1.0
     n_sim = gap.values.shape[0]
     rhs = np.zeros((n_sim, grid.n_nodes), dtype=complex)
     rhs[:, receivers.value_nodes] += mono * wr
-    rhs[:, receivers.above_nodes] -= sign * (dipo * wr) / (2.0 * hz)
-    rhs[:, receivers.below_nodes] += sign * (dipo * wr) / (2.0 * hz)
+    rhs[:, receivers.above_nodes] -= (dipo * wr) / (2.0 * hz)
+    rhs[:, receivers.below_nodes] += (dipo * wr) / (2.0 * hz)
     rhs /= grid.cell_volume
     return rhs
 
@@ -140,7 +138,7 @@ def nodal_gradient(forward_fields, adjoint_fields, speed, phys, sim_weights):
     c = np.asarray(speed.values, dtype=float)
     grad = -2.0 * phys.k ** 2 * c ** -3 * np.real(pair)
     grad[speed.grid.free_surface_mask()] = 0.0
-    return NodalField(speed.grid, grad, unit="1/(m/s)")
+    return NodalField(speed.grid, grad)
 
 
 def source_specs(grid, sim_sources):
@@ -169,19 +167,13 @@ def misfit_only(system, sim_sources, data, specs=None):
     return misfit(gap), gap, fields
 
 
-def misfit_and_gradient(system, sim_sources, data, forward=None):
-    """Misfit value and nodal gradient.
+def misfit_and_gradient(system, sim_sources, data, fields, gap):
+    """Misfit value and nodal gradient from the forward fields and gap matrix
+    that misfit_only returned for this system.
 
-    Exactly n_sim adjoint solves on the shared factorization, plus n_sim
-    forward solves unless forward = (fields, gap) passes the forward fields
-    and gap matrix already solved on this system; accumulations run in
-    fixed source order.
+    Exactly n_sim adjoint solves on the shared factorization, no forward
+    solves; accumulations run in fixed source order.
     """
-    if forward is None:
-        fields, vals, dnu = simulate_traces(system, sim_sources, data.receivers)
-        gap = reciprocity_gap(vals, dnu, data, sim_sources.weights)
-    else:
-        fields, gap = forward
     adj = solve_adjoint_fields(system, gap, data, data.receivers)
     grad = nodal_gradient(fields, adj, system.speed, system.phys, sim_sources.weights)
     return misfit(gap), grad

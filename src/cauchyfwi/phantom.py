@@ -35,7 +35,7 @@ def layered_inclusion_phantom(grid, water_depth_m, water_speed,
         raise ValueError(f"unknown inclusion profile {profile!r}")
     blend = shape * below
     vals = vals + blend * (inclusion_speed - vals)
-    return NodalField(grid, vals, unit="m/s")
+    return NodalField(grid, vals)
 
 
 def depth_profile_field(grid, water_depth_m, water_speed, top_speed, bottom_speed):
@@ -46,7 +46,7 @@ def depth_profile_field(grid, water_depth_m, water_speed, top_speed, bottom_spee
     span = grid.extent[-1] - water_depth_m
     ramp = top_speed + (bottom_speed - top_speed) * (depth - water_depth_m) / span
     vals[below] = ramp[below]
-    return NodalField(grid, vals, unit="m/s")
+    return NodalField(grid, vals)
 
 
 def initial_depth_model(partition, water_depth_m, water_speed,

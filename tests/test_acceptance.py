@@ -180,8 +180,7 @@ def run_symmetry(tag):
     truth_field = C.build_true_field(cfg, grid)
     data = synthesize(truth_field, obs, receivers, phys)
     system = assemble(grid, truth_field, phys)
-    obs_as_sim = type(obs)(obs.positions, obs.weights, "simulation")
-    _, vals, dnu = simulate_traces(system, obs_as_sim, receivers)
+    _, vals, dnu = simulate_traces(system, obs, receivers)
     gap = reciprocity_gap(vals, dnu, data, obs.weights)
     s = gap.values
     w = receivers.weights
@@ -402,8 +401,7 @@ def run_probe(tag):
     phys = PhysicsConfig(freq_hz=25.0, water_speed=1500.0)
     receivers = receiver_layer(grid, depth_m=20.0)
     obs = source_lattice(grid, depth_m=5.0, count=3, margin_m=30.0)
-    sim = source_lattice(grid, depth_m=5.0, count=3, margin_m=30.0,
-                         role="simulation")
+    sim = source_lattice(grid, depth_m=5.0, count=3, margin_m=30.0)
     report = probe_stability(partition, 1400.0, 3400.0, phys, receivers,
                              obs, sim, n_pairs=50, seed=20260808,
                              water_speed=1500.0)

@@ -238,6 +238,20 @@ class TestDataFiles:
         assert err.value.byte_offset is not None
         assert "byte offset" in str(err.value)
 
+    def test_repeated_row_names_byte_offset(self, tmp_path):
+        # row (0, 1) replaced by a second (0, 0): the row count still fits,
+        # but g[0, 1] would silently read as zero
+        data = small_dataset()
+        path = tmp_path / "data.txt"
+        write_data(data, path)
+        lines = path.read_bytes().split(b"\n")
+        assert lines[7].startswith(b"0, 0,") and lines[8].startswith(b"0, 1,")
+        lines[8] = lines[7]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataFormatError, match=r"repeated trace row \(0, 0\)") as err:
+            read_data(path, data.receivers, data.obs_sources)
+        assert err.value.byte_offset == sum(len(ln) + 1 for ln in lines[:8])
+
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("cauchy v2\nfreq 10\n")

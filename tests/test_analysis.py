@@ -183,8 +183,7 @@ class TestStabilityProbe:
         partition = build_partition(grid, (80.0, 80.0), water_depth=40.0)
         receivers = receiver_layer(grid, depth_m=30.0)
         obs = source_lattice(grid, depth_m=10.0, count=3, margin_m=20.0)
-        sim = source_lattice(grid, depth_m=10.0, count=3, margin_m=20.0,
-                             role="simulation")
+        sim = source_lattice(grid, depth_m=10.0, count=3, margin_m=20.0)
         return grid, partition, receivers, obs, sim
 
     def test_identical_pair_has_zero_distance_and_floor_misfit(self):

@@ -1,14 +1,17 @@
-"""The traced benchmark wraps package functions by name; they must exist.
+"""The benchmark calls the package by name; those names must exist.
 
 bench/spans.py replaces module attributes such as inversion.misfit_only and
 the HelmholtzSystem factorization and solve with timing wrappers, and
 raises when one of them is missing or differs between the modules it is
-looked up on.  A refactor that renames or stops importing one of those
-names fails here, not only in a traced benchmark run.
+looked up on.  bench/workloads.py builds each workload's inputs through the
+config builders and assembles its starting system.  A refactor that renames
+or stops importing one of those names, or changes a builder's signature,
+fails here, not only in a benchmark run.
 """
 
 import importlib.util
 import pathlib
+import sys
 
 
 from cauchyfwi.acquisition import receiver_layer, source_lattice, synthesize
@@ -22,12 +25,13 @@ from cauchyfwi.geometry import (
 from cauchyfwi.helmholtz import HelmholtzSystem, PhysicsConfig
 from cauchyfwi.inversion import Objective
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
@@ -42,7 +46,7 @@ def wrapped_attributes(spans):
 
 
 def test_install_replaces_and_uninstall_restores_every_attribute():
-    spans = load_spans()
+    spans = load_bench("spans")
     before = wrapped_attributes(spans)
     tracer = spans.Tracer()
     tracer.install()
@@ -56,7 +60,7 @@ def test_install_replaces_and_uninstall_restores_every_attribute():
 
 
 def test_objective_work_runs_inside_the_wrapped_functions():
-    spans = load_spans()
+    spans = load_bench("spans")
     phys = PhysicsConfig(freq_hz=25.0, water_speed=1500.0)
     grid = Grid((160.0, 120.0), (17, 13))
     partition = build_partition(grid, (80.0, 60.0), water_depth=40.0)
@@ -84,3 +88,13 @@ def test_objective_work_runs_inside_the_wrapped_functions():
             "coefficient_gradient"} <= names
     assert tracer.columns_solved == objective.solves
     assert tracer.solve_count_mismatches == 0
+
+
+def test_every_workload_sets_up_and_assembles_its_starting_system():
+    workloads = load_bench("workloads").WORKLOADS
+    assert set(workloads) == {"invert_coupled", "invert_decoupled", "gradcheck_small"}
+    for workload in workloads.values():
+        inputs = workload.setup(1234)
+        system = workload.starting_system(inputs)
+        assert isinstance(system, HelmholtzSystem)
+        assert system.solve_count == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from cauchyfwi.config import (
     DEFAULT_CONFIG,
     build_grid,
     build_obs_sources,
+    build_optimizer,
     build_partition_for,
     build_receivers,
     build_sim_sources,
@@ -15,6 +18,7 @@ from cauchyfwi.config import (
     render_config,
 )
 from cauchyfwi.errors import ConfigError
+from cauchyfwi.inversion import OptimConfig
 
 FAST_CONFIG = """
 [grid]
@@ -72,6 +76,10 @@ class TestConfigParsing:
         cfg = default_config()
         assert cfg.freq_hz == 12.5
         assert cfg.n_iter_min == 50
+        assert build_optimizer(cfg) == OptimConfig(n_iter_max=175)
+        section = render_config(cfg).split("[optimizer]\n", 1)[1].split("\n\n", 1)[0]
+        assert [ln.split(" = ")[0] for ln in section.splitlines()] == [
+            f.name for f in dataclasses.fields(OptimConfig)]
 
     def test_render_parse_round_trip(self):
         cfg = parse_config(FAST_CONFIG)

@@ -369,6 +369,19 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError):
             read_model(path, partition2d, 1000.0, 2000.0)
 
+    def test_repeated_subdomain_rejected(self, partition2d, tmp_path):
+        # row 0 written twice in place of row 1: subdomain 1 would read as
+        # all-zero coefficients
+        n = partition2d.n_subdomains
+        model = PiecewiseLinearModel(partition2d, np.full((n, 3), 1500.0), 1000.0, 2000.0)
+        path = tmp_path / "model.txt"
+        write_model(model, path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match="repeated subdomain index 0"):
+            read_model(path, partition2d, 1000.0, 2000.0)
+
     def test_partition_round_trip(self, grid2d, tmp_path):
         part = build_partition(grid2d, (70.0, 70.0), water_depth=20.0)
         path = tmp_path / "part.txt"

@@ -24,7 +24,7 @@ PHYS = PhysicsConfig(freq_hz=25.0, water_speed=1500.0)
 
 
 def constant_speed(grid, c=1500.0):
-    return NodalField(grid, np.full(grid.n_nodes, c), unit="m/s")
+    return NodalField(grid, np.full(grid.n_nodes, c))
 
 
 def dense_reference_matrix(grid, speed, phys, free_surface=True):
@@ -323,15 +323,14 @@ class TestSolverBreakdown:
         grid = Grid((20.0, 20.0), (3, 3))
         speed = constant_speed(grid)
         singular = sp.csc_matrix((9, 9), dtype=complex)
-        system = HelmholtzSystem(grid, speed, PHYS, singular, True,
-                                 grid.free_surface_mask())
+        system = HelmholtzSystem(grid, speed, PHYS, singular, grid.free_surface_mask())
         with pytest.raises(SolverBreakdownError):
             system.factorization
 
     def test_non_finite_solution_reported(self):
         grid = Grid((20.0, 20.0), (3, 3))
         tiny = sp.identity(9, dtype=complex, format="csc") * 1e-300
-        system = HelmholtzSystem(grid, constant_speed(grid), PHYS, tiny, True,
+        system = HelmholtzSystem(grid, constant_speed(grid), PHYS, tiny,
                                  grid.free_surface_mask())
         with pytest.raises(SolverBreakdownError):
             system.solve(np.full(9, 1e10, dtype=complex))  # 1e310 overflows

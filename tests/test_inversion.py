@@ -39,8 +39,7 @@ def small_problem(seed=0, perturb=0.08):
     partition = build_partition(grid, (80.0, 60.0), water_depth=40.0)
     receivers = receiver_layer(grid, depth_m=30.0)
     obs = source_lattice(grid, depth_m=10.0, count=3, margin_m=20.0)
-    sim = source_lattice(grid, depth_m=10.0, count=3, margin_m=20.0,
-                         role="simulation")
+    sim = source_lattice(grid, depth_m=10.0, count=3, margin_m=20.0)
     rng = np.random.default_rng(seed)
     n = partition.n_subdomains
     coeffs = np.column_stack([
@@ -128,6 +127,17 @@ class TestLbfgsDirection:
         alphas, fraction_steps, on_gradient = zip(*searches)
         assert alphas == (fraction_steps[0], 1.0, 1.0, fraction_steps[3], 1.0)
         assert on_gradient == (True, False, False, True, False)
+
+    def test_failed_search_without_pairs_is_not_repeated(self):
+        # the first iteration has no pairs: a restart would search the same
+        # gradient direction from the same initial_step_fraction step
+        truth, initial, data, sim = small_problem(seed=1)
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=3, n_eps=1,
+                          initial_step_fraction=50.0, max_backtracks=2)
+        result = run_inversion(data, sim, initial, cfg, PHYS)
+        assert result.reason == "line_search_failure"
+        assert len(result.records) == 1
+        assert result.records[0].rejected == RejectedTrials(bounds=3)
 
 
 class TestLineSearch:
@@ -304,8 +314,7 @@ def many_source_problem():
     """small_problem with 12 simulation sources, more than one forward block."""
     truth, initial, data, _ = small_problem(seed=1)
     sim = source_lattice(initial.partition.grid, depth_m=10.0, count=6,
-                         margin_m=20.0, role="simulation", depth_span_m=10.0,
-                         n_layers=2)
+                         margin_m=20.0, depth_span_m=10.0, n_layers=2)
     assert sim.n_sources > FORWARD_BLOCK
     return initial, data, sim
 

@@ -46,8 +46,7 @@ def crime_scenario(seed=0, perturb=0.1):
     partition = build_partition(grid, (80.0, 60.0), water_depth=40.0)
     receivers = receiver_layer(grid, depth_m=30.0)
     obs = source_lattice(grid, depth_m=10.0, count=3, margin_m=20.0)
-    sim = source_lattice(grid, depth_m=10.0, count=2, margin_m=40.0,
-                         role="simulation")
+    sim = source_lattice(grid, depth_m=10.0, count=2, margin_m=40.0)
 
     rng = np.random.default_rng(seed)
     n = partition.n_subdomains
@@ -94,8 +93,7 @@ class TestReciprocityGap:
         # identical discrete operator on both sides: the layer sum telescopes
         grid, _, receivers, obs, _, truth, _, data = crime_scenario()
         system = assemble(grid, evaluate_model(truth), PHYS)
-        obs_as_sim = type(obs)(obs.positions, obs.weights, "simulation")
-        _, vals, dnu = simulate_traces(system, obs_as_sim, receivers)
+        _, vals, dnu = simulate_traces(system, obs, receivers)
         gap = reciprocity_gap(vals, dnu, data, obs.weights)
         scale = np.max(np.abs(vals)) * np.max(np.abs(data.dg)) * receivers.weights.sum()
         assert np.max(np.abs(gap.values)) <= 1e-10 * scale
@@ -103,8 +101,7 @@ class TestReciprocityGap:
     def test_same_model_antisymmetry(self):
         grid, _, receivers, obs, _, truth, _, data = crime_scenario()
         system = assemble(grid, evaluate_model(truth), PHYS)
-        obs_as_sim = type(obs)(obs.positions, obs.weights, "simulation")
-        _, vals, dnu = simulate_traces(system, obs_as_sim, receivers)
+        _, vals, dnu = simulate_traces(system, obs, receivers)
         gap = reciprocity_gap(vals, dnu, data, obs.weights)
         s = gap.values
         # in this configuration the gap itself collapses to rounding, so the
@@ -227,7 +224,8 @@ class TestNodalGradient:
     def test_free_surface_nodes_zeroed(self):
         grid, _, receivers, obs, sim, truth, _, data = crime_scenario()
         system = assemble(grid, evaluate_model(truth), PHYS)
-        _, grad = misfit_and_gradient(system, sim, data)
+        _, gap, fields = misfit_only(system, sim, data)
+        _, grad = misfit_and_gradient(system, sim, data, fields, gap)
         assert np.all(grad.values[grid.free_surface_mask()] == 0.0)
 
     def test_descent_raises_speed_in_slow_inclusion(self):
@@ -237,8 +235,7 @@ class TestNodalGradient:
         partition = build_partition(grid, (75.0, 55.0), water_depth=30.0)
         receivers = receiver_layer(grid, depth_m=22.5)
         obs = source_lattice(grid, depth_m=7.5, count=5, margin_m=30.0)
-        sim = source_lattice(grid, depth_m=7.5, count=5, margin_m=30.0,
-                             role="simulation")
+        sim = source_lattice(grid, depth_m=7.5, count=5, margin_m=30.0)
         center = (150.0, 90.0)
         truth = layered_inclusion_phantom(
             grid, 30.0, 1500.0, 1600.0, 0.0, center, 40.0, 2200.0)
@@ -246,7 +243,8 @@ class TestNodalGradient:
             grid, 30.0, 1500.0, 1600.0, 0.0, center, 40.0, 1600.0)
         data = synthesize(truth, obs, receivers, PHYS)
         system = assemble(grid, background, PHYS)
-        _, grad = misfit_and_gradient(system, sim, data)
+        _, gap, fields = misfit_only(system, sim, data)
+        _, grad = misfit_and_gradient(system, sim, data, fields, gap)
         r = np.linalg.norm(grid.node_positions() - np.array(center), axis=1)
         inside = r <= 40.0
         assert grad.values[inside].mean() < 0.0
@@ -313,7 +311,8 @@ class TestGradientAgainstFiniteDifferences:
         assert n_forward == sim.n_sources
         assert n_adjoint == sim.n_sources
         before = system.solve_count
-        misfit_and_gradient(system, sim, data)
+        _, gap, fields = misfit_only(system, sim, data)
+        misfit_and_gradient(system, sim, data, fields, gap)
         assert system.solve_count - before == 2 * sim.n_sources
 
     def test_kept_forward_fields_cost_only_the_adjoints(self):
@@ -321,11 +320,12 @@ class TestGradientAgainstFiniteDifferences:
         system = assemble(grid, evaluate_model(initial), PHYS)
         value, gap, fields = misfit_only(system, sim, data)
         before = system.solve_count
-        kept_value, kept_grad = misfit_and_gradient(system, sim, data,
-                                                    forward=(fields, gap))
+        kept_value, kept_grad = misfit_and_gradient(system, sim, data, fields, gap)
         assert system.solve_count - before == sim.n_sources
         fresh = assemble(grid, evaluate_model(initial), PHYS)
-        fresh_value, fresh_grad = misfit_and_gradient(fresh, sim, data)
+        _, fresh_gap, fresh_fields = misfit_only(fresh, sim, data)
+        fresh_value, fresh_grad = misfit_and_gradient(fresh, sim, data,
+                                                      fresh_fields, fresh_gap)
         assert kept_value == fresh_value == value
         assert kept_grad.values.tobytes() == fresh_grad.values.tobytes()
 
@@ -334,8 +334,7 @@ class TestGradientAgainstFiniteDifferences:
         partition = build_partition(grid, (40.0, 30.0, 40.0), water_depth=20.0)
         receivers = receiver_layer(grid, depth_m=40.0)
         obs = source_lattice(grid, depth_m=10.0, count=2, margin_m=15.0)
-        sim = source_lattice(grid, depth_m=10.0, count=2, margin_m=20.0,
-                             role="simulation")
+        sim = source_lattice(grid, depth_m=10.0, count=2, margin_m=20.0)
         rng = np.random.default_rng(14)
         n = partition.n_subdomains
         coeffs = np.column_stack([
