@@ -462,6 +462,12 @@ def write_geometry_csv(path, positions, weights):
 
 
 def read_geometry_csv(path, dim):
+    """Read rows 'id, x,[ y,] z, weight' back, as write_geometry_csv writes them.
+
+    The id of each row must be its row index, so a repeated, skipped or
+    reordered row raises DataFormatError, as does a non-numeric field; the
+    message names the file and the row.
+    """
     positions = []
     weights = []
     with open(path) as f:
@@ -469,9 +475,19 @@ def read_geometry_csv(path, dim):
             ln = ln.strip()
             if not ln:
                 continue
+            row = len(positions)
             parts = [p.strip() for p in ln.split(",")]
             if len(parts) != dim + 2:
-                raise DataFormatError(f"{path}: malformed geometry row {ln!r}")
-            positions.append([float(p) for p in parts[1 : 1 + dim]])
-            weights.append(float(parts[-1]))
+                raise DataFormatError(f"{path}: malformed geometry row {row}: {ln!r}")
+            try:
+                ident = int(parts[0])
+                values = [float(p) for p in parts[1:]]
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: non-numeric field in geometry row {row}: {ln!r}"
+                ) from None
+            if ident != row:
+                raise DataFormatError(f"{path}: geometry row {row} carries id {ident}")
+            positions.append(values[:dim])
+            weights.append(values[dim])
     return np.array(positions), np.array(weights)

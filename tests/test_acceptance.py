@@ -34,6 +34,7 @@ from cauchyfwi.inversion import (
     stagnation,
 )
 from cauchyfwi.misfit_adjoint import misfit_only, reciprocity_gap, simulate_traces
+from conftest import GRADCHECK_CONFIG
 
 
 def _digest(*arrays):
@@ -48,49 +49,8 @@ def _report(n, ok, text):
 
 
 # ---------------------------------------------------------------------------
-# criterion 1: adjoint gradient vs central finite differences
-
-GRADCHECK_CONFIG = """
-[grid]
-dim = 2
-extent_x_m = 200
-extent_z_m = 100
-nodes_x = 41
-nodes_z = 21
-
-[physics]
-freq_hz = 25
-water_speed_m_per_s = 1500
-c_min_m_per_s = 1400
-c_max_m_per_s = 3400
-
-[partition]
-tile_x_m = 100
-tile_z_m = 60
-water_depth_m = 20
-
-[acquisition]
-receiver_depth_m = 20
-obs_source_depth_m = 5
-obs_source_count = 2
-source_margin_m = 30
-
-[noise]
-snr_db = inf
-
-[synthesis]
-refine = 1
-
-[phantom]
-background_surface_m_per_s = 1650
-background_gradient_per_s = 3.0
-inclusion_speed_m_per_s = 2100
-inclusion_center_x_m = 100
-inclusion_center_z_m = 60
-inclusion_radius_m = 30
-initial_top_speed_m_per_s = 1600
-initial_bottom_speed_m_per_s = 1900
-"""
+# criterion 1: adjoint gradient vs central finite differences, on
+# conftest.GRADCHECK_CONFIG
 
 
 @functools.lru_cache(maxsize=None)

@@ -267,3 +267,17 @@ class TestDataFiles:
         pos, w = read_geometry_csv(path, grid.dim)
         assert np.array_equal(pos, rec.positions)
         assert np.array_equal(w, rec.weights)
+
+    @pytest.mark.parametrize("rows, row", [
+        (["1, 0.0, 5.0, 1.0", "1, 10.0, 5.0, 2.0"], 0),  # repeated and off by one
+        (["0, 0.0, 5.0, 1.0", "0, 10.0, 5.0, 2.0"], 1),  # repeated
+        (["0, 0.0, 5.0, 1.0", "2, 10.0, 5.0, 2.0"], 1),  # skipped
+        (["1, 0.0, 5.0, 1.0", "0, 10.0, 5.0, 2.0"], 0),  # reordered
+        (["0, 0.0, 5.0, 1.0", "1, ten, 5.0, 2.0"], 1),  # non-numeric coordinate
+        (["0.5, 0.0, 5.0, 1.0"], 0),  # non-integer id
+    ])
+    def test_geometry_csv_bad_row_names_file_and_row(self, tmp_path, rows, row):
+        path = tmp_path / "src.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError, match=f"src.csv: .*row {row}"):
+            read_geometry_csv(path, 2)

@@ -18,13 +18,73 @@ from cauchyfwi.helmholtz import (
     traces,
     write_field_structured_points,
 )
+from conftest import GRADCHECK_CONFIG
 
 
 PHYS = PhysicsConfig(freq_hz=25.0, water_speed=1500.0)
+GRID_3D = Grid((60.0, 40.0, 50.0), (7, 5, 6))
 
 
 def constant_speed(grid, c=1500.0):
     return NodalField(grid, np.full(grid.n_nodes, c))
+
+
+def random_speed(grid, seed):
+    rng = np.random.default_rng(seed)
+    return NodalField(grid, rng.uniform(1400, 1700, grid.n_nodes))
+
+
+def criterion_1_start():
+    """Starting model and physics of the criterion-1 gradient check (41 x 21)."""
+    cfg = parse_config(GRADCHECK_CONFIG)
+    grid = C.build_grid(cfg)
+    model = C.build_initial_model(cfg, C.build_partition_for(cfg, grid))
+    return evaluate_model(model), C.build_physics(cfg)
+
+
+def coo_reference(grid, speed, phys, free_surface=True):
+    """The operator assembled from COO triplets and converted to CSC, with
+    the same floating-point operations as assemble, for a bit-exact check
+    of its cached pattern."""
+    shape = grid.shape
+    h = grid.spacing
+    m = grid.n_nodes
+    idx = grid.multi_indices()
+    scale = grid.boundary_scale()
+    dirichlet = grid.free_surface_mask() if free_surface else np.zeros(m, dtype=bool)
+    ik0 = 1j * phys.absorbing_k0
+    diag = (phys.k ** 2 / speed.values ** 2).astype(complex)
+    for d in range(grid.dim):
+        on_b = (idx[:, d] == 0) | (idx[:, d] == shape[d] - 1)
+        diag += np.where(on_b, -2.0 / h[d] ** 2 + 2.0 * ik0 / h[d], -2.0 / h[d] ** 2)
+    diag *= scale
+    diag[dirichlet] = 1.0
+    rows, cols, vals = [np.arange(m)], [np.arange(m)], [diag]
+    for d in range(grid.dim):
+        for step in (+1, -1):
+            nb = idx.copy()
+            nb[:, d] += step
+            inside = (nb[:, d] >= 0) & (nb[:, d] < shape[d])
+            src = np.flatnonzero(inside)
+            tgt = np.ravel_multi_index(tuple(nb[inside].T), shape)
+            keep = ~dirichlet[src] & ~dirichlet[tgt]
+            src, tgt = src[keep], tgt[keep]
+            # a ghost node beyond the opposite face mirrors onto this neighbor
+            mirrored = idx[src, d] == (0 if step > 0 else shape[d] - 1)
+            coeff = np.where(mirrored, 2.0, 1.0) / h[d] ** 2 * scale[src]
+            rows.append(src)
+            cols.append(tgt)
+            vals.append(coeff.astype(complex))
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m, m),
+    ).tocsc()
+
+
+def assert_bit_equal(got, ref):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def dense_reference_matrix(grid, speed, phys, free_surface=True):
@@ -132,6 +192,35 @@ class TestAssemble:
         got = system.matrix.toarray()
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("case", ["default_2d", "default_2d_all_robin", "3d", "3d_all_robin"])
+    def test_cached_pattern_bit_equal_to_coo_assembly(self, case):
+        if case.startswith("default_2d"):
+            cfg = parse_config(DEFAULT_CONFIG)
+            grid = C.build_grid(cfg)
+            speed, phys = C.build_true_field(cfg, grid), C.build_physics(cfg)
+        else:
+            grid, phys = GRID_3D, PHYS
+            speed = random_speed(grid, 13)
+        free_surface = not case.endswith("all_robin")
+        system = assemble(grid, speed, phys, free_surface=free_surface)
+        assert_bit_equal(system.matrix, coo_reference(grid, speed, phys, free_surface))
+        # a second speed on the same grid goes through the cached pattern
+        other = NodalField(grid, speed.values[::-1].copy())
+        again = assemble(grid, other, phys, free_surface=free_surface)
+        assert_bit_equal(again.matrix, coo_reference(grid, other, phys, free_surface))
+
+    def test_cached_pattern_survives_writes_to_a_matrix(self):
+        grid = GRID_3D
+        speed = random_speed(grid, 14)
+        first = assemble(grid, speed, PHYS).matrix
+        first.data[:] = 7.0
+        second = assemble(grid, speed, PHYS).matrix
+        assert_bit_equal(second, coo_reference(grid, speed, PHYS))
+        for shared in (second.indptr, second.indices):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0] = 1
+
     def test_nonfinite_speed_rejected(self):
         grid = Grid((30.0, 30.0), (4, 4))
         vals = np.full(grid.n_nodes, 1500.0)
@@ -153,17 +242,21 @@ class TestSolve:
 
     def test_residual_bound(self):
         # one vector on a small constant grid, a 32-column block on the
-        # default config's true model, and one vector on a small 3-D grid
+        # default config's true model and on the criterion-1 starting
+        # model, one vector on a small constant 3-D grid and a 32-column
+        # block on it at a random speed
         cfg = parse_config(DEFAULT_CONFIG)
         grid_5 = Grid((40.0, 40.0), (5, 5))
         grid_cfg = C.build_grid(cfg)
-        grid_3d = Grid((60.0, 40.0, 50.0), (7, 5, 6))
+        start_1, phys_1 = criterion_1_start()
         rng = np.random.default_rng(6)
         for system, block in (
             (assemble(grid_5, constant_speed(grid_5), PHYS), ()),
             (assemble(grid_cfg, C.build_true_field(cfg, grid_cfg),
                       C.build_physics(cfg)), (32,)),
-            (assemble(grid_3d, constant_speed(grid_3d), PHYS), ()),
+            (assemble(start_1.grid, start_1, phys_1), (32,)),
+            (assemble(GRID_3D, constant_speed(GRID_3D), PHYS), ()),
+            (assemble(GRID_3D, random_speed(GRID_3D, 15), PHYS), (32,)),
         ):
             shape = (system.grid.n_nodes, *block)
             b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -206,19 +299,29 @@ class TestSolve:
         # bounded misfits solve the sources in blocks of a few columns and
         # must reproduce the one-block fields bit for bit, at the process's
         # BLAS thread count: on the inversion grid at the starting model,
-        # and on the h/2 synthesis grid at the true model
+        # and on the h/2 synthesis grid at the true model; for the
+        # supernodes of SuperLU's relax and panel settings, also on the
+        # criterion-1 grid at its starting model and on a small 3-D grid
         cfg = parse_config(DEFAULT_CONFIG)
         grid = C.build_grid(cfg)
         fine = C.build_grid(cfg, refine=2)
         model = C.build_initial_model(cfg, C.build_partition_for(cfg, grid))
         phys = C.build_physics(cfg)
-        for speed, sources in (
-            (evaluate_model(model), C.build_sim_sources(cfg, grid)),
-            (C.build_true_field(cfg, fine), C.build_obs_sources(cfg, grid)),
+        sources = C.build_sim_sources(cfg, grid)
+        assert sources.n_sources == 32
+        start_1, phys_1 = criterion_1_start()
+        row_1 = [(10.0 + 5.0 * i, 50.0) for i in range(32)]
+        layers_3d = [(x, y, z) for z in (20.0, 30.0) for x in (10.0, 20.0, 30.0, 40.0, 50.0)
+                     for y in (10.0, 20.0, 30.0)]
+        for speed, positions, phys_ in (
+            (evaluate_model(model), sources.positions, phys),
+            (C.build_true_field(cfg, fine), C.build_obs_sources(cfg, grid).positions, phys),
+            (start_1, row_1, phys_1),
+            (random_speed(GRID_3D, 16), layers_3d, PHYS),
         ):
-            system = assemble(speed.grid, speed, phys)
-            specs = [SourceSpec.from_position(speed.grid, p) for p in sources.positions]
-            assert len(specs) == 32
+            system = assemble(speed.grid, speed, phys_)
+            specs = [SourceSpec.from_position(speed.grid, p) for p in positions]
+            assert len({s.node for s in specs}) == len(specs) >= 30
             full = system.green_many(specs)
             order = np.random.default_rng(10).permutation(len(specs))
             blocks = np.empty_like(full, order="F")
