@@ -23,10 +23,8 @@ from .geometry import (
 from .helmholtz import (
     HelmholtzSystem,
     PhysicsConfig,
-    SourceSpec,
     assemble,
     points_per_wavelength,
-    traces,
 )
 from .acquisition import (
     CauchyDataSet,

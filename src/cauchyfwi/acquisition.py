@@ -22,7 +22,7 @@ from .errors import (
     UndefinedSnrError,
 )
 from .geometry import Grid
-from .helmholtz import SourceSpec, assemble
+from .helmholtz import assemble
 
 
 def _trapezoid_weights(coords):
@@ -212,6 +212,10 @@ def source_lattice(grid, depth_m, count, margin_m=0.0, depth_span_m=0.0, n_layer
             raise GeometryError("source margins leave no room")
         # midpoint lattice: count cells of width span/count
         centers = margin_m + (np.arange(count) + 0.5) * span / count
+        if centers.min() < 0 or centers.max() > grid.extent[d]:
+            raise GeometryError(
+                f"source margin {margin_m} m puts sources outside [0, {grid.extent[d]}] m"
+            )
         lat_axes.append(centers)
         cell *= span / count
     if n_layers < 1:
@@ -300,8 +304,7 @@ def synthesize(true_field, obs_sources, receivers, phys):
     rec_fine = receivers.on_grid(fine)
     validate_geometry(obs_sources, rec_fine, fine)
     system = assemble(fine, true_field, phys)
-    specs = [SourceSpec.from_position(fine, p) for p in obs_sources.positions]
-    fields = system.green_many(specs)
+    fields = system.green_many(obs_sources.positions)
     g, dg = helmholtz.traces_many(fields, fine, rec_fine)
     prov = Provenance(fine.shape, fine.extent, math.inf, 0)
     return CauchyDataSet(receivers, obs_sources, g, dg, phys.freq_hz, prov)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import acquisition
 from . import config as config_mod
-from .errors import ExportError
+from .errors import ConfigError, ExportError
 from .geometry import NodalField, PiecewiseLinearModel, evaluate_model
 from .helmholtz import (
     assemble,
@@ -124,7 +124,7 @@ def gradcheck(cfg, n_probes=0, steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
     """
     grid = config_mod.build_grid(cfg)
     if grid.dim == 2 and (grid.shape[0] > 151 or grid.shape[1] > 101):
-        raise ValueError("gradient check expects a small grid (<= 151 x 101)")
+        raise ConfigError("gradient check expects a small grid (<= 151 x 101)")
     phys = config_mod.build_physics(cfg)
     partition = config_mod.build_partition_for(cfg, grid)
     receivers = config_mod.build_receivers(cfg, grid)

@@ -17,7 +17,7 @@ from .geometry import Grid, build_partition
 from .helmholtz import PhysicsConfig, points_per_wavelength
 from .acquisition import receiver_layer, source_lattice, validate_geometry
 from .inversion import OptimConfig
-from .phantom import layered_inclusion_phantom, initial_depth_model
+from .phantom import INCLUSION_PROFILES, layered_inclusion_phantom, initial_depth_model
 
 # (section, key) -> (type, default); None default means required (2D) or
 # conditional on dim = 3 for *_y_m keys.  The optimizer keys are the
@@ -168,15 +168,22 @@ def validate(cfg):
         problems.append("physics speeds need 0 < c_min < c_max")
     if math.isnan(cfg.snr_db) or cfg.snr_db == -math.inf:
         problems.append(f"noise.snr_db must be a number or inf, got {cfg.snr_db}")
-    try:
-        build_optimizer(cfg)
-    except ValueError as exc:
-        problems.append(f"optimizer: {exc}")
+    if cfg.inclusion_profile not in INCLUSION_PROFILES:
+        problems.append(
+            f"phantom.inclusion_profile must be one of {', '.join(INCLUSION_PROFILES)}, "
+            f"got {cfg.inclusion_profile!r}"
+        )
+    built = {}
+    for section, build in (("optimizer", build_optimizer), ("grid", build_grid),
+                           ("physics", build_physics)):
+        try:
+            built[section] = build(cfg)
+        except ValueError as exc:
+            problems.append(f"{section}: {exc}")
     if problems:
         raise ConfigError("configuration rejected", problems)
 
-    grid = build_grid(cfg)
-    phys = build_physics(cfg)
+    grid, phys = built["grid"], built["physics"]
     ppw = points_per_wavelength(grid, phys, cfg.c_min_m_per_s)
     if ppw < 4.0:
         problems.append(

@@ -39,7 +39,7 @@ class SolverBreakdownError(CauchyFwiError):
 
 
 class InvalidSourceError(CauchyFwiError):
-    """Point source placed on the pressure-free surface or outside the grid."""
+    """Point source snapped to a node on the pressure-free surface."""
 
 
 class AlignmentError(CauchyFwiError):

@@ -63,11 +63,11 @@ class Grid:
 
     @property
     def n_nodes(self):
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def cell_volume(self):
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
     def multi_indices(self):
         """(n_nodes, dim) integer node indices in C (row-major) order."""
@@ -92,17 +92,21 @@ class Grid:
     def ravel_index(self, multi):
         return int(np.ravel_multi_index(tuple(int(i) for i in multi), self.shape))
 
-    def nearest_node(self, position):
-        """Flat index of the grid node closest to a physical position."""
-        pos = np.asarray(position, dtype=float)
-        if pos.shape != (self.dim,):
-            raise ValueError(f"position must have {self.dim} components")
-        multi = []
-        for x, h, n, e in zip(pos, self.spacing, self.shape, self.extent):
-            if x < -0.5 * h or x > e + 0.5 * h:
-                raise ValueError(f"position {position} outside grid extent {self.extent}")
-            multi.append(min(max(int(round(x / h)), 0), n - 1))
-        return self.ravel_index(multi)
+    def nearest_nodes(self, positions):
+        """Flat indices of the grid nodes closest to (n, dim) physical
+        positions.  A position halfway between two nodes goes to the even
+        index, as Python's round does."""
+        pos = np.asarray(positions, dtype=float)
+        if pos.ndim != 2 or pos.shape[1] != self.dim:
+            raise ValueError(f"positions must be an (n, {self.dim}) array")
+        h = np.array(self.spacing)
+        inside = (pos >= -0.5 * h) & (pos <= np.array(self.extent) + 0.5 * h)
+        if not inside.all():
+            bad = pos[~inside.all(axis=1)][0]
+            raise ValueError(f"position {bad} outside grid extent {self.extent}")
+        # the extent check keeps every index >= 0; only the top can overshoot
+        multi = np.minimum(np.rint(pos / h).astype(int), np.array(self.shape) - 1)
+        return np.ravel_multi_index(tuple(multi.T), self.shape)
 
     def refine(self, factor):
         """Grid with the same extent and (n-1)*factor+1 nodes per axis."""

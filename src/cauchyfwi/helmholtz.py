@@ -83,29 +83,6 @@ def points_per_wavelength(grid, phys, c_min):
     return (c_min / phys.freq_hz) / max(grid.spacing)
 
 
-@dataclass(frozen=True)
-class SourceSpec:
-    """Point source snapped to the nearest node, normalized to unit strength.
-
-    The discrete right-hand side carries 1 / (cell volume) at the node so
-    the solved field approximates the response to a unit Dirac impulse.
-    """
-
-    grid: Grid
-    position: tuple
-    node: int
-    amplitude: float
-
-    @classmethod
-    def from_position(cls, grid, position):
-        node = grid.nearest_node(position)
-        if grid.free_surface_mask()[node]:
-            raise InvalidSourceError(
-                f"source at {tuple(position)} lies on the pressure-free surface"
-            )
-        return cls(grid, tuple(float(x) for x in position), node, 1.0 / grid.cell_volume)
-
-
 def assemble(grid, speed, phys, free_surface=True):
     """Assemble the discrete Helmholtz system for a nodal speed field.
 
@@ -300,39 +277,37 @@ class HelmholtzSystem:
         self.solve_count += cols.shape[1]
         return x.reshape(b.shape, order="F")
 
-    def green(self, source):
-        """Field response to a unit point source (one solve)."""
-        return NodalField(self.grid, self.green_many([source])[:, 0])
+    def green_many(self, positions):
+        """(n_nodes, n) responses to unit point sources at (n, dim)
+        positions, solved against one factorization.
 
-    def green_many(self, sources):
-        """(n_nodes, n_sources) responses solved against one factorization."""
-        sources = list(sources)
-        m = self.grid.n_nodes
-        scale = self.grid.boundary_scale()
-        rhs = np.zeros((m, len(sources)), dtype=complex)
-        for col, src in enumerate(sources):
-            if src.grid != self.grid:
-                raise InvalidSourceError("source was built for a different grid")
-            if self.dirichlet_mask[src.node]:
-                raise InvalidSourceError(
-                    f"source node {src.node} lies on the Dirichlet boundary"
-                )
-            rhs[src.node, col] = -src.amplitude * scale[src.node]
+        Each position snaps to its nearest node (Grid.nearest_nodes), which
+        must lie off the depth-0 face whatever the boundary choice.  The
+        right-hand side carries 1 / (cell volume) at the node so the solved
+        field approximates the response to a unit Dirac impulse.
+        """
+        grid = self.grid
+        nodes = grid.nearest_nodes(positions)
+        on_surface = grid.free_surface_mask()[nodes]
+        if on_surface.any():
+            position = np.asarray(positions, dtype=float)[on_surface.argmax()]
+            raise InvalidSourceError(
+                f"source at {position.tolist()} lies on the pressure-free surface"
+            )
+        rhs = np.zeros((grid.n_nodes, nodes.size), dtype=complex)
+        rhs[nodes, np.arange(nodes.size)] = (
+            -(1.0 / grid.cell_volume) * grid.boundary_scale()[nodes]
+        )
         return self.solve(rhs)
 
 
-def traces(field, receivers):
-    """Sample a field and its normal derivative on a receiver layer.
+def traces_many(block, grid, receivers):
+    """Traces of a (n_nodes, n_fields) block on a receiver layer; returns
+    (n_fields, n_rcv) values and normal derivatives.
 
     The derivative is the centered difference across the layer along the
     upward normal, toward the sources.
     """
-    vals, dnu = traces_many(field.values[:, None], field.grid, receivers)
-    return vals[0], dnu[0]
-
-
-def traces_many(block, grid, receivers):
-    """Traces of a (n_nodes, n_fields) block; returns (n_fields, n_rcv) pairs."""
     if receivers.grid != grid:
         raise AlignmentError("receiver layer was built for a different grid")
     hz = grid.spacing[-1]

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BoundsViolationError, SolverBreakdownError
 from .geometry import coefficient_gradient, evaluate_model
 from .helmholtz import assemble
-from .misfit_adjoint import misfit_and_gradient, misfit_only, source_specs
+from .misfit_adjoint import misfit_and_gradient, misfit_only
 
 # Stored L-BFGS pairs; the model has a few dozen free coefficients.
 LBFGS_PAIRS = 5
@@ -236,7 +236,6 @@ class Objective:
         self.data = data
         self.phys = phys
         self.solves = 0
-        self._specs = source_specs(model.partition.grid, sim_sources)
         self._kept = None
 
     def _system(self, vec):
@@ -248,8 +247,7 @@ class Objective:
         self._kept = None
         system = self._system(vec)
         try:
-            value, gap, fields = misfit_only(system, self.sim_sources, self.data,
-                                             specs=self._specs)
+            value, gap, fields = misfit_only(system, self.sim_sources, self.data)
         finally:
             self.solves += system.solve_count
         self._kept = (_key(vec), system, fields, gap)

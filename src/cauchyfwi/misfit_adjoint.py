@@ -36,7 +36,6 @@ import numpy as np
 from . import helmholtz
 from .errors import GeometryError
 from .geometry import NodalField
-from .helmholtz import SourceSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,28 +140,17 @@ def nodal_gradient(forward_fields, adjoint_fields, speed, phys, sim_weights):
     return NodalField(speed.grid, grad)
 
 
-def source_specs(grid, sim_sources):
-    """Unit point sources of a source set, snapped to the grid."""
-    return [SourceSpec.from_position(grid, p) for p in sim_sources.positions]
-
-
-def simulate_traces(system, sim_sources, receivers, specs=None):
-    """Forward solves for every simulation source plus their traces.
-
-    specs, if given, replaces source_specs(system.grid, sim_sources): the
-    sources solved, in their column order.
-    """
-    if specs is None:
-        specs = source_specs(system.grid, sim_sources)
-    fields = system.green_many(specs)
+def simulate_traces(system, sim_sources, receivers):
+    """Forward solves for every simulation source plus their traces."""
+    fields = system.green_many(sim_sources.positions)
     vals, dnu = helmholtz.traces_many(fields, system.grid, receivers)
     return fields, vals, dnu
 
 
-def misfit_only(system, sim_sources, data, specs=None):
+def misfit_only(system, sim_sources, data):
     """Misfit value, gap matrix and forward fields: n_sim forward solves,
-    no adjoints.  specs is passed on to simulate_traces."""
-    fields, vals, dnu = simulate_traces(system, sim_sources, data.receivers, specs)
+    no adjoints."""
+    fields, vals, dnu = simulate_traces(system, sim_sources, data.receivers)
     gap = reciprocity_gap(vals, dnu, data, sim_sources.weights)
     return misfit(gap), gap, fields
 

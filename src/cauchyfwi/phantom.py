@@ -6,6 +6,12 @@ import numpy as np
 
 from .geometry import NodalField, fit_coefficients
 
+# Inclusion weight in [0, 1] as a function of distance r and radius.
+INCLUSION_PROFILES = {
+    "gaussian": lambda r, radius: np.exp(-((r / radius) ** 2) * 2.0),
+    "box": lambda r, radius: (r <= radius).astype(float),
+}
+
 
 def layered_inclusion_phantom(grid, water_depth_m, water_speed,
                               surface_speed, gradient_per_s,
@@ -15,7 +21,7 @@ def layered_inclusion_phantom(grid, water_depth_m, water_speed,
 
     Below the water bottom the background is surface_speed +
     gradient_per_s * (depth - water_depth); the inclusion blends toward
-    inclusion_speed with a gaussian or box profile of the given radius.
+    inclusion_speed with one of INCLUSION_PROFILES at the given radius.
     The water layer itself is constant water_speed.
     """
     pos = grid.node_positions()
@@ -27,13 +33,9 @@ def layered_inclusion_phantom(grid, water_depth_m, water_speed,
 
     center = np.asarray(inclusion_center, dtype=float)
     r = np.linalg.norm(pos - center, axis=1)
-    if profile == "gaussian":
-        shape = np.exp(-((r / inclusion_radius_m) ** 2) * 2.0)
-    elif profile == "box":
-        shape = (r <= inclusion_radius_m).astype(float)
-    else:
+    if profile not in INCLUSION_PROFILES:
         raise ValueError(f"unknown inclusion profile {profile!r}")
-    blend = shape * below
+    blend = INCLUSION_PROFILES[profile](r, inclusion_radius_m) * below
     vals = vals + blend * (inclusion_speed - vals)
     return NodalField(grid, vals)
 

@@ -18,7 +18,7 @@ from cauchyfwi.config import DEFAULT_CONFIG, parse_config
 from cauchyfwi.geometry import evaluate_model
 from cauchyfwi.helmholtz import assemble
 from cauchyfwi.inversion import Objective, OptimConfig, run_inversion
-from cauchyfwi.misfit_adjoint import nodal_gradient, source_specs
+from cauchyfwi.misfit_adjoint import nodal_gradient
 
 THREAD_GETTERS = [f"{prefix}_get_num_threads{suffix}"
                   for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
@@ -65,7 +65,7 @@ def main():
     weights = rng.uniform(0.5, 1.5, sim.n_sources)
     print("nodal_gradient", digest(nodal_gradient(fwd, adj, start, phys, weights).values))
 
-    fields = assemble(grid, start, phys).green_many(source_specs(grid, sim))
+    fields = assemble(grid, start, phys).green_many(sim.positions)
     print("green_many", digest(fields))
 
     fine = C.build_grid(cfg, refine=cfg.refine)

@@ -26,7 +26,7 @@ from cauchyfwi.geometry import (
     evaluate_model,
     fit_coefficients,
 )
-from cauchyfwi.helmholtz import PhysicsConfig, SourceSpec, assemble
+from cauchyfwi.helmholtz import PhysicsConfig, assemble
 from cauchyfwi.inversion import (
     OptimConfig,
     relative_l2_error,
@@ -148,10 +148,9 @@ def run_symmetry(tag):
                               + (np.abs(dnu) * w) @ np.abs(data.g).T))
     antisym = float(np.max(np.abs(s + s.T)))
 
-    src_a = SourceSpec.from_position(grid, (60.0, 50.0))
-    src_b = SourceSpec.from_position(grid, (145.0, 75.0))
-    g_ab = system.green(src_a).values[src_b.node]
-    g_ba = system.green(src_b).values[src_a.node]
+    node_a, node_b = grid.nearest_nodes([(60.0, 50.0), (145.0, 75.0)])
+    g_ab = system.green_many([(60.0, 50.0)])[node_b, 0]
+    g_ba = system.green_many([(145.0, 75.0)])[node_a, 0]
     return {
         "antisym": antisym,
         "term_scale": term_scale,
@@ -188,14 +187,13 @@ def run_solver_accuracy(tag):
         grid = Grid((360.0, 360.0), (n, n))
         speed = NodalField(grid, np.full(grid.n_nodes, 1500.0))
         system = assemble(grid, speed, phys, free_surface=False)
-        return grid, system.green(SourceSpec.from_position(grid, center))
+        return grid, system.green_many([center])[:, 0]
 
-    g1, f1 = solve(49)
+    g1, u1 = solve(49)
     g2, f2 = solve(97)
     g3, f3 = solve(193)
-    u1 = f1.values
-    u2 = f2.values.reshape(g2.shape)[::2, ::2].ravel()
-    u3 = f3.values.reshape(g3.shape)[::4, ::4].ravel()
+    u2 = f2.reshape(g2.shape)[::2, ::2].ravel()
+    u3 = f3.reshape(g3.shape)[::4, ::4].ravel()
 
     h1 = g1.spacing[0]
     pos = g1.node_positions()

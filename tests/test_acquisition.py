@@ -25,7 +25,7 @@ from cauchyfwi.errors import (
     UndefinedSnrError,
 )
 from cauchyfwi.geometry import Grid, NodalField
-from cauchyfwi.helmholtz import PhysicsConfig, SourceSpec, assemble, traces
+from cauchyfwi.helmholtz import PhysicsConfig, assemble, traces_many
 
 PHYS = PhysicsConfig(freq_hz=25.0, water_speed=1500.0)
 
@@ -113,10 +113,10 @@ class TestSynthesize:
 
         system = assemble(grid, field, PHYS)
         for s, pos in enumerate(obs.positions):
-            g_field = system.green(SourceSpec.from_position(grid, pos))
-            vals, dnu = traces(g_field, rec)
-            assert np.allclose(vals, data.g[s], rtol=1e-12, atol=0)
-            assert np.allclose(dnu, data.dg[s], rtol=1e-12, atol=0)
+            g_field = system.green_many([pos])
+            vals, dnu = traces_many(g_field, grid, rec)
+            assert np.allclose(vals[0], data.g[s], rtol=1e-12, atol=0)
+            assert np.allclose(dnu[0], data.dg[s], rtol=1e-12, atol=0)
 
     def test_refined_grid_traces_converge_second_order(self):
         grid = make_grid()

@@ -12,7 +12,7 @@ from cauchyfwi.analysis import (
     write_stability_csv,
 )
 from cauchyfwi.config import parse_config
-from cauchyfwi.errors import ExportError
+from cauchyfwi.errors import ConfigError, ExportError
 from cauchyfwi.geometry import (
     Grid,
     NodalField,
@@ -173,7 +173,7 @@ class TestGradcheck:
         text = SMALL_CONFIG.replace("nodes_x = 17", "nodes_x = 201")
         text = text.replace("extent_x_m = 160", "extent_x_m = 2000")
         cfg = parse_config(text)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             gradcheck(cfg)
 
 

@@ -300,6 +300,25 @@ class TestCliFlow:
             err = capsys.readouterr().err
             assert err.startswith("error: config:"), err
 
+    @pytest.mark.parametrize("command, old, new, label", [
+        ("synth", "extent_x_m = 240", "extent_x_m = -600", "config"),
+        ("synth", "nodes_z = 13", "nodes_z = 1", "config"),
+        ("synth", "freq_hz = 25", "freq_hz = 0", "config"),
+        ("synth", "initial_top_speed_m_per_s",
+         "inclusion_profile = cone\ninitial_top_speed_m_per_s", "config"),
+        ("gradcheck", "nodes_x = 25\nnodes_z = 13", "nodes_x = 161\nnodes_z = 121", "config"),
+        ("synth", "source_margin_m = 30", "source_margin_m = -200", "geometry"),
+    ])
+    def test_rejected_value_categorized_error(self, tmp_path, capsys, command, old, new, label):
+        assert old in FAST_CONFIG
+        cfg = self.write_config(tmp_path, FAST_CONFIG.replace(old, new))
+        args = ["--config", cfg]
+        if command == "synth":
+            args += ["--out-prefix", str(tmp_path / "x")]
+        assert cli_main([command] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {label}:"), err
+
     def test_missing_data_categorized_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         code = cli_main(["invert", "--config", cfg,

@@ -54,8 +54,36 @@ class TestGrid:
             Grid((100.0, 100.0), (11, 1))
 
     def test_nearest_node_snaps(self, grid2d):
-        node = grid2d.nearest_node((52.0, 48.0))
+        node, = grid2d.nearest_nodes([(52.0, 48.0)])
         assert np.allclose(grid2d.node_positions()[node], (50.0, 50.0))
+
+    def test_nearest_nodes_rounds_half_to_even(self):
+        # x = 5, 15, 25 m sit halfway between nodes 10 m apart; Python's
+        # round sends each to the even index
+        grid = Grid((100.0, 100.0), (11, 11))
+        xs = (5.0, 15.0, 25.0)
+        nodes = grid.nearest_nodes([(x, 50.0) for x in xs])
+        assert list(grid.multi_indices()[nodes, 0]) == [0, 2, 2]
+
+        # against a per-point loop with Python's round, on every midpoint
+        # and node of a 3-D grid plus random points up to half a spacing out
+        grid = Grid((60.0, 40.0, 50.0), (7, 5, 6))
+        h = np.array(grid.spacing)
+        rng = np.random.default_rng(3)
+        halves = np.indices(2 * np.array(grid.shape) - 1).reshape(3, -1).T * h / 2
+        scatter = rng.uniform(-h / 2, np.array(grid.extent) + h / 2, (500, 3))
+        positions = np.vstack([halves, scatter])
+        expected = [grid.ravel_index([min(max(int(round(x / s)), 0), n - 1)
+                                      for x, s, n in zip(p, grid.spacing, grid.shape)])
+                    for p in positions]
+        assert grid.nearest_nodes(positions).tolist() == expected
+
+    @pytest.mark.parametrize("position", [(-5.01, 50.0), (50.0, 105.01), (float("nan"), 50.0)])
+    def test_nearest_nodes_rejects_outside_extent(self, position):
+        grid = Grid((100.0, 100.0), (11, 11))
+        grid.nearest_nodes([(-5.0, 105.0)])  # half a spacing out still snaps
+        with pytest.raises(ValueError, match="outside grid extent"):
+            grid.nearest_nodes([(50.0, 50.0), position])
 
     def test_refine_keeps_extent(self, grid2d):
         fine = grid2d.refine(2)

@@ -11,11 +11,10 @@ from cauchyfwi.geometry import Grid, NodalField, evaluate_model
 from cauchyfwi.helmholtz import (
     HelmholtzSystem,
     PhysicsConfig,
-    SourceSpec,
     assemble,
     points_per_wavelength,
     read_field_structured_points,
-    traces,
+    traces_many,
     write_field_structured_points,
 )
 from conftest import GRADCHECK_CONFIG
@@ -320,17 +319,18 @@ class TestSolve:
             (random_speed(GRID_3D, 16), layers_3d, PHYS),
         ):
             system = assemble(speed.grid, speed, phys_)
-            specs = [SourceSpec.from_position(speed.grid, p) for p in positions]
-            assert len({s.node for s in specs}) == len(specs) >= 30
-            full = system.green_many(specs)
-            order = np.random.default_rng(10).permutation(len(specs))
+            positions = np.asarray(positions, dtype=float)
+            nodes = speed.grid.nearest_nodes(positions)
+            assert len(set(nodes)) == len(nodes) >= 30
+            full = system.green_many(positions)
+            order = np.random.default_rng(10).permutation(len(nodes))
             blocks = np.empty_like(full, order="F")
-            for start in range(0, len(specs), 8):
+            for start in range(0, len(nodes), 8):
                 cols = order[start:start + 8]
-                blocks[:, cols] = system.green_many([specs[c] for c in cols])
+                blocks[:, cols] = system.green_many(positions[cols])
             assert blocks.tobytes(order="F") == full.tobytes(order="F")
             for col in order[:3]:
-                single = system.green_many([specs[col]])
+                single = system.green_many(positions[[col]])
                 assert single.tobytes() == full[:, col].tobytes()
 
     def test_symmetric_ordering_keeps_fill_low(self):
@@ -349,25 +349,28 @@ class TestGreen:
         rng = np.random.default_rng(10)
         speed = NodalField(grid, rng.uniform(1400, 1700, grid.n_nodes))
         system = assemble(grid, speed, PHYS)
-        src_a = SourceSpec.from_position(grid, (30.0, 40.0))
-        src_b = SourceSpec.from_position(grid, (70.0, 25.0))
-        g_a = system.green(src_a)
-        g_b = system.green(src_b)
-        lhs = g_a.values[src_b.node]
-        rhs = g_b.values[src_a.node]
+        positions = [(30.0, 40.0), (70.0, 25.0)]
+        node_a, node_b = grid.nearest_nodes(positions)
+        g_a, g_b = system.green_many(positions).T
+        lhs = g_a[node_b]
+        rhs = g_b[node_a]
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
     def test_dirichlet_trace_exactly_zero(self):
         grid = Grid((100.0, 80.0), (21, 17))
         system = assemble(grid, constant_speed(grid), PHYS)
-        field = system.green(SourceSpec.from_position(grid, (50.0, 40.0)))
-        top = field.values[grid.free_surface_mask()]
+        field = system.green_many([(50.0, 40.0)])[:, 0]
+        top = field[grid.free_surface_mask()]
         assert np.all(top == 0.0)
 
     def test_source_on_free_surface_rejected(self):
+        # rejected whatever the boundary choice, before any solve
         grid = Grid((100.0, 80.0), (21, 17))
-        with pytest.raises(InvalidSourceError):
-            SourceSpec.from_position(grid, (50.0, 0.0))
+        for free_surface in (True, False):
+            system = assemble(grid, constant_speed(grid), PHYS, free_surface=free_surface)
+            with pytest.raises(InvalidSourceError):
+                system.green_many([(50.0, 40.0), (50.0, 0.0)])
+            assert system.solve_count == 0
 
     def test_free_space_magnitude_all_robin(self):
         # homogeneous medium, radiation condition on every face: |G| must
@@ -375,14 +378,14 @@ class TestGreen:
         grid = Grid((360.0, 360.0), (97, 97))
         system = assemble(grid, constant_speed(grid), PHYS, free_surface=False)
         center = (180.0, 180.0)
-        field = system.green(SourceSpec.from_position(grid, center))
+        field = system.green_many([center])[:, 0]
         kappa = PHYS.k / 1500.0
         pos = grid.node_positions()
         r = np.linalg.norm(pos - np.array(center), axis=1)
         h = grid.spacing[0]
         ring = (r >= 2 * h) & (r <= 90.0)
         exact = np.abs(0.25j * hankel1(0, kappa * r[ring]))
-        got = np.abs(field.values[ring])
+        got = np.abs(field[ring])
         rel = np.abs(got - exact) / exact
         assert np.median(rel) < 0.05
         assert rel.max() < 0.10
@@ -393,7 +396,7 @@ class TestTraces:
         grid = Grid((100.0, 80.0), (11, 9))
         receivers = receiver_layer(grid, depth_m=40.0)
         field = NodalField(grid, grid.node_positions()[:, -1])
-        vals, dnu = traces(field, receivers)
+        vals, dnu = traces_many(field.values[:, None], grid, receivers)
         assert np.allclose(vals, 40.0)
         assert np.allclose(dnu, -1.0, atol=1e-13)
 
@@ -401,7 +404,7 @@ class TestTraces:
         grid = Grid((100.0, 80.0), (11, 9))
         receivers = receiver_layer(grid, depth_m=40.0)
         field = NodalField(grid, np.full(grid.n_nodes, 3.3))
-        _, dnu = traces(field, receivers)
+        _, dnu = traces_many(field.values[:, None], grid, receivers)
         assert np.all(dnu == 0.0)
 
     def test_centered_difference_converges_second_order(self):
@@ -413,10 +416,10 @@ class TestTraces:
         for shape in ((11, 9), (21, 17)):
             grid = Grid((100.0, 80.0), shape)
             receivers = receiver_layer(grid, depth_m=40.0, count=5, margin_m=10.0)
-            _, dnu = traces(smooth(grid), receivers)
+            _, dnu = traces_many(smooth(grid).values[:, None], grid, receivers)
             x = receivers.positions[:, 0]
             exact = 0.02 * np.sin(0.05 * x) * np.exp(-0.02 * 40.0)
-            errors.append(np.max(np.abs(dnu - exact)))
+            errors.append(np.max(np.abs(dnu[0] - exact)))
         order = np.log2(errors[0] / errors[1])
         assert order >= 1.8
 
