@@ -23,6 +23,7 @@ from .errors import (
 )
 from .geometry import Grid
 from .helmholtz import assemble
+from .textio import write_text_atomic
 
 
 def _trapezoid_weights(coords):
@@ -364,8 +365,7 @@ def write_data(data, path):
                 f"{s}, {r}, {gv.real:.17g}, {gv.imag:.17g}, "
                 f"{dv.real:.17g}, {dv.imag:.17g}"
             )
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_data(path, receivers, obs_sources, expect_freq=None):
@@ -382,39 +382,38 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
         offset += len(chunk) + 1
     lines = [(off, ln.strip()) for off, ln in lines if ln.strip()]
 
-    def take(i, prefix):
+    def take(i, prefix, parse=str):
         if i >= len(lines):
             raise DataFormatError(f"{path}: truncated before {prefix!r}", len(raw))
         off, ln = lines[i]
         if not ln.startswith(prefix):
             raise DataFormatError(f"{path}: expected {prefix!r}, got {ln!r}", off)
-        return off, ln[len(prefix):].strip()
+        try:
+            return off, parse(ln[len(prefix):].strip())
+        except ValueError:
+            raise DataFormatError(f"{path}: malformed {prefix!r} line {ln!r}", off) from None
+
+    def grid_provenance(text):
+        gdim, *toks = text.split()
+        gdim = int(gdim)
+        if len(toks) != 2 * gdim:
+            raise ValueError
+        return tuple(int(t) for t in toks[:gdim]), tuple(float(t) for t in toks[gdim:])
 
     _, version = take(0, "cauchy")
     if version != "v1":
         raise DataFormatError(f"{path}: unsupported version {version!r}", lines[0][0])
-    off, freq_text = take(1, "freq")
-    freq = float(freq_text)
+    off, freq = take(1, "freq", float)
     if expect_freq is not None and abs(freq - expect_freq) > 1e-9 * max(1.0, expect_freq):
         raise DataFormatError(
             f"{path}: file frequency {freq} Hz does not match expected {expect_freq} Hz",
             off,
         )
-    off, nsrc_text = take(2, "nsrc")
-    nsrc = int(nsrc_text)
-    off, nrcv_text = take(3, "nrcv")
-    nrcv = int(nrcv_text)
-    _, snr_text = take(4, "snr")
-    snr = math.inf if snr_text == "inf" else float(snr_text)
-    _, seed_text = take(5, "seed")
-    seed = int(seed_text)
-    off, grid_text = take(6, "grid")
-    toks = grid_text.split()
-    gdim = int(toks[0])
-    if len(toks) != 1 + 2 * gdim:
-        raise DataFormatError(f"{path}: malformed grid provenance", off)
-    gshape = tuple(int(t) for t in toks[1 : 1 + gdim])
-    gextent = tuple(float(t) for t in toks[1 + gdim :])
+    _, nsrc = take(2, "nsrc", int)
+    _, nrcv = take(3, "nrcv", int)
+    _, snr = take(4, "snr", float)
+    _, seed = take(5, "seed", int)
+    _, (gshape, gextent) = take(6, "grid", grid_provenance)
 
     if nsrc != obs_sources.n_sources:
         raise DataFormatError(
@@ -445,6 +444,8 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
             nums = [float(p) for p in parts[2:]]
         except ValueError as exc:
             raise DataFormatError(f"{path}: {exc}", off) from exc
+        if not all(map(math.isfinite, nums)):
+            raise DataFormatError(f"{path}: non-finite trace value in row {ln!r}", off)
         if not (0 <= s < nsrc and 0 <= r < nrcv):
             raise DataFormatError(f"{path}: trace index ({s}, {r}) out of range", off)
         if seen[s, r]:
@@ -458,10 +459,11 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
 
 def write_geometry_csv(path, positions, weights):
     """CSV rows 'id, x,[ y,] z, weight' for receivers or sources."""
-    with open(path, "w") as f:
-        for i, (pos, w) in enumerate(zip(np.atleast_2d(positions), weights)):
-            coords = ", ".join(f"{x:.17g}" for x in pos)
-            f.write(f"{i}, {coords}, {w:.17g}\n")
+    rows = []
+    for i, (pos, w) in enumerate(zip(np.atleast_2d(positions), weights)):
+        coords = ", ".join(f"{x:.17g}" for x in pos)
+        rows.append(f"{i}, {coords}, {w:.17g}\n")
+    write_text_atomic(path, "".join(rows))
 
 
 def read_geometry_csv(path, dim):

@@ -25,6 +25,7 @@ from .helmholtz import (
 )
 from .inversion import Objective
 from .misfit_adjoint import misfit_only
+from .textio import write_text_atomic
 
 # not called here: bench/spans.py wraps these two names on this module
 from .geometry import coefficient_gradient  # noqa: F401
@@ -177,11 +178,11 @@ def gradcheck(cfg, n_probes=0, steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
 
 
 def write_gradcheck_csv(report, path):
-    with open(path, "w") as f:
-        f.write("coefficient, adjoint, finite_difference, rel_error, step, conclusive\n")
-        for c in report.checks:
-            f.write(f"{c.index}, {c.adjoint:.17g}, {c.finite_difference:.17g}, "
-                    f"{c.rel_error:.17g}, {c.step:.17g}, {int(c.conclusive)}\n")
+    rows = ["coefficient, adjoint, finite_difference, rel_error, step, conclusive\n"]
+    rows += [f"{c.index}, {c.adjoint:.17g}, {c.finite_difference:.17g}, "
+             f"{c.rel_error:.17g}, {c.step:.17g}, {int(c.conclusive)}\n"
+             for c in report.checks]
+    write_text_atomic(path, "".join(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +290,7 @@ def probe_stability(partition, c_min, c_max, phys, receivers,
 
 
 def write_stability_csv(report, path):
-    with open(path, "w") as f:
-        f.write("linf_distance, misfit, ratio, flagged, excluded\n")
-        for p in report.pairs:
-            f.write(f"{p.linf_distance:.17g}, {p.misfit:.17g}, {p.ratio:.17g}, "
-                    f"{int(p.flagged)}, {int(p.excluded)}\n")
+    rows = ["linf_distance, misfit, ratio, flagged, excluded\n"]
+    rows += [f"{p.linf_distance:.17g}, {p.misfit:.17g}, {p.ratio:.17g}, "
+             f"{int(p.flagged)}, {int(p.excluded)}\n" for p in report.pairs]
+    write_text_atomic(path, "".join(rows))

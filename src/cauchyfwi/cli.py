@@ -2,17 +2,17 @@
 
 synth and invert write a resolved-configuration snapshot next to their
 outputs; re-running from the snapshot reproduces the outputs bit-exactly for
-a fixed seed, at 1 and at 2 OpenBLAS threads alike.  Every subcommand writes
-each output file to a temporary file beside it and renames that over the
-target, so an interrupted run leaves no half-written file.
+a fixed seed, at 1 and at 2 OpenBLAS threads alike.  Outputs are written by
+the package writers, which replace their files atomically.  A failure exits
+with status 1 and prints ``error: <category>: <message>``: the category of a
+package error, ``io`` for any OSError, ``internal`` for anything else.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
+import io
 import math
-import os
 import sys
 
 import numpy as np
@@ -32,21 +32,7 @@ from .analysis import (
     write_gradcheck_csv,
     write_stability_csv,
 )
-from .errors import (
-    AlignmentError,
-    AssemblyError,
-    BoundsViolationError,
-    CauchyFwiError,
-    ConfigError,
-    DataFormatError,
-    ExportError,
-    GeometryError,
-    InvalidPartitionError,
-    InvalidSourceError,
-    ModelFormatError,
-    SolverBreakdownError,
-    UndefinedSnrError,
-)
+from .errors import CauchyFwiError
 from .geometry import evaluate_model, read_model, write_model, write_partition
 from .helmholtz import (
     assemble,
@@ -55,6 +41,7 @@ from .helmholtz import (
 )
 from .inversion import relative_l2_error, run_inversion, write_iteration_log
 from .misfit_adjoint import misfit_only
+from .textio import write_text_atomic
 
 
 def _load_config(path):
@@ -62,33 +49,8 @@ def _load_config(path):
         return config_mod.parse_config(f.read())
 
 
-@contextlib.contextmanager
-def _replacing(path):
-    """Yield a temporary path beside path and rename it to path once the
-    block returns; if the block raises, delete it and leave path as it was."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
-def _write_text(path, text):
-    with _replacing(path) as tmp, open(tmp, "w") as f:
-        f.write(text)
-
-
-def _snapshot_config(cfg, prefix):
-    _write_text(prefix + ".resolved.cfg", config_mod.render_config(cfg))
-
-
 def cmd_init(args):
-    if os.path.exists(args.out) and not args.force:
-        raise ConfigError(f"{args.out} exists; pass --force to overwrite")
-    _write_text(args.out, config_mod.DEFAULT_CONFIG)
+    config_mod.write_starter_config(args.out, force=args.force)
     print(f"wrote starter configuration to {args.out}")
     return 0
 
@@ -106,16 +68,12 @@ def cmd_synth(args):
         data = add_noise(data, cfg.snr_db, cfg.seed)
 
     prefix = args.out_prefix
-    with _replacing(prefix + ".cauchy.txt") as tmp:
-        write_data(data, tmp)
-    with _replacing(prefix + ".receivers.csv") as tmp:
-        write_geometry_csv(tmp, receivers.positions, receivers.weights)
-    with _replacing(prefix + ".sources.csv") as tmp:
-        write_geometry_csv(tmp, obs.positions, obs.weights)
+    write_data(data, prefix + ".cauchy.txt")
+    write_geometry_csv(prefix + ".receivers.csv", receivers.positions, receivers.weights)
+    write_geometry_csv(prefix + ".sources.csv", obs.positions, obs.weights)
     truth_inv = config_mod.build_true_field(cfg, grid)
-    with _replacing(prefix + ".true_speed.txt") as tmp:
-        write_field_structured_points(truth_inv, tmp)
-    _snapshot_config(cfg, prefix)
+    write_field_structured_points(truth_inv, prefix + ".true_speed.txt")
+    write_text_atomic(prefix + ".resolved.cfg", config_mod.render_config(cfg))
     print(f"synthesized {data.n_sources} sources x {data.n_receivers} receivers "
           f"at {cfg.freq_hz} Hz (snr {data.provenance.snr_db} dB) -> {prefix}.cauchy.txt")
     return 0
@@ -129,6 +87,7 @@ def cmd_invert(args):
     receivers, obs = config_mod.check_acquisition(cfg, grid)
     data = read_data(args.data_prefix + ".cauchy.txt", receivers, obs,
                      expect_freq=cfg.freq_hz)
+    truth = read_field_structured_points(args.truth_field) if args.truth_field else None
     sim = config_mod.build_sim_sources(cfg, grid, decoupled=args.decouple_sources)
     initial = config_mod.build_initial_model(cfg, partition)
     optim = config_mod.build_optimizer(cfg)
@@ -136,20 +95,17 @@ def cmd_invert(args):
     result = run_inversion(data, sim, initial, optim, phys)
 
     prefix = args.out_prefix
-    with _replacing(prefix + ".model.txt") as tmp:
-        write_model(result.model, tmp)
-    with _replacing(prefix + ".partition.txt") as tmp:
-        write_partition(partition, tmp)
-    with _replacing(prefix + ".log.csv") as tmp:
-        write_iteration_log(result.records, tmp)
+    write_model(result.model, prefix + ".model.txt")
+    write_partition(partition, prefix + ".partition.txt")
+    write_iteration_log(result.records, prefix + ".log.csv")
     final_field = evaluate_model(result.model)
-    with _replacing(prefix + ".speed.txt") as tmp:
-        export_field(final_field, tmp, fmt="structured-points")
+    export_field(final_field, prefix + ".speed.txt", fmt="structured-points")
     if args.dump_pairs:
         system = assemble(grid, final_field, phys)
         _, gap, _ = misfit_only(system, sim, data)
-        with _replacing(args.dump_pairs) as tmp:
-            np.savetxt(tmp, np.abs(gap.values) ** 2, delimiter=", ")
+        pairs = io.StringIO()
+        np.savetxt(pairs, np.abs(gap.values) ** 2, delimiter=", ")
+        write_text_atomic(args.dump_pairs, pairs.getvalue())
 
     records = result.records
     summary = [
@@ -162,14 +118,13 @@ def cmd_invert(args):
     ]
     summary += [f"rejected_{cause} {sum(getattr(r.rejected, cause) for r in records)}"
                 for cause in ("bounds", "armijo", "breakdown")]
-    if args.truth_field:
-        truth = read_field_structured_points(args.truth_field)
+    if truth is not None:
         e_init = relative_l2_error(truth, evaluate_model(initial))
         e_final = relative_l2_error(truth, final_field)
         summary.append(f"rel_l2_initial {e_init:.6g}")
         summary.append(f"rel_l2_final {e_final:.6g}")
-    _write_text(prefix + ".summary.txt", "\n".join(summary) + "\n")
-    _snapshot_config(cfg, prefix)
+    write_text_atomic(prefix + ".summary.txt", "\n".join(summary) + "\n")
+    write_text_atomic(prefix + ".resolved.cfg", config_mod.render_config(cfg))
     print("\n".join(summary))
     print(f"model -> {prefix}.model.txt")
     return 0
@@ -179,8 +134,7 @@ def cmd_gradcheck(args):
     cfg = _load_config(args.config)
     report = gradcheck(cfg, n_probes=args.probes, seed=args.seed)
     if args.out:
-        with _replacing(args.out) as tmp:
-            write_gradcheck_csv(report, tmp)
+        write_gradcheck_csv(report, args.out)
     n_total = len(report.checks)
     n_bad = sum(1 for c in report.checks
                 if not c.conclusive or c.rel_error > report.tolerance)
@@ -202,8 +156,7 @@ def cmd_probe(args):
                              n_pairs=args.pairs, seed=args.seed,
                              water_speed=cfg.water_speed_m_per_s)
     if args.out:
-        with _replacing(args.out) as tmp:
-            write_stability_csv(report, tmp)
+        write_stability_csv(report, args.out)
     print(f"stability probe over {args.pairs} pairs: ratio in "
           f"[{report.ratio_min:.6g}, {report.ratio_max:.6g}] m/s per sqrt(J), "
           f"{report.n_flagged} flagged")
@@ -217,20 +170,9 @@ def cmd_export(args):
     model = read_model(args.model, partition, cfg.c_min_m_per_s,
                        cfg.c_max_m_per_s, cfg.water_speed_m_per_s)
     field = evaluate_model(model)
-    with _replacing(args.out) as tmp:
-        export_field(field, tmp, fmt=args.format, sigma=args.sigma)
+    export_field(field, args.out, fmt=args.format, sigma=args.sigma)
     print(f"exported {args.out} ({args.format}, sigma {args.sigma})")
     return 0
-
-
-_ERROR_CATEGORIES = (
-    (ConfigError, "config"),
-    ((DataFormatError, ModelFormatError, ExportError), "io"),
-    ((GeometryError, AlignmentError, InvalidSourceError, InvalidPartitionError,
-      UndefinedSnrError), "geometry"),
-    ((SolverBreakdownError, AssemblyError), "solver"),
-    ((BoundsViolationError, CauchyFwiError), "runtime"),
-)
 
 
 def build_parser():
@@ -300,13 +242,13 @@ def cli_main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except Exception as exc:  # categorized reporting, nonzero exit
-        for types, label in _ERROR_CATEGORIES:
-            if isinstance(exc, types):
-                print(f"error: {label}: {exc}", file=sys.stderr)
-                return 1
+    except CauchyFwiError as exc:
+        print(f"error: {exc.category}: {exc}", file=sys.stderr)
+    except OSError as exc:  # a file the system cannot open, read or write
+        print(f"error: io: {exc}", file=sys.stderr)
+    except Exception as exc:  # a defect: reported, not raised as a traceback
         print(f"error: internal: {exc}", file=sys.stderr)
-        return 1
+    return 1
 
 
 def main():

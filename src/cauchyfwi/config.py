@@ -10,6 +10,7 @@ same seed.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -18,6 +19,7 @@ from .helmholtz import PhysicsConfig, points_per_wavelength
 from .acquisition import receiver_layer, source_lattice, validate_geometry
 from .inversion import OptimConfig
 from .phantom import INCLUSION_PROFILES, layered_inclusion_phantom, initial_depth_model
+from .textio import write_text_atomic
 
 # (section, key) -> (type, default); None default means required (2D) or
 # conditional on dim = 3 for *_y_m keys.  The optimizer keys are the
@@ -172,6 +174,10 @@ def validate(cfg):
         problems.append(
             f"phantom.inclusion_profile must be one of {', '.join(INCLUSION_PROFILES)}, "
             f"got {cfg.inclusion_profile!r}"
+        )
+    if not cfg.inclusion_radius_m > 0:
+        problems.append(
+            f"phantom.inclusion_radius_m must be > 0, got {cfg.inclusion_radius_m}"
         )
     built = {}
     for section, build in (("optimizer", build_optimizer), ("grid", build_grid),
@@ -382,3 +388,10 @@ initial_bottom_speed_m_per_s = 2050
 
 def default_config():
     return parse_config(DEFAULT_CONFIG)
+
+
+def write_starter_config(path, force=False):
+    """Write DEFAULT_CONFIG to path; an existing file is kept unless force."""
+    if os.path.exists(path) and not force:
+        raise ConfigError(f"{path} exists; pass --force to overwrite")
+    write_text_atomic(path, DEFAULT_CONFIG)

@@ -22,6 +22,7 @@ from .errors import (
     ModelFormatError,
     RankDeficiencyError,
 )
+from .textio import write_text_atomic
 
 
 @dataclass(frozen=True)
@@ -455,18 +456,18 @@ def write_model(model, path):
     for j in range(part.n_subdomains):
         nums = " ".join(f"{v:.17g}" for v in model.coeffs[j])
         lines.append(f"{j} {nums} {int(part.frozen[j])}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_model(path, partition, c_min, c_max, water_speed=None):
-    """Read a model file back against a known partition."""
+    """Read a model file back against a known partition; a malformed or
+    non-finite entry raises ModelFormatError naming the file."""
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines:
         raise ModelFormatError(f"{path}: empty model file")
     head = lines[0].split()
-    if len(head) != 3 or head[0] != "plmodel":
+    if len(head) != 3 or head[0] != "plmodel" or not all(t.isdecimal() for t in head[1:]):
         raise ModelFormatError(f"{path}: bad header {lines[0]!r}")
     dim, n = int(head[1]), int(head[2])
     if dim != partition.grid.dim:
@@ -483,14 +484,20 @@ def read_model(path, partition, c_min, c_max, water_speed=None):
         parts = ln.split()
         if len(parts) != 3 + dim:
             raise ModelFormatError(f"{path}: malformed row {ln!r}")
-        j = int(parts[0])
+        try:
+            j, frozen = int(parts[0]), bool(int(parts[-1]))
+            values = [float(v) for v in parts[1 : 2 + dim]]
+        except ValueError:
+            raise ModelFormatError(f"{path}: non-numeric field in row {ln!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise ModelFormatError(f"{path}: non-finite coefficient in row {ln!r}")
         if not 0 <= j < n:
             raise ModelFormatError(f"{path}: subdomain index {j} out of range")
         if seen[j]:
             raise ModelFormatError(f"{path}: repeated subdomain index {j}")
         seen[j] = True
-        coeffs[j] = [float(v) for v in parts[1 : 2 + dim]]
-        if bool(int(parts[-1])) != bool(partition.frozen[j]):
+        coeffs[j] = values
+        if frozen != bool(partition.frozen[j]):
             raise ModelFormatError(
                 f"{path}: frozen flag of subdomain {j} disagrees with the partition"
             )
@@ -506,8 +513,7 @@ def write_partition(partition, path):
     flat = partition.node_map
     for start in range(0, flat.size, per_line):
         body.append(" ".join(str(int(v)) for v in flat[start : start + per_line]))
-    with open(path, "w") as f:
-        f.write(head + "\n" + "\n".join(body) + "\n")
+    write_text_atomic(path, head + "\n" + "\n".join(body) + "\n")
 
 
 def read_partition(path, grid, water_depth=0.0):

@@ -43,6 +43,7 @@ from .errors import (
     SolverBreakdownError,
 )
 from .geometry import Grid, NodalField
+from .textio import write_text_atomic
 
 # Columns per triangular solve; see HelmholtzSystem.
 FORWARD_BLOCK = 8
@@ -329,23 +330,26 @@ def write_field_structured_points(field, path):
         "spacing " + " ".join(f"{h:.17g}" for h in grid.spacing),
     ]
     lines.extend(f"{v:.17g}" for v in field.values)
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_field_structured_points(path):
+    """Read a field back; a malformed header or value raises ExportError."""
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if len(lines) < 4 or lines[0] != "structured_points":
         raise ExportError(f"{path}: not a structured-points file")
-    dim = int(lines[1].split()[1])
-    shape = tuple(int(t) for t in lines[2].split()[1:])
-    spacing = tuple(float(t) for t in lines[3].split()[1:])
-    if len(shape) != dim or len(spacing) != dim:
-        raise ExportError(f"{path}: inconsistent header")
-    extent = tuple(h * (n - 1) for h, n in zip(spacing, shape))
-    grid = Grid(extent, shape)
-    vals = np.array([float(t) for t in lines[4:]])
+    try:
+        dim = int(lines[1].split()[1])
+        shape = tuple(int(t) for t in lines[2].split()[1:])
+        spacing = tuple(float(t) for t in lines[3].split()[1:])
+        if len(shape) != dim or len(spacing) != dim:
+            raise ExportError(f"{path}: inconsistent header")
+        extent = tuple(h * (n - 1) for h, n in zip(spacing, shape))
+        grid = Grid(extent, shape)
+        vals = np.array([float(t) for t in lines[4:]])
+    except (ValueError, IndexError) as exc:
+        raise ExportError(f"{path}: malformed header or value: {exc}") from None
     if vals.size != grid.n_nodes:
         raise ExportError(f"{path}: {vals.size} values for {grid.n_nodes} nodes")
     return NodalField(grid, vals)
@@ -356,7 +360,8 @@ def write_field_csv(field, path):
     grid = field.grid
     idx = grid.multi_indices()
     vals = np.asarray(field.values, dtype=complex)
-    with open(path, "w") as f:
-        for row, v in zip(idx, vals):
-            ints = ", ".join(str(int(i)) for i in row)
-            f.write(f"{ints}, {v.real:.17g}, {v.imag:.17g}\n")
+    rows = []
+    for row, v in zip(idx, vals):
+        ints = ", ".join(str(int(i)) for i in row)
+        rows.append(f"{ints}, {v.real:.17g}, {v.imag:.17g}\n")
+    write_text_atomic(path, "".join(rows))

@@ -24,6 +24,7 @@ from .errors import BoundsViolationError, SolverBreakdownError
 from .geometry import coefficient_gradient, evaluate_model
 from .helmholtz import assemble
 from .misfit_adjoint import misfit_and_gradient, misfit_only
+from .textio import write_text_atomic
 
 # Stored L-BFGS pairs; the model has a few dozen free coefficients.
 LBFGS_PAIRS = 5
@@ -357,10 +358,7 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
 
 def write_iteration_log(records, path):
     """CSV log 'iter, J, grad_norm, alpha, solves', one row per iteration."""
-    with open(path, "w") as f:
-        f.write("iter, J, grad_norm, alpha, solves\n")
-        for r in records:
-            f.write(
-                f"{r.iteration}, {r.misfit:.17g}, {r.grad_norm:.17g}, "
-                f"{r.alpha:.17g}, {r.n_solves}\n"
-            )
+    rows = ["iter, J, grad_norm, alpha, solves\n"]
+    rows += [f"{r.iteration}, {r.misfit:.17g}, {r.grad_norm:.17g}, "
+             f"{r.alpha:.17g}, {r.n_solves}\n" for r in records]
+    write_text_atomic(path, "".join(rows))

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from cauchyfwi import textio
 from cauchyfwi.geometry import Grid, build_partition
 
 # The criterion-1 configuration: 41 x 21 grid, 2 sources, 12 free
@@ -46,6 +49,37 @@ inclusion_radius_m = 30
 initial_top_speed_m_per_s = 1600
 initial_bottom_speed_m_per_s = 1900
 """
+
+
+class _FullDisk:
+    """A text file that takes half of the first write, then raises."""
+
+    def __init__(self, path):
+        self.file = open(path, "w")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, text):
+        self.file.write(text[: len(text) // 2])
+        self.file.flush()
+        raise OSError("disk full")
+
+
+@pytest.fixture
+def disk_full(monkeypatch):
+    """Call with a file name; the atomic writer then fails writing that file
+    after half of its text has reached the temporary file."""
+    def fill(name):
+        def open_or_fill(path, mode="r"):
+            if os.path.basename(path).startswith(name + "."):
+                return _FullDisk(path)
+            return open(path, mode)
+        monkeypatch.setattr(textio, "open", open_or_fill, raising=False)
+    return fill
 
 
 @pytest.fixture

@@ -220,6 +220,15 @@ class TestDataFiles:
         assert back.freq_hz == noisy.freq_hz
         assert back.provenance == noisy.provenance
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path, disk_full):
+        path = tmp_path / "data.txt"
+        path.write_text("previous data\n")
+        disk_full("data.txt")
+        with pytest.raises(OSError, match="disk full"):
+            write_data(small_dataset(), path)
+        assert path.read_text() == "previous data\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["data.txt"]
+
     def test_frequency_mismatch_rejected(self, tmp_path):
         data = small_dataset()
         path = tmp_path / "data.txt"

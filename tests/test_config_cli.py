@@ -1,9 +1,10 @@
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
 
-from cauchyfwi import cli
+from cauchyfwi import cli, errors
 from cauchyfwi.cli import cli_main
 from cauchyfwi.config import (
     DEFAULT_CONFIG,
@@ -69,6 +70,19 @@ inclusion_radius_m = 30
 initial_top_speed_m_per_s = 1550
 initial_bottom_speed_m_per_s = 1900
 """
+
+
+@pytest.fixture(scope="module")
+def run_outputs(tmp_path_factory):
+    """A directory holding run.cfg and the outputs of synth and invert on it."""
+    out = tmp_path_factory.mktemp("outputs")
+    cfg = out / "run.cfg"
+    cfg.write_text(FAST_CONFIG)
+    prefix = str(out / "run")
+    assert cli_main(["synth", "--config", str(cfg), "--out-prefix", prefix]) == 0
+    assert cli_main(["invert", "--config", str(cfg), "--data-prefix", prefix,
+                     "--out-prefix", str(out / "result")]) == 0
+    return out
 
 
 class TestConfigParsing:
@@ -176,25 +190,18 @@ class TestCliFlow:
                     for cause in ("bounds", "armijo", "breakdown")}
         assert min(rejected.values()) >= 0
 
-    def test_failed_write_leaves_no_partial_or_temp_file(self, tmp_path, monkeypatch):
-        def partial_then_fail(*args):
-            path = next(a for a in args if isinstance(a, str))
-            with open(path, "w") as f:
-                f.write("partial")
-            raise OSError("disk full")
-
+    def test_failed_write_leaves_no_partial_or_temp_file(self, tmp_path, monkeypatch, disk_full):
         cfg = self.write_config(tmp_path)
         prefix = str(tmp_path / "run")
-        with monkeypatch.context() as m:
-            m.setattr(cli, "write_data", partial_then_fail)
-            assert cli_main(["synth", "--config", cfg, "--out-prefix", prefix]) == 1
+        disk_full("run.cauchy.txt")
+        assert cli_main(["synth", "--config", cfg, "--out-prefix", prefix]) == 1
         assert not (tmp_path / "run.cauchy.txt").exists()
         assert not list(tmp_path.glob("*.tmp"))
 
+        disk_full("result.log.csv")
         assert cli_main(["synth", "--config", cfg, "--out-prefix", prefix]) == 0
         log = tmp_path / "result.log.csv"
         log.write_text("previous log\n")
-        monkeypatch.setattr(cli, "write_iteration_log", partial_then_fail)
         code = cli_main(["invert", "--config", cfg, "--data-prefix", prefix,
                          "--out-prefix", str(tmp_path / "result")])
         assert code == 1
@@ -211,7 +218,7 @@ class TestCliFlow:
 
         probe = tmp_path / "probe.csv"
         probe.write_text("previous probe\n")
-        monkeypatch.setattr(cli, "write_stability_csv", partial_then_fail)
+        disk_full("probe.csv")
         assert cli_main(["probe", "--config", cfg, "--pairs", "1", "--out", str(probe)]) == 1
         assert probe.read_text() == "previous probe\n"
         assert not list(tmp_path.glob("*.tmp"))
@@ -308,6 +315,7 @@ class TestCliFlow:
          "inclusion_profile = cone\ninitial_top_speed_m_per_s", "config"),
         ("gradcheck", "nodes_x = 25\nnodes_z = 13", "nodes_x = 161\nnodes_z = 121", "config"),
         ("synth", "source_margin_m = 30", "source_margin_m = -200", "geometry"),
+        ("synth", "inclusion_radius_m = 30\n", "", "config"),
     ])
     def test_rejected_value_categorized_error(self, tmp_path, capsys, command, old, new, label):
         assert old in FAST_CONFIG
@@ -325,3 +333,60 @@ class TestCliFlow:
                          "--data-prefix", str(tmp_path / "nope"),
                          "--out-prefix", str(tmp_path / "y")])
         assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: io:"), err
+
+    @pytest.mark.parametrize("name, line, field, value", [
+        ("result.model.txt", -1, 1, "nan"),
+        ("result.model.txt", -1, 1, "abc"),
+        ("result.model.txt", 0, 1, "two"),
+        ("run.cauchy.txt", 1, 1, "abc"),
+        ("run.cauchy.txt", -1, 2, "nan,"),
+        ("run.true_speed.txt", 1, 1, "x"),
+        ("run.cauchy.txt", None, None, None),  # missing
+    ])
+    def test_malformed_input_is_an_io_error(self, tmp_path, capsys, run_outputs,
+                                            name, line, field, value):
+        for f in ("run.cfg", "result.model.txt", "run.cauchy.txt", "run.true_speed.txt"):
+            shutil.copy(run_outputs / f, tmp_path / f)
+        path = tmp_path / name
+        if line is None:
+            path.unlink()
+        else:
+            lines = path.read_text().splitlines()
+            parts = lines[line].split()
+            parts[field] = value
+            lines[line] = " ".join(parts)
+            path.write_text("\n".join(lines) + "\n")
+        cfg = str(tmp_path / "run.cfg")
+        if name == "result.model.txt":
+            args = ["export", "--config", cfg, "--model", str(path),
+                    "--out", str(tmp_path / "again.txt")]
+        else:
+            args = ["invert", "--config", cfg, "--data-prefix", str(tmp_path / "run"),
+                    "--out-prefix", str(tmp_path / "again"),
+                    "--truth-field", str(tmp_path / "run.true_speed.txt")]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: io:"), err
+        assert not list(tmp_path.glob("again.*"))
+
+    def test_each_error_names_its_category(self):
+        categories = {name: cls.category for name, cls in vars(errors).items()
+                      if isinstance(cls, type) and issubclass(cls, errors.CauchyFwiError)}
+        assert categories == {
+            "ConfigError": "config",
+            "DataFormatError": "io",
+            "ModelFormatError": "io",
+            "ExportError": "io",
+            "GeometryError": "geometry",
+            "AlignmentError": "geometry",
+            "InvalidSourceError": "geometry",
+            "InvalidPartitionError": "geometry",
+            "UndefinedSnrError": "geometry",
+            "SolverBreakdownError": "solver",
+            "AssemblyError": "solver",
+            "CauchyFwiError": "runtime",
+            "BoundsViolationError": "runtime",
+            "RankDeficiencyError": "runtime",
+        }

@@ -410,6 +410,17 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match="repeated subdomain index 0"):
             read_model(path, partition2d, 1000.0, 2000.0)
 
+    def test_failed_write_keeps_the_old_file(self, partition2d, tmp_path, disk_full):
+        n = partition2d.n_subdomains
+        model = PiecewiseLinearModel(partition2d, np.full((n, 3), 1500.0), 1000.0, 2000.0)
+        path = tmp_path / "model.txt"
+        path.write_text("previous model\n")
+        disk_full("model.txt")
+        with pytest.raises(OSError, match="disk full"):
+            write_model(model, path)
+        assert path.read_text() == "previous model\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.txt"]
+
     def test_partition_round_trip(self, grid2d, tmp_path):
         part = build_partition(grid2d, (70.0, 70.0), water_depth=20.0)
         path = tmp_path / "part.txt"
