@@ -298,15 +298,21 @@ def synthesize(true_field, obs_sources, receivers, phys):
     """Solve the true model once per observation source and record traces.
 
     true_field may live on a refinement of the receiver grid; receiver
-    positions must coincide with its nodes.  Every source is one solve
-    against a shared factorization.
+    positions must coincide with its nodes.  The sources are solved
+    FORWARD_BLOCK at a time against one factorization, and only the traces
+    of each block are kept, so no field of more than FORWARD_BLOCK sources
+    is ever held.  These are the column blocks HelmholtzSystem.solve uses,
+    so the traces are bit-equal to those of one solve over every source.
     """
     fine = true_field.grid
     rec_fine = receivers.on_grid(fine)
     validate_geometry(obs_sources, rec_fine, fine)
     system = assemble(fine, true_field, phys)
-    fields = system.green_many(obs_sources.positions)
-    g, dg = helmholtz.traces_many(fields, fine, rec_fine)
+    positions = obs_sources.positions
+    step = helmholtz.FORWARD_BLOCK
+    blocks = [helmholtz.traces_many(system.green_many(positions[i:i + step]), fine, rec_fine)
+              for i in range(0, len(positions), step)]
+    g, dg = (np.concatenate(parts) for parts in zip(*blocks))
     prov = Provenance(fine.shape, fine.extent, math.inf, 0)
     return CauchyDataSet(receivers, obs_sources, g, dg, phys.freq_hz, prov)
 

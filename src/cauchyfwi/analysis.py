@@ -42,8 +42,8 @@ def gaussian_smooth(field, sigma):
     are renormalized over the in-bounds support, so constants (and the mean
     of interior-supported fields) are preserved exactly.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ExportError(f"sigma must be finite and nonnegative, got {sigma}")
     if sigma == 0:
         return field
     vals = field.reshape().astype(float, copy=True)

@@ -32,7 +32,7 @@ from .analysis import (
     write_gradcheck_csv,
     write_stability_csv,
 )
-from .errors import CauchyFwiError
+from .errors import AlignmentError, CauchyFwiError
 from .geometry import evaluate_model, read_model, write_model, write_partition
 from .helmholtz import (
     assemble,
@@ -88,6 +88,11 @@ def cmd_invert(args):
     data = read_data(args.data_prefix + ".cauchy.txt", receivers, obs,
                      expect_freq=cfg.freq_hz)
     truth = read_field_structured_points(args.truth_field) if args.truth_field else None
+    if truth is not None and truth.grid != grid:
+        raise AlignmentError(
+            f"{args.truth_field}: truth field has {truth.grid.shape} nodes over "
+            f"{truth.grid.extent} m, the inversion grid {grid.shape} over {grid.extent} m"
+        )
     sim = config_mod.build_sim_sources(cfg, grid, decoupled=args.decouple_sources)
     initial = config_mod.build_initial_model(cfg, partition)
     optim = config_mod.build_optimizer(cfg)

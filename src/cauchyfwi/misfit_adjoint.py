@@ -112,10 +112,16 @@ def _aggregated_adjoint_rhs(gap, data, receivers, grid):
 
 
 def solve_adjoint_fields(system, gap, data, receivers):
-    """(n_nodes, n_sim) adjoint fields solved as one block."""
+    """(n_nodes, n_sim) adjoint fields solved as one block.
+
+    The right-hand sides are negated in place and solved through their
+    transpose, a Fortran-ordered view, so no second (n_nodes, n_sim) block
+    is made before the solve.
+    """
     rhs = _aggregated_adjoint_rhs(gap, data, receivers, system.grid)
     rhs[:, system.dirichlet_mask] = 0.0
-    return system.solve(-rhs.T)
+    np.negative(rhs, out=rhs)
+    return system.solve(rhs.T)
 
 
 def nodal_gradient(forward_fields, adjoint_fields, speed, phys, sim_weights):
@@ -130,10 +136,9 @@ def nodal_gradient(forward_fields, adjoint_fields, speed, phys, sim_weights):
     last bits then depend on the thread count.
     """
     wy = np.asarray(sim_weights, dtype=float)
-    prod = forward_fields * adjoint_fields
-    pair = np.zeros(prod.shape[0], dtype=complex)
+    pair = np.zeros(forward_fields.shape[0], dtype=complex)
     for y in range(wy.size):
-        pair += wy[y] * prod[:, y]
+        pair += wy[y] * (forward_fields[:, y] * adjoint_fields[:, y])
     c = np.asarray(speed.values, dtype=float)
     grad = -2.0 * phys.k ** 2 * c ** -3 * np.real(pair)
     grad[speed.grid.free_surface_mask()] = 0.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from cauchyfwi.errors import (
     UndefinedSnrError,
 )
 from cauchyfwi.geometry import Grid, NodalField
-from cauchyfwi.helmholtz import PhysicsConfig, assemble, traces_many
+from cauchyfwi.helmholtz import FORWARD_BLOCK, PhysicsConfig, assemble, traces_many
 
 PHYS = PhysicsConfig(freq_hz=25.0, water_speed=1500.0)
 
@@ -133,6 +134,31 @@ class TestSynthesize:
         assert err_12 > 0
         order = np.log2(err_12 / err_24)
         assert order >= 1.7
+
+    def test_streams_source_blocks_and_keeps_only_traces(self):
+        # 128 sources on the 81 x 41 h/2 grid: 16 blocks of FORWARD_BLOCK.
+        grid = make_grid()
+        fine = grid.refine(2)
+        field = homogeneous(fine, 1550.0)
+        rec = receiver_layer(grid, depth_m=30.0)
+        obs = source_lattice(grid, depth_m=5.0, count=64, margin_m=30.0,
+                             depth_span_m=10.0, n_layers=2)
+        assert obs.n_sources >= 8 * FORWARD_BLOCK
+        rec_fine = rec.on_grid(fine)
+        system = assemble(fine, field, PHYS)  # also caches the grid's pattern
+        g_ref, dg_ref = traces_many(system.green_many(obs.positions), fine, rec_fine)
+
+        tracemalloc.start()
+        try:
+            data = synthesize(field, obs, rec, PHYS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # numpy's arrays are traced, SuperLU's own memory is not
+        field_block = fine.n_nodes * obs.n_sources * np.dtype(complex).itemsize
+        assert peak < field_block
+        np.testing.assert_array_equal(data.g, g_ref)
+        np.testing.assert_array_equal(data.dg, dg_ref)
 
     def test_receivers_must_align_with_fine_nodes(self):
         grid = make_grid()

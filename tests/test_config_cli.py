@@ -278,6 +278,34 @@ class TestCliFlow:
         assert code == 0
         assert (tmp_path / "smooth.txt").exists()
 
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_export_bad_sigma_is_an_io_error(self, tmp_path, capsys, run_outputs, sigma):
+        out = tmp_path / "smooth.txt"
+        code = cli_main(["export", "--config", str(run_outputs / "run.cfg"),
+                         "--model", str(run_outputs / "result.model.txt"),
+                         "--out", str(out), "--sigma", sigma])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: io: sigma"), err
+        assert not out.exists()
+        assert not list(tmp_path.iterdir())
+
+    def test_truth_field_on_another_grid_fails_before_inverting(self, tmp_path, capsys,
+                                                                 run_outputs):
+        fine_cfg = self.write_config(tmp_path, FAST_CONFIG.replace("nodes_x = 25",
+                                                                   "nodes_x = 49"))
+        truth = str(tmp_path / "fine")
+        assert cli_main(["synth", "--config", fine_cfg, "--out-prefix", truth]) == 0
+        capsys.readouterr()
+        code = cli_main(["invert", "--config", str(run_outputs / "run.cfg"),
+                         "--data-prefix", str(run_outputs / "run"),
+                         "--out-prefix", str(tmp_path / "result"),
+                         "--truth-field", truth + ".true_speed.txt"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: geometry:"), err
+        assert not list(tmp_path.glob("result.*"))
+
     def test_unknown_flag_nonzero_exit(self, capsys):
         assert cli_main(["invert", "--no-such-flag"]) != 0
 
