@@ -16,7 +16,6 @@ from .geometry import (
     evaluate_model,
     fit_coefficients,
     read_model,
-    read_partition,
     write_model,
     write_partition,
 )

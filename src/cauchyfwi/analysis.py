@@ -38,16 +38,17 @@ from .misfit_adjoint import misfit_and_gradient  # noqa: F401
 def gaussian_smooth(field, sigma):
     """Separable truncated-gaussian smoothing with edge renormalization.
 
-    sigma is in node units; the kernel is cut at 4 sigma and the weights
-    are renormalized over the in-bounds support, so constants (and the mean
-    of interior-supported fields) are preserved exactly.
+    sigma is in node units; the kernel is cut at 4 sigma, or at the longest
+    axis when that is shorter, and the weights are renormalized over the
+    in-bounds support, so constants (and the mean of interior-supported
+    fields) are preserved exactly.
     """
     if not 0 <= sigma < np.inf:
         raise ExportError(f"sigma must be finite and nonnegative, got {sigma}")
     if sigma == 0:
         return field
     vals = field.reshape().astype(float, copy=True)
-    radius = int(np.ceil(4.0 * sigma))
+    radius = min(int(np.ceil(4.0 * sigma)), max(field.grid.shape) - 1)
     offsets = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
     for axis in range(field.grid.dim):
@@ -123,22 +124,19 @@ def gradcheck(cfg, n_probes=0, steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
     probe whose misfit differences drown in rounding is retried once with
     10x wider steps, then reported inconclusive.
     """
-    grid = config_mod.build_grid(cfg)
-    if grid.dim == 2 and (grid.shape[0] > 151 or grid.shape[1] > 101):
+    if cfg.dim == 2 and (cfg.nodes_x > 151 or cfg.nodes_z > 101):
         raise ConfigError("gradient check expects a small grid (<= 151 x 101)")
-    phys = config_mod.build_physics(cfg)
-    partition = config_mod.build_partition_for(cfg, grid)
-    receivers = config_mod.build_receivers(cfg, grid)
-    obs = config_mod.build_obs_sources(cfg, grid)
-    sim = config_mod.build_sim_sources(cfg, grid)
-    truth = config_mod.build_true_field(cfg, grid)
-    data = acquisition.synthesize(truth, obs, receivers, phys)
-    model = config_mod.build_initial_model(cfg, partition)
-    objective = Objective(model, sim, data, phys)
+    if n_probes < 0:
+        raise ConfigError(f"the number of probes must be >= 0, got {n_probes}")
+    problem = config_mod.build_problem(cfg)
+    truth = config_mod.build_true_field(cfg, problem.grid)
+    data = acquisition.synthesize(truth, problem.obs, problem.receivers, problem.phys)
+    model = problem.initial
+    objective = Objective(model, problem.sim, data, problem.phys)
     base = model.coefficient_vector.copy()
     j0, adjoint = objective.value_and_gradient(base)
 
-    free = ~np.repeat(partition.frozen, 1 + grid.dim)
+    free = ~np.repeat(problem.partition.frozen, 1 + problem.grid.dim)
     candidates = np.nonzero(free)[0]
     if n_probes and n_probes < candidates.size:
         rng = np.random.default_rng(seed)
@@ -243,18 +241,17 @@ def evaluate_pair(model_a, model_b, sim_sources, obs_sources, receivers, phys):
 
 
 def probe_stability(partition, c_min, c_max, phys, receivers,
-                    obs_sources, sim_sources, n_pairs, seed,
-                    water_speed=None):
+                    obs_sources, sim_sources, n_pairs, seed):
     """Ratio table ||c1 - c2||_inf / sqrt(J(c1, c2)) over random pairs.
 
-    Pairs with zero distance are excluded from the statistics; pairs whose
-    misfit vanishes (or whose ratio explodes) while the models differ are
-    flagged as findings rather than dropped.
+    Both models of a pair hold phys.water_speed on the frozen tiles.  Pairs
+    with zero distance are excluded from the statistics; pairs whose misfit
+    vanishes (or whose ratio explodes) while the models differ are flagged
+    as findings rather than dropped.  Fewer than two pairs is a ConfigError.
     """
     if n_pairs < 2:
-        raise ValueError("need at least two pairs")
-    if water_speed is None:
-        water_speed = phys.water_speed
+        raise ConfigError(f"need at least two pairs, got {n_pairs}")
+    water_speed = phys.water_speed
     rng = np.random.default_rng(seed)
     pairs = []
     ratios = []

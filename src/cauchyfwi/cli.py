@@ -1,5 +1,8 @@
 """Command-line front end: synth, invert, gradcheck, probe, export, init.
 
+synth, invert and probe build their problem with one config.build_problem
+call, and gradcheck through analysis.gradcheck, which makes the same call;
+export builds only the grid and partition that reading a model file needs.
 synth and invert write a resolved-configuration snapshot next to their
 outputs; re-running from the snapshot reproduces the outputs bit-exactly for
 a fixed seed, at 1 and at 2 OpenBLAS threads alike.  Outputs are written by
@@ -57,21 +60,19 @@ def cmd_init(args):
 
 def cmd_synth(args):
     cfg = _load_config(args.config)
-    refine = 1 if args.inverse_crime else cfg.refine
-    grid = config_mod.build_grid(cfg)
-    fine = config_mod.build_grid(cfg, refine=refine)
-    phys = config_mod.build_physics(cfg)
-    receivers, obs = config_mod.check_acquisition(cfg, grid)
+    problem = config_mod.build_problem(cfg)
+    receivers, obs = problem.receivers, problem.obs
+    fine = problem.grid.refine(1 if args.inverse_crime else cfg.refine)
     truth_fine = config_mod.build_true_field(cfg, fine)
-    data = synthesize(truth_fine, obs, receivers, phys)
-    if not (math.isinf(cfg.snr_db) and cfg.snr_db > 0):
+    data = synthesize(truth_fine, obs, receivers, problem.phys)
+    if math.isfinite(cfg.snr_db):
         data = add_noise(data, cfg.snr_db, cfg.seed)
 
     prefix = args.out_prefix
     write_data(data, prefix + ".cauchy.txt")
     write_geometry_csv(prefix + ".receivers.csv", receivers.positions, receivers.weights)
     write_geometry_csv(prefix + ".sources.csv", obs.positions, obs.weights)
-    truth_inv = config_mod.build_true_field(cfg, grid)
+    truth_inv = config_mod.build_true_field(cfg, problem.grid)
     write_field_structured_points(truth_inv, prefix + ".true_speed.txt")
     write_text_atomic(prefix + ".resolved.cfg", config_mod.render_config(cfg))
     print(f"synthesized {data.n_sources} sources x {data.n_receivers} receivers "
@@ -81,11 +82,9 @@ def cmd_synth(args):
 
 def cmd_invert(args):
     cfg = _load_config(args.config)
-    grid = config_mod.build_grid(cfg)
-    phys = config_mod.build_physics(cfg)
-    partition = config_mod.build_partition_for(cfg, grid)
-    receivers, obs = config_mod.check_acquisition(cfg, grid)
-    data = read_data(args.data_prefix + ".cauchy.txt", receivers, obs,
+    problem = config_mod.build_problem(cfg, decoupled=args.decouple_sources)
+    grid, phys, sim, initial = problem.grid, problem.phys, problem.sim, problem.initial
+    data = read_data(args.data_prefix + ".cauchy.txt", problem.receivers, problem.obs,
                      expect_freq=cfg.freq_hz)
     truth = read_field_structured_points(args.truth_field) if args.truth_field else None
     if truth is not None and truth.grid != grid:
@@ -93,15 +92,12 @@ def cmd_invert(args):
             f"{args.truth_field}: truth field has {truth.grid.shape} nodes over "
             f"{truth.grid.extent} m, the inversion grid {grid.shape} over {grid.extent} m"
         )
-    sim = config_mod.build_sim_sources(cfg, grid, decoupled=args.decouple_sources)
-    initial = config_mod.build_initial_model(cfg, partition)
-    optim = config_mod.build_optimizer(cfg)
 
-    result = run_inversion(data, sim, initial, optim, phys)
+    result = run_inversion(data, sim, initial, problem.optim, phys)
 
     prefix = args.out_prefix
     write_model(result.model, prefix + ".model.txt")
-    write_partition(partition, prefix + ".partition.txt")
+    write_partition(problem.partition, prefix + ".partition.txt")
     write_iteration_log(result.records, prefix + ".log.csv")
     final_field = evaluate_model(result.model)
     export_field(final_field, prefix + ".speed.txt", fmt="structured-points")
@@ -151,15 +147,10 @@ def cmd_gradcheck(args):
 
 def cmd_probe(args):
     cfg = _load_config(args.config)
-    grid = config_mod.build_grid(cfg)
-    phys = config_mod.build_physics(cfg)
-    partition = config_mod.build_partition_for(cfg, grid)
-    receivers, obs = config_mod.check_acquisition(cfg, grid)
-    sim = config_mod.build_sim_sources(cfg, grid)
-    report = probe_stability(partition, cfg.c_min_m_per_s, cfg.c_max_m_per_s,
-                             phys, receivers, obs, sim,
-                             n_pairs=args.pairs, seed=args.seed,
-                             water_speed=cfg.water_speed_m_per_s)
+    problem = config_mod.build_problem(cfg)
+    report = probe_stability(problem.partition, cfg.c_min_m_per_s, cfg.c_max_m_per_s,
+                             problem.phys, problem.receivers, problem.obs, problem.sim,
+                             n_pairs=args.pairs, seed=args.seed)
     if args.out:
         write_stability_csv(report, args.out)
     print(f"stability probe over {args.pairs} pairs: ratio in "

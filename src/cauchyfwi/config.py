@@ -1,10 +1,12 @@
 """Flat key = value run configuration with sections, and object builders.
 
 Every physical quantity carries its unit in the key name.  Unknown keys are
-rejected, and validation reports every failure at once so a bad file can be
-fixed in one pass.  The synth and invert commands archive the resolved
-configuration; the archived text reproduces the run bit-exactly under the
-same seed.
+rejected, every number must be finite (noise.snr_db alone may be inf), and
+validation reports every failure at once so a bad file can be fixed in one
+pass.  build_problem builds the whole inverse problem a configuration fixes
+from the build_* builders, which stay public for callers that need one part.
+The synth and invert commands archive the resolved configuration; the
+archived text reproduces the run bit-exactly under the same seed.
 """
 
 from __future__ import annotations
@@ -14,9 +16,15 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .geometry import Grid, build_partition
+from .geometry import Grid, Partition, PiecewiseLinearModel, build_partition
 from .helmholtz import PhysicsConfig, points_per_wavelength
-from .acquisition import receiver_layer, source_lattice, validate_geometry
+from .acquisition import (
+    ReceiverArray,
+    SourceSet,
+    receiver_layer,
+    source_lattice,
+    validate_geometry,
+)
 from .inversion import OptimConfig
 from .phantom import INCLUSION_PROFILES, layered_inclusion_phantom, initial_depth_model
 from .textio import write_text_atomic
@@ -91,9 +99,10 @@ def _coerce(text, typ, where):
         if typ is int:
             return int(text)
         if typ is float:
-            if text.lower() in ("inf", "+inf", "infinity"):
-                return math.inf
-            return float(text)
+            value = float(text)
+            if math.isfinite(value) or (value == math.inf and where == "noise.snr_db"):
+                return value
+            raise ConfigError(f"{where} must be finite, got {text!r}")
         return text
     except ValueError:
         raise ConfigError(f"cannot parse {text!r} as {typ.__name__} for {where}")
@@ -168,8 +177,6 @@ def validate(cfg):
             problems.append("partition.tile_y_m required for a 3D grid")
     if not 0 < cfg.c_min_m_per_s < cfg.c_max_m_per_s:
         problems.append("physics speeds need 0 < c_min < c_max")
-    if math.isnan(cfg.snr_db) or cfg.snr_db == -math.inf:
-        problems.append(f"noise.snr_db must be a number or inf, got {cfg.snr_db}")
     if cfg.inclusion_profile not in INCLUSION_PROFILES:
         problems.append(
             f"phantom.inclusion_profile must be one of {', '.join(INCLUSION_PROFILES)}, "
@@ -318,6 +325,35 @@ def check_acquisition(cfg, grid):
     obs = build_obs_sources(cfg, grid)
     validate_geometry(obs, receivers, grid)
     return receivers, obs
+
+
+@dataclass(frozen=True)
+class Problem:
+    """The inverse problem a configuration fixes, on the inversion grid."""
+
+    grid: Grid
+    phys: PhysicsConfig
+    partition: Partition
+    receivers: ReceiverArray
+    obs: SourceSet
+    sim: SourceSet
+    initial: PiecewiseLinearModel
+    optim: OptimConfig
+
+
+def build_problem(cfg, decoupled=False):
+    """Grid, physics, partition, checked acquisition, simulation sources,
+    starting model and optimizer settings of cfg, built once.
+
+    decoupled is passed to build_sim_sources.
+    """
+    grid = build_grid(cfg)
+    phys = build_physics(cfg)
+    partition = build_partition_for(cfg, grid)
+    receivers, obs = check_acquisition(cfg, grid)
+    return Problem(grid, phys, partition, receivers, obs,
+                   build_sim_sources(cfg, grid, decoupled=decoupled),
+                   build_initial_model(cfg, partition), build_optimizer(cfg))
 
 
 DEFAULT_CONFIG = """\

@@ -181,9 +181,6 @@ class NodalField:
     def reshape(self):
         return self.values.reshape(self.grid.shape)
 
-    def is_real(self):
-        return not np.iscomplexobj(self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class Partition:
@@ -396,7 +393,7 @@ def fit_coefficients(field, partition, c_min, c_max, water_speed=None):
     are fitted like any other.  Raises RankDeficiencyError when a subdomain
     has fewer than dim+1 non-collinear nodes.
     """
-    if not field.is_real():
+    if np.iscomplexobj(field.values):
         raise ValueError("can only fit real fields")
     vals = np.asarray(field.values, dtype=float)
     if not np.isfinite(vals).all():
@@ -514,31 +511,3 @@ def write_partition(partition, path):
     for start in range(0, flat.size, per_line):
         body.append(" ".join(str(int(v)) for v in flat[start : start + per_line]))
     write_text_atomic(path, head + "\n" + "\n".join(body) + "\n")
-
-
-def read_partition(path, grid, water_depth=0.0):
-    """Read a partition file; frozen flags are recomputed from water_depth."""
-    with open(path) as f:
-        tokens = f.read().split()
-    if len(tokens) < 2 + grid.dim or tokens[0] != "partition":
-        raise ModelFormatError(f"{path}: bad partition header")
-    dim = int(tokens[1])
-    if dim != grid.dim:
-        raise ModelFormatError(f"{path}: dimension {dim} does not match the grid")
-    shape = tuple(int(t) for t in tokens[2 : 2 + dim])
-    if shape != grid.shape:
-        raise ModelFormatError(f"{path}: shape {shape} does not match grid {grid.shape}")
-    body = tokens[2 + dim :]
-    if len(body) != grid.n_nodes:
-        raise ModelFormatError(
-            f"{path}: node map has {len(body)} entries, expected {grid.n_nodes}"
-        )
-    node_map = np.array([int(t) for t in body], dtype=np.int32)
-    n = int(node_map.max()) + 1
-    depth = grid.node_positions()[:, -1]
-    frozen = np.zeros(n, dtype=bool)
-    if water_depth > 0:
-        tol = 0.5 * grid.spacing[-1]
-        for j in range(n):
-            frozen[j] = bool((depth[node_map == j] <= water_depth + tol).all())
-    return Partition(grid, node_map, frozen)

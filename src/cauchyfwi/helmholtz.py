@@ -320,7 +320,7 @@ def traces_many(block, grid, receivers):
 def write_field_structured_points(field, path):
     """Legacy structured-points text export: 4 header lines then one scalar
     per line, row-major."""
-    if not field.is_real():
+    if np.iscomplexobj(field.values):
         raise ExportError("structured-points export requires a real field")
     grid = field.grid
     lines = [

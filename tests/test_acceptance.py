@@ -361,8 +361,7 @@ def run_probe(tag):
     obs = source_lattice(grid, depth_m=5.0, count=3, margin_m=30.0)
     sim = source_lattice(grid, depth_m=5.0, count=3, margin_m=30.0)
     report = probe_stability(partition, 1400.0, 3400.0, phys, receivers,
-                             obs, sim, n_pairs=50, seed=20260808,
-                             water_speed=1500.0)
+                             obs, sim, n_pairs=50, seed=20260808)
     return {
         "report": report,
         "elapsed": time.perf_counter() - t0,

@@ -126,6 +126,15 @@ class TestGaussianSmooth:
         out = gaussian_smooth(field, 1.5)
         assert out.values.mean() == pytest.approx(field.values.mean(), abs=1e-12)
 
+    def test_huge_sigma_gives_the_separable_mean(self):
+        # every in-bounds weight rounds to 1, and the kernel stops at the
+        # longest axis instead of at 4 sigma
+        grid = Grid((100.0, 60.0), (21, 13))
+        vals = np.random.default_rng(3).normal(size=grid.shape)
+        out = gaussian_smooth(NodalField(grid, vals.ravel()), 1e12)
+        mean = vals.mean(axis=0, keepdims=True).mean(axis=1, keepdims=True)
+        assert np.allclose(out.reshape(), mean, rtol=0.0, atol=1e-14)
+
 
 class TestExportField:
     def test_structured_points_round_trip_with_sigma_zero(self, tmp_path):
@@ -205,7 +214,7 @@ class TestStabilityProbe:
         grid, partition, receivers, obs, sim = self.build()
         reports = [
             probe_stability(partition, 1250.0, 3400.0, PHYS, receivers,
-                            obs, sim, n_pairs=6, seed=42, water_speed=1500.0)
+                            obs, sim, n_pairs=6, seed=42)
             for _ in range(2)
         ]
         t1, t2 = reports[0].table(), reports[1].table()
@@ -216,7 +225,7 @@ class TestStabilityProbe:
     def test_no_unflagged_zero_misfit_with_distinct_models(self, tmp_path):
         grid, partition, receivers, obs, sim = self.build()
         report = probe_stability(partition, 1250.0, 3400.0, PHYS, receivers,
-                                 obs, sim, n_pairs=6, seed=1, water_speed=1500.0)
+                                 obs, sim, n_pairs=6, seed=1)
         for pair in report.pairs:
             if pair.linf_distance > 0 and pair.misfit <= 0:
                 assert pair.flagged

@@ -9,16 +9,21 @@ from cauchyfwi.cli import cli_main
 from cauchyfwi.config import (
     DEFAULT_CONFIG,
     build_grid,
+    build_initial_model,
     build_obs_sources,
     build_optimizer,
     build_partition_for,
+    build_physics,
+    build_problem,
     build_receivers,
     build_sim_sources,
+    check_acquisition,
     default_config,
     parse_config,
     render_config,
 )
-from cauchyfwi.errors import ConfigError
+from cauchyfwi.errors import CauchyFwiError, ConfigError
+from cauchyfwi.helmholtz import read_field_structured_points
 from cauchyfwi.inversion import OptimConfig
 
 FAST_CONFIG = """
@@ -149,6 +154,37 @@ class TestConfigParsing:
         coupled = build_sim_sources(cfg, grid, decoupled=False)
         assert np.array_equal(coupled.positions, obs.positions)
 
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_build_problem_matches_the_builders(self, decoupled):
+        cfg = parse_config(FAST_CONFIG)
+        problem = build_problem(cfg, decoupled=decoupled)
+        grid = build_grid(cfg)
+        assert problem.grid == grid
+        assert problem.phys == build_physics(cfg)
+        partition = build_partition_for(cfg, grid)
+        assert np.array_equal(problem.partition.node_map, partition.node_map)
+        assert np.array_equal(problem.partition.frozen, partition.frozen)
+        receivers, obs = check_acquisition(cfg, grid)
+        sim = build_sim_sources(cfg, grid, decoupled=decoupled)
+        assert problem.sim.n_sources == (3 if decoupled else 4)
+        for built, expected in ((problem.receivers, receivers), (problem.obs, obs),
+                                (problem.sim, sim)):
+            assert np.array_equal(built.positions, expected.positions)
+            assert np.array_equal(built.weights, expected.weights)
+        assert np.array_equal(problem.initial.coefficient_vector,
+                              build_initial_model(cfg, partition).coefficient_vector)
+        assert problem.optim == build_optimizer(cfg)
+
+    def test_build_problem_raises_the_acquisition_error(self):
+        cfg = parse_config(FAST_CONFIG.replace("source_margin_m = 30",
+                                               "source_margin_m = -200"))
+        with pytest.raises(CauchyFwiError) as expected:
+            check_acquisition(cfg, build_grid(cfg))
+        with pytest.raises(CauchyFwiError) as raised:
+            build_problem(cfg)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
+
 
 class TestCliFlow:
     def write_config(self, tmp_path, text=FAST_CONFIG):
@@ -219,7 +255,7 @@ class TestCliFlow:
         probe = tmp_path / "probe.csv"
         probe.write_text("previous probe\n")
         disk_full("probe.csv")
-        assert cli_main(["probe", "--config", cfg, "--pairs", "1", "--out", str(probe)]) == 1
+        assert cli_main(["probe", "--config", cfg, "--pairs", "2", "--out", str(probe)]) == 1
         assert probe.read_text() == "previous probe\n"
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -278,6 +314,15 @@ class TestCliFlow:
         assert code == 0
         assert (tmp_path / "smooth.txt").exists()
 
+    def test_export_huge_sigma_averages_the_field(self, tmp_path, run_outputs):
+        out = tmp_path / "smooth.txt"
+        code = cli_main(["export", "--config", str(run_outputs / "run.cfg"),
+                         "--model", str(run_outputs / "result.model.txt"),
+                         "--out", str(out), "--sigma", "1e12"])
+        assert code == 0
+        values = read_field_structured_points(str(out)).values
+        assert np.ptp(values) <= 1e-12 * values.mean()
+
     @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
     def test_export_bad_sigma_is_an_io_error(self, tmp_path, capsys, run_outputs, sigma):
         out = tmp_path / "smooth.txt"
@@ -318,12 +363,17 @@ class TestCliFlow:
         cases = [("synth", "[grid]\nnot_a_key = 3\n")]
         cases += [("synth", FAST_CONFIG.replace("snr_db = 15", f"snr_db = {snr}"))
                   for snr in ("nan", "-inf")]
+        cases += [("synth", FAST_CONFIG.replace(old, old.split(" = ")[0] + " = nan"))
+                  for old in ("extent_x_m = 240", "receiver_depth_m = 40",
+                              "source_margin_m = 30", "tile_x_m = 80",
+                              "water_depth_m = 40", "initial_top_speed_m_per_s = 1550")]
         cases += [("invert", FAST_CONFIG.replace(optimizer, optimizer.replace(old, new)))
                   for old, new in (
                       ("n_iter_min = 1", "n_iter_min = 5"),
                       ("n_eps = 1", "n_eps = 1\neps_j = 0"),
                       ("n_eps = 1", "n_eps = 1\nbacktrack_rho = 1.5"),
                       ("n_eps = 1", "n_eps = 1\ninitial_step_fraction = 0"),
+                      ("n_eps = 1", "n_eps = 1\ninitial_step_fraction = inf"),
                       ("n_eps = 1", "n_eps = 1\nmax_backtracks = -1"))]
         path = tmp_path / "bad.cfg"
         for command, text in cases:
@@ -354,6 +404,16 @@ class TestCliFlow:
         assert cli_main([command] + args) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {label}:"), err
+
+    @pytest.mark.parametrize("args", [
+        ["probe", "--pairs", "1"],
+        ["probe", "--pairs", "0"],
+        ["gradcheck", "--probes", "-1"],
+    ])
+    def test_count_argument_is_a_config_error(self, tmp_path, capsys, args):
+        assert cli_main(args + ["--config", self.write_config(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:"), err
 
     def test_missing_data_categorized_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

@@ -17,7 +17,6 @@ from cauchyfwi.geometry import (
     evaluate_model,
     fit_coefficients,
     read_model,
-    read_partition,
     write_model,
     write_partition,
 )
@@ -425,13 +424,8 @@ class TestModelFiles:
         part = build_partition(grid2d, (70.0, 70.0), water_depth=20.0)
         path = tmp_path / "part.txt"
         write_partition(part, path)
-        back = read_partition(path, grid2d, water_depth=20.0)
-        assert np.array_equal(back.node_map, part.node_map)
-        assert np.array_equal(back.frozen, part.frozen)
-
-    def test_partition_wrong_grid_rejected(self, grid2d, tmp_path):
-        part = build_partition(grid2d, (70.0, 70.0))
-        path = tmp_path / "part.txt"
-        write_partition(part, path)
-        with pytest.raises(ModelFormatError):
-            read_partition(path, Grid((200.0, 100.0), (11, 11)))
+        head, *rows = path.read_text().splitlines()
+        assert head == "partition 2 21 11"
+        assert [len(row.split()) for row in rows] == [11] * 21
+        node_map = np.array(" ".join(rows).split(), dtype=int)
+        assert np.array_equal(node_map, part.node_map)
