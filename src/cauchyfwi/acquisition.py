@@ -348,11 +348,13 @@ def add_noise(data, snr_db, seed):
 
 
 def write_data(data, path):
-    """Text format: header lines then one CSV row per (source, receiver)."""
+    """Text format: header lines, one row per observation source and per
+    receiver ('source x,[ y,] z, weight'), then one CSV row per (source,
+    receiver) pair."""
     snr = data.provenance.snr_db
     snr_text = "inf" if math.isinf(snr) else f"{snr:.17g}"
     lines = [
-        "cauchy v1",
+        "cauchy v2",
         f"freq {data.freq_hz:.17g}",
         f"nsrc {data.n_sources}",
         f"nrcv {data.n_receivers}",
@@ -364,6 +366,9 @@ def write_data(data, path):
             + [f"{e:.17g}" for e in data.provenance.grid_extent]
         ),
     ]
+    for name, points in (("source", data.obs_sources), ("receiver", data.receivers)):
+        for pos, w in zip(points.positions, points.weights):
+            lines.append(f"{name} " + ", ".join(f"{v:.17g}" for v in (*pos, w)))
     for s in range(data.n_sources):
         for r in range(data.n_receivers):
             gv, dv = data.g[s, r], data.dg[s, r]
@@ -375,9 +380,11 @@ def write_data(data, path):
 
 
 def read_data(path, receivers, obs_sources, expect_freq=None):
-    """Read a data file back; receivers and sources come from geometry files.
+    """Read a data file recorded with exactly these receivers and sources.
 
-    Raises DataFormatError naming the byte offset of the first problem.
+    Raises DataFormatError naming the byte offset of the first problem, and
+    AlignmentError naming the file when its sources or receivers differ from
+    the given ones or its synthesis grid does not refine the receiver grid.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -404,10 +411,16 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
         gdim = int(gdim)
         if len(toks) != 2 * gdim:
             raise ValueError
-        return tuple(int(t) for t in toks[:gdim]), tuple(float(t) for t in toks[gdim:])
+        return Grid([float(t) for t in toks[gdim:]], [int(t) for t in toks[:gdim]])
+
+    def point_row(text):
+        row = [float(t) for t in text.split(",")]
+        if len(row) != receivers.grid.dim + 1:
+            raise ValueError
+        return row
 
     _, version = take(0, "cauchy")
-    if version != "v1":
+    if version != "v2":
         raise DataFormatError(f"{path}: unsupported version {version!r}", lines[0][0])
     off, freq = take(1, "freq", float)
     if expect_freq is not None and abs(freq - expect_freq) > 1e-9 * max(1.0, expect_freq):
@@ -419,7 +432,7 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
     _, nrcv = take(3, "nrcv", int)
     _, snr = take(4, "snr", float)
     _, seed = take(5, "seed", int)
-    _, (gshape, gextent) = take(6, "grid", grid_provenance)
+    _, fine = take(6, "grid", grid_provenance)
 
     if nsrc != obs_sources.n_sources:
         raise DataFormatError(
@@ -431,11 +444,25 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
             f"{path}: {nrcv} receivers in file, geometry has {receivers.n_receivers}",
             lines[3][0],
         )
+    row = 7
+    for name, points in (("source", obs_sources), ("receiver", receivers)):
+        expected = np.column_stack([points.positions, points.weights])
+        recorded = [take(row + i, name, point_row)[1] for i in range(len(expected))]
+        row += len(expected)
+        if not np.array_equal(recorded, expected):
+            raise AlignmentError(
+                f"{path}: {name} positions or weights differ from the configured ones"
+            )
+    try:
+        receivers.on_grid(fine)
+    except AlignmentError as exc:
+        raise AlignmentError(f"{path}: synthesis grid {fine.shape} over {fine.extent} m: "
+                             f"{exc}") from None
 
     g = np.zeros((nsrc, nrcv), dtype=complex)
     dg = np.zeros((nsrc, nrcv), dtype=complex)
     seen = np.zeros((nsrc, nrcv), dtype=bool)
-    body = lines[7:]
+    body = lines[row:]
     if len(body) != nsrc * nrcv:
         off = body[-1][0] if body else len(raw)
         raise DataFormatError(
@@ -459,46 +486,5 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
         seen[s, r] = True
         g[s, r] = complex(nums[0], nums[1])
         dg[s, r] = complex(nums[2], nums[3])
-    prov = Provenance(gshape, gextent, snr, seed)
+    prov = Provenance(fine.shape, fine.extent, snr, seed)
     return CauchyDataSet(receivers, obs_sources, g, dg, freq, prov)
-
-
-def write_geometry_csv(path, positions, weights):
-    """CSV rows 'id, x,[ y,] z, weight' for receivers or sources."""
-    rows = []
-    for i, (pos, w) in enumerate(zip(np.atleast_2d(positions), weights)):
-        coords = ", ".join(f"{x:.17g}" for x in pos)
-        rows.append(f"{i}, {coords}, {w:.17g}\n")
-    write_text_atomic(path, "".join(rows))
-
-
-def read_geometry_csv(path, dim):
-    """Read rows 'id, x,[ y,] z, weight' back, as write_geometry_csv writes them.
-
-    The id of each row must be its row index, so a repeated, skipped or
-    reordered row raises DataFormatError, as does a non-numeric field; the
-    message names the file and the row.
-    """
-    positions = []
-    weights = []
-    with open(path) as f:
-        for ln in f:
-            ln = ln.strip()
-            if not ln:
-                continue
-            row = len(positions)
-            parts = [p.strip() for p in ln.split(",")]
-            if len(parts) != dim + 2:
-                raise DataFormatError(f"{path}: malformed geometry row {row}: {ln!r}")
-            try:
-                ident = int(parts[0])
-                values = [float(p) for p in parts[1:]]
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: non-numeric field in geometry row {row}: {ln!r}"
-                ) from None
-            if ident != row:
-                raise DataFormatError(f"{path}: geometry row {row} carries id {ident}")
-            positions.append(values[:dim])
-            weights.append(values[dim])
-    return np.array(positions), np.array(weights)

@@ -21,13 +21,7 @@ import sys
 import numpy as np
 
 from . import config as config_mod
-from .acquisition import (
-    add_noise,
-    read_data,
-    synthesize,
-    write_data,
-    write_geometry_csv,
-)
+from .acquisition import add_noise, read_data, synthesize, write_data
 from .analysis import (
     export_field,
     gradcheck,
@@ -35,7 +29,7 @@ from .analysis import (
     write_gradcheck_csv,
     write_stability_csv,
 )
-from .errors import AlignmentError, CauchyFwiError
+from .errors import AlignmentError, CauchyFwiError, ExportError
 from .geometry import evaluate_model, read_model, write_model, write_partition
 from .helmholtz import (
     assemble,
@@ -61,17 +55,14 @@ def cmd_init(args):
 def cmd_synth(args):
     cfg = _load_config(args.config)
     problem = config_mod.build_problem(cfg)
-    receivers, obs = problem.receivers, problem.obs
     fine = problem.grid.refine(1 if args.inverse_crime else cfg.refine)
     truth_fine = config_mod.build_true_field(cfg, fine)
-    data = synthesize(truth_fine, obs, receivers, problem.phys)
+    data = synthesize(truth_fine, problem.obs, problem.receivers, problem.phys)
     if math.isfinite(cfg.snr_db):
         data = add_noise(data, cfg.snr_db, cfg.seed)
 
     prefix = args.out_prefix
     write_data(data, prefix + ".cauchy.txt")
-    write_geometry_csv(prefix + ".receivers.csv", receivers.positions, receivers.weights)
-    write_geometry_csv(prefix + ".sources.csv", obs.positions, obs.weights)
     truth_inv = config_mod.build_true_field(cfg, problem.grid)
     write_field_structured_points(truth_inv, prefix + ".true_speed.txt")
     write_text_atomic(prefix + ".resolved.cfg", config_mod.render_config(cfg))
@@ -92,22 +83,18 @@ def cmd_invert(args):
             f"{args.truth_field}: truth field has {truth.grid.shape} nodes over "
             f"{truth.grid.extent} m, the inversion grid {grid.shape} over {grid.extent} m"
         )
+    if truth is not None and not truth.values.any():
+        raise ExportError(f"{args.truth_field}: truth field is zero everywhere")
 
     result = run_inversion(data, sim, initial, problem.optim, phys)
 
-    prefix = args.out_prefix
-    write_model(result.model, prefix + ".model.txt")
-    write_partition(problem.partition, prefix + ".partition.txt")
-    write_iteration_log(result.records, prefix + ".log.csv")
+    # everything that can fail is computed before the first file is written
     final_field = evaluate_model(result.model)
-    export_field(final_field, prefix + ".speed.txt", fmt="structured-points")
     if args.dump_pairs:
         system = assemble(grid, final_field, phys)
         _, gap, _ = misfit_only(system, sim, data)
         pairs = io.StringIO()
         np.savetxt(pairs, np.abs(gap.values) ** 2, delimiter=", ")
-        write_text_atomic(args.dump_pairs, pairs.getvalue())
-
     records = result.records
     summary = [
         f"iterations {len(records)}",
@@ -124,6 +111,14 @@ def cmd_invert(args):
         e_final = relative_l2_error(truth, final_field)
         summary.append(f"rel_l2_initial {e_init:.6g}")
         summary.append(f"rel_l2_final {e_final:.6g}")
+
+    prefix = args.out_prefix
+    write_model(result.model, prefix + ".model.txt")
+    write_partition(problem.partition, prefix + ".partition.txt")
+    write_iteration_log(records, prefix + ".log.csv")
+    export_field(final_field, prefix + ".speed.txt", fmt="structured-points")
+    if args.dump_pairs:
+        write_text_atomic(args.dump_pairs, pairs.getvalue())
     write_text_atomic(prefix + ".summary.txt", "\n".join(summary) + "\n")
     write_text_atomic(prefix + ".resolved.cfg", config_mod.render_config(cfg))
     print("\n".join(summary))

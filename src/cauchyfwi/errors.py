@@ -15,24 +15,12 @@ class InvalidPartitionError(CauchyFwiError):
 
 
 class BoundsViolationError(CauchyFwiError):
-    """An evaluated wave speed left the admissible interval.
-
-    Carries the flat index and value of the first offending node so the
-    caller (typically a line search) can report or reject the trial model.
-    """
-
-    def __init__(self, message, node=None, value=None):
-        super().__init__(message)
-        self.node = node
-        self.value = value
+    """An evaluated wave speed left the admissible interval; the message
+    names the first offending node and its value."""
 
 
 class RankDeficiencyError(CauchyFwiError):
     """A subdomain has too few non-collinear nodes for an affine fit."""
-
-    def __init__(self, message, subdomain=None):
-        super().__init__(message)
-        self.subdomain = subdomain
 
 
 class AssemblyError(CauchyFwiError):

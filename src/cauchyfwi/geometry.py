@@ -90,9 +90,6 @@ class Grid:
         """Per-node factor 2^-(number of boundary faces touched)."""
         return _boundary_scale(self)
 
-    def ravel_index(self, multi):
-        return int(np.ravel_multi_index(tuple(int(i) for i in multi), self.shape))
-
     def nearest_nodes(self, positions):
         """Flat indices of the grid nodes closest to (n, dim) physical
         positions.  A position halfway between two nodes goes to the even
@@ -364,7 +361,7 @@ class PiecewiseLinearModel:
 def evaluate_model(model, check_bounds=True):
     """Evaluate the piecewise-affine speed at every grid node.
 
-    Raises BoundsViolationError carrying the first offending node when the
+    Raises BoundsViolationError naming the first offending node when the
     value leaves [c_min, c_max] and check_bounds is set.
     """
     part = model.partition
@@ -378,9 +375,7 @@ def evaluate_model(model, check_bounds=True):
             node = int(np.nonzero(bad)[0][0])
             raise BoundsViolationError(
                 f"speed {vals[node]:.6g} m/s at node {node} outside "
-                f"[{model.c_min}, {model.c_max}]",
-                node=node,
-                value=float(vals[node]),
+                f"[{model.c_min}, {model.c_max}]"
             )
     return NodalField(grid, vals)
 
@@ -413,8 +408,7 @@ def fit_coefficients(field, partition, c_min, c_max, water_speed=None):
         sol, _, rank, _ = np.linalg.lstsq(design, vals[nodes], rcond=None)
         if rank < 1 + dim:
             raise RankDeficiencyError(
-                f"subdomain {j} has fewer than {dim + 1} non-collinear nodes",
-                subdomain=j,
+                f"subdomain {j} has fewer than {dim + 1} non-collinear nodes"
             )
         coeffs[j, 0] = sol[0] - sol[1:] @ centroid
         coeffs[j, 1:] = sol[1:]

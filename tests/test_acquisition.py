@@ -11,13 +11,11 @@ from cauchyfwi.acquisition import (
     SourceSet,
     add_noise,
     read_data,
-    read_geometry_csv,
     receiver_layer,
     source_lattice,
     synthesize,
     validate_geometry,
     write_data,
-    write_geometry_csv,
 )
 from cauchyfwi.errors import (
     AlignmentError,
@@ -280,12 +278,65 @@ class TestDataFiles:
         path = tmp_path / "data.txt"
         write_data(data, path)
         lines = path.read_bytes().split(b"\n")
-        assert lines[7].startswith(b"0, 0,") and lines[8].startswith(b"0, 1,")
-        lines[8] = lines[7]
+        first = next(i for i, ln in enumerate(lines) if ln.startswith(b"0, 0,"))
+        assert lines[first + 1].startswith(b"0, 1,")
+        lines[first + 1] = lines[first]
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(DataFormatError, match=r"repeated trace row \(0, 0\)") as err:
             read_data(path, data.receivers, data.obs_sources)
+        assert err.value.byte_offset == sum(len(ln) + 1 for ln in lines[:first + 1])
+
+    def test_header_records_the_acquisition(self, tmp_path):
+        data = small_dataset(n_src=2, n_rcv=3)
+        path = tmp_path / "data.txt"
+        write_data(data, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "cauchy v2"
+        rows = [ln.split(" ", 1) for ln in lines[7:12]]
+        assert [name for name, _ in rows] == ["source"] * 2 + ["receiver"] * 3
+        values = np.array([[float(v) for v in text.split(",")] for _, text in rows])
+        assert np.array_equal(values[:2, :2], data.obs_sources.positions)
+        assert np.array_equal(values[:2, 2], data.obs_sources.weights)
+        assert np.array_equal(values[2:, :2], data.receivers.positions)
+        assert np.array_equal(values[2:, 2], data.receivers.weights)
+
+    def test_non_numeric_source_row_names_byte_offset(self, tmp_path):
+        data = small_dataset()
+        path = tmp_path / "data.txt"
+        write_data(data, path)
+        lines = path.read_bytes().split(b"\n")
+        assert lines[8].startswith(b"source ")
+        lines[8] = lines[8].replace(b"source ", b"source ten", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataFormatError, match="malformed 'source' line") as err:
+            read_data(path, data.receivers, data.obs_sources)
         assert err.value.byte_offset == sum(len(ln) + 1 for ln in lines[:8])
+
+    def test_other_acquisition_rejected(self, tmp_path):
+        data = small_dataset()
+        path = tmp_path / "data.txt"
+        write_data(data, path)
+        moved = SourceSet(data.obs_sources.positions + [0.0, 7.5], data.obs_sources.weights)
+        with pytest.raises(AlignmentError, match="data.txt: source positions"):
+            read_data(path, data.receivers, moved)
+        heavier = ReceiverArray(data.receivers.grid, data.receivers.depth_index,
+                                data.receivers.lateral_indices, 2 * data.receivers.weights)
+        with pytest.raises(AlignmentError, match="data.txt: receiver positions"):
+            read_data(path, heavier, data.obs_sources)
+
+    @pytest.mark.parametrize("shape, extent, reason", [
+        ((81, 21), (600.0, 150.0), "different extents"),  # same spacing
+        ((61, 31), (300.0, 150.0), "not a refinement"),
+    ])
+    def test_synthesis_grid_must_refine_the_receiver_grid(self, tmp_path, shape, extent,
+                                                         reason):
+        data = small_dataset()
+        prov = Provenance(shape, extent, math.inf, 0)
+        path = tmp_path / "data.txt"
+        write_data(CauchyDataSet(data.receivers, data.obs_sources, data.g, data.dg,
+                                 data.freq_hz, prov), path)
+        with pytest.raises(AlignmentError, match=f"data.txt: synthesis grid .*{reason}"):
+            read_data(path, data.receivers, data.obs_sources)
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "data.txt"
@@ -293,26 +344,3 @@ class TestDataFiles:
         data = small_dataset()
         with pytest.raises(DataFormatError):
             read_data(path, data.receivers, data.obs_sources)
-
-    def test_geometry_csv_round_trip(self, tmp_path):
-        grid = make_grid()
-        rec = receiver_layer(grid, depth_m=30.0, count=5, margin_m=15.0)
-        path = tmp_path / "rcv.csv"
-        write_geometry_csv(path, rec.positions, rec.weights)
-        pos, w = read_geometry_csv(path, grid.dim)
-        assert np.array_equal(pos, rec.positions)
-        assert np.array_equal(w, rec.weights)
-
-    @pytest.mark.parametrize("rows, row", [
-        (["1, 0.0, 5.0, 1.0", "1, 10.0, 5.0, 2.0"], 0),  # repeated and off by one
-        (["0, 0.0, 5.0, 1.0", "0, 10.0, 5.0, 2.0"], 1),  # repeated
-        (["0, 0.0, 5.0, 1.0", "2, 10.0, 5.0, 2.0"], 1),  # skipped
-        (["1, 0.0, 5.0, 1.0", "0, 10.0, 5.0, 2.0"], 0),  # reordered
-        (["0, 0.0, 5.0, 1.0", "1, ten, 5.0, 2.0"], 1),  # non-numeric coordinate
-        (["0.5, 0.0, 5.0, 1.0"], 0),  # non-integer id
-    ])
-    def test_geometry_csv_bad_row_names_file_and_row(self, tmp_path, rows, row):
-        path = tmp_path / "src.csv"
-        path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(DataFormatError, match=f"src.csv: .*row {row}"):
-            read_geometry_csv(path, 2)

@@ -23,7 +23,8 @@ from cauchyfwi.config import (
     render_config,
 )
 from cauchyfwi.errors import CauchyFwiError, ConfigError
-from cauchyfwi.helmholtz import read_field_structured_points
+from cauchyfwi.geometry import NodalField
+from cauchyfwi.helmholtz import read_field_structured_points, write_field_structured_points
 from cauchyfwi.inversion import OptimConfig
 
 FAST_CONFIG = """
@@ -203,8 +204,8 @@ class TestCliFlow:
         prefix = str(tmp_path / "run")
         assert cli_main(["synth", "--config", cfg, "--out-prefix", prefix]) == 0
         assert (tmp_path / "run.cauchy.txt").exists()
-        assert (tmp_path / "run.receivers.csv").exists()
         assert (tmp_path / "run.resolved.cfg").exists()
+        assert not list(tmp_path.glob("*.csv"))  # the data file records the geometry
 
         out_prefix = str(tmp_path / "result")
         code = cli_main([
@@ -350,6 +351,53 @@ class TestCliFlow:
         err = capsys.readouterr().err
         assert err.startswith("error: geometry:"), err
         assert not list(tmp_path.glob("result.*"))
+
+    @pytest.mark.parametrize("changes", [
+        (("obs_source_depth_m = 10", "obs_source_depth_m = 20"),
+         ("source_margin_m = 30", "source_margin_m = 60")),
+        (("extent_x_m = 240", "extent_x_m = 250"),),
+    ])
+    def test_data_from_another_geometry_fails_before_inverting(self, tmp_path, capsys,
+                                                               run_outputs, changes):
+        text = FAST_CONFIG
+        for old, new in changes:
+            assert old in text
+            text = text.replace(old, new)
+        cfg = self.write_config(tmp_path, text)
+        data = str(run_outputs / "run")
+        code = cli_main(["invert", "--config", cfg, "--data-prefix", data,
+                         "--out-prefix", str(tmp_path / "result")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: geometry: {data}.cauchy.txt: "), err
+        assert not list(tmp_path.glob("result.*"))
+
+    def test_data_file_of_version_1_is_an_io_error(self, tmp_path, capsys, run_outputs):
+        data = tmp_path / "run.cauchy.txt"
+        data.write_text((run_outputs / "run.cauchy.txt").read_text()
+                        .replace("cauchy v2", "cauchy v1", 1))
+        code = cli_main(["invert", "--config", str(run_outputs / "run.cfg"),
+                         "--data-prefix", str(tmp_path / "run"),
+                         "--out-prefix", str(tmp_path / "result")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: io:") and "unsupported version 'v1'" in err, err
+        assert not list(tmp_path.glob("result.*"))
+
+    def test_zero_truth_field_fails_before_writing(self, tmp_path, capsys, run_outputs):
+        truth = read_field_structured_points(str(run_outputs / "run.true_speed.txt"))
+        zero = str(tmp_path / "zero.txt")
+        write_field_structured_points(NodalField(truth.grid, np.zeros(truth.grid.n_nodes)),
+                                      zero)
+        code = cli_main(["invert", "--config", str(run_outputs / "run.cfg"),
+                         "--data-prefix", str(run_outputs / "run"),
+                         "--out-prefix", str(tmp_path / "result"),
+                         "--dump-pairs", str(tmp_path / "pairs.csv"),
+                         "--truth-field", zero])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: io: {zero}: "), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["zero.txt"]
 
     def test_unknown_flag_nonzero_exit(self, capsys):
         assert cli_main(["invert", "--no-such-flag"]) != 0

@@ -186,7 +186,7 @@ class TestLineSearch:
         def f(c):
             calls.append(c.copy())
             if c[0] < 0.75:
-                raise BoundsViolationError("out of bounds", node=0, value=c[0])
+                raise BoundsViolationError("out of bounds")
             return f_raw(c)
 
         g = q @ c0
@@ -241,7 +241,7 @@ class TestLineSearch:
         def f(c):
             trials.append(c[0])
             if len(trials) == 1:
-                raise BoundsViolationError("out of bounds", node=0, value=c[0])
+                raise BoundsViolationError("out of bounds")
             if len(trials) == 2:
                 return np.nextafter(1.0 - cfg.armijo_c1 * 0.25, np.inf)
             return 1.0 - cfg.armijo_c1 * 0.125
