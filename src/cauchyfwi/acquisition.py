@@ -15,12 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import helmholtz
-from .errors import (
-    AlignmentError,
-    DataFormatError,
-    GeometryError,
-    UndefinedSnrError,
-)
+from .errors import DataFormatError, GeometryError
 from .geometry import Grid
 from .helmholtz import assemble
 from .textio import write_text_atomic
@@ -61,19 +56,19 @@ class ReceiverArray:
     def __post_init__(self):
         lat = np.atleast_2d(np.asarray(self.lateral_indices, dtype=np.int64))
         if lat.shape[1] != self.grid.dim - 1:
-            raise AlignmentError("need dim-1 lateral indices per receiver")
+            raise GeometryError("need dim-1 lateral indices per receiver")
         w = np.asarray(self.weights, dtype=float).ravel()
         if w.size != lat.shape[0]:
             raise GeometryError("one weight per receiver required")
         if (w <= 0).any():
             raise GeometryError("receiver weights must be positive")
         if not 0 < self.depth_index < self.grid.shape[-1] - 1:
-            raise AlignmentError(
+            raise GeometryError(
                 "receiver layer must be strictly inside the domain"
             )
         for d in range(self.grid.dim - 1):
             if lat[:, d].min() < 0 or lat[:, d].max() >= self.grid.shape[d]:
-                raise AlignmentError("receiver lateral index outside the grid")
+                raise GeometryError("receiver lateral index outside the grid")
         lat = lat.copy()
         lat.setflags(write=False)
         w = w.copy()
@@ -118,11 +113,11 @@ class ReceiverArray:
         ratios = [hs / ho for hs, ho in zip(self.grid.spacing, other.spacing)]
         for r in ratios:
             if abs(r - round(r)) > 1e-9 or round(r) < 1:
-                raise AlignmentError(
+                raise GeometryError(
                     "target grid is not a refinement of the receiver grid"
                 )
         if other.extent != self.grid.extent:
-            raise AlignmentError("grids cover different extents")
+            raise GeometryError("grids cover different extents")
         f_lat = [int(round(r)) for r in ratios[:-1]]
         f_z = int(round(ratios[-1]))
         lat = self.lateral_indices * np.array(f_lat, dtype=np.int64)
@@ -139,7 +134,7 @@ def receiver_layer(grid, depth_m, count=0, margin_m=0.0):
     hz = grid.spacing[-1]
     layer = int(round(depth_m / hz))
     if abs(layer * hz - depth_m) > 1e-6 * hz:
-        raise AlignmentError(
+        raise GeometryError(
             f"receiver depth {depth_m} m is not on a node layer (hz = {hz} m)"
         )
     axes = []
@@ -334,7 +329,7 @@ def add_noise(data, snr_db, seed):
         for s in range(mat.shape[0]):
             power = np.mean(np.abs(mat[s]) ** 2)
             if power == 0:
-                raise UndefinedSnrError(
+                raise GeometryError(
                     f"{name} trace of source {s} is identically zero"
                 )
             sigma = math.sqrt(power * factor / 2.0)
@@ -383,7 +378,7 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
     """Read a data file recorded with exactly these receivers and sources.
 
     Raises DataFormatError naming the byte offset of the first problem, and
-    AlignmentError naming the file when its sources or receivers differ from
+    GeometryError naming the file when its sources or receivers differ from
     the given ones or its synthesis grid does not refine the receiver grid.
     """
     with open(path, "rb") as f:
@@ -435,14 +430,12 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
     _, fine = take(6, "grid", grid_provenance)
 
     if nsrc != obs_sources.n_sources:
-        raise DataFormatError(
-            f"{path}: {nsrc} sources in file, geometry has {obs_sources.n_sources}",
-            lines[2][0],
+        raise GeometryError(
+            f"{path}: {nsrc} sources in file, geometry has {obs_sources.n_sources}"
         )
     if nrcv != receivers.n_receivers:
-        raise DataFormatError(
-            f"{path}: {nrcv} receivers in file, geometry has {receivers.n_receivers}",
-            lines[3][0],
+        raise GeometryError(
+            f"{path}: {nrcv} receivers in file, geometry has {receivers.n_receivers}"
         )
     row = 7
     for name, points in (("source", obs_sources), ("receiver", receivers)):
@@ -450,14 +443,14 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
         recorded = [take(row + i, name, point_row)[1] for i in range(len(expected))]
         row += len(expected)
         if not np.array_equal(recorded, expected):
-            raise AlignmentError(
+            raise GeometryError(
                 f"{path}: {name} positions or weights differ from the configured ones"
             )
     try:
         receivers.on_grid(fine)
-    except AlignmentError as exc:
-        raise AlignmentError(f"{path}: synthesis grid {fine.shape} over {fine.extent} m: "
-                             f"{exc}") from None
+    except GeometryError as exc:
+        raise GeometryError(f"{path}: synthesis grid {fine.shape} over {fine.extent} m: "
+                            f"{exc}") from None
 
     g = np.zeros((nsrc, nrcv), dtype=complex)
     dg = np.zeros((nsrc, nrcv), dtype=complex)

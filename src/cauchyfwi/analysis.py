@@ -16,7 +16,7 @@ import numpy as np
 
 from . import acquisition
 from . import config as config_mod
-from .errors import ConfigError, ExportError
+from .errors import ConfigError, DataFormatError
 from .geometry import NodalField, PiecewiseLinearModel, evaluate_model
 from .helmholtz import (
     assemble,
@@ -44,7 +44,7 @@ def gaussian_smooth(field, sigma):
     fields) are preserved exactly.
     """
     if not 0 <= sigma < np.inf:
-        raise ExportError(f"sigma must be finite and nonnegative, got {sigma}")
+        raise DataFormatError(f"sigma must be finite and nonnegative, got {sigma}")
     if sigma == 0:
         return field
     vals = field.reshape().astype(float, copy=True)
@@ -75,7 +75,7 @@ def export_field(field, path, fmt="structured-points", sigma=0.0):
     elif fmt == "csv":
         write_field_csv(smoothed, path)
     else:
-        raise ExportError(f"unsupported export format {fmt!r}")
+        raise DataFormatError(f"unsupported export format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------

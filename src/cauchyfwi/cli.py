@@ -29,7 +29,7 @@ from .analysis import (
     write_gradcheck_csv,
     write_stability_csv,
 )
-from .errors import AlignmentError, CauchyFwiError, ExportError
+from .errors import CauchyFwiError, DataFormatError, GeometryError
 from .geometry import evaluate_model, read_model, write_model, write_partition
 from .helmholtz import (
     assemble,
@@ -79,12 +79,12 @@ def cmd_invert(args):
                      expect_freq=cfg.freq_hz)
     truth = read_field_structured_points(args.truth_field) if args.truth_field else None
     if truth is not None and truth.grid != grid:
-        raise AlignmentError(
+        raise GeometryError(
             f"{args.truth_field}: truth field has {truth.grid.shape} nodes over "
             f"{truth.grid.extent} m, the inversion grid {grid.shape} over {grid.extent} m"
         )
     if truth is not None and not truth.values.any():
-        raise ExportError(f"{args.truth_field}: truth field is zero everywhere")
+        raise DataFormatError(f"{args.truth_field}: truth field is zero everywhere")
 
     result = run_inversion(data, sim, initial, problem.optim, phys)
 

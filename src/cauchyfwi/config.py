@@ -15,8 +15,8 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
-from .geometry import Grid, Partition, PiecewiseLinearModel, build_partition
+from .errors import BoundsViolationError, ConfigError
+from .geometry import Grid, Partition, PiecewiseLinearModel, build_partition, evaluate_model
 from .helmholtz import PhysicsConfig, points_per_wavelength
 from .acquisition import (
     ReceiverArray,
@@ -345,15 +345,23 @@ def build_problem(cfg, decoupled=False):
     """Grid, physics, partition, checked acquisition, simulation sources,
     starting model and optimizer settings of cfg, built once.
 
-    decoupled is passed to build_sim_sources.
+    decoupled is passed to build_sim_sources.  A starting model outside
+    [c_min, c_max], which the water speed also pins, raises ConfigError:
+    no inversion could start from it.
     """
     grid = build_grid(cfg)
     phys = build_physics(cfg)
     partition = build_partition_for(cfg, grid)
     receivers, obs = check_acquisition(cfg, grid)
+    initial = build_initial_model(cfg, partition)
+    try:
+        evaluate_model(initial)
+    except BoundsViolationError as exc:
+        raise ConfigError(f"starting model leaves [c_min_m_per_s, c_max_m_per_s]: "
+                          f"{exc}") from None
     return Problem(grid, phys, partition, receivers, obs,
                    build_sim_sources(cfg, grid, decoupled=decoupled),
-                   build_initial_model(cfg, partition), build_optimizer(cfg))
+                   initial, build_optimizer(cfg))
 
 
 DEFAULT_CONFIG = """\

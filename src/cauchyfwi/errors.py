@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package; each class names the
-category the command line reports it under, and subclasses inherit it."""
+category the command line reports it under, and subclasses inherit it.
+There is one class per category, plus the ones the line search tells apart."""
 
 
 class CauchyFwiError(Exception):
@@ -8,23 +9,14 @@ class CauchyFwiError(Exception):
     category = "runtime"
 
 
-class InvalidPartitionError(CauchyFwiError):
-    """Partition request cannot be honored on the given grid."""
-
-    category = "geometry"
-
-
 class BoundsViolationError(CauchyFwiError):
     """An evaluated wave speed left the admissible interval; the message
     names the first offending node and its value."""
 
 
-class RankDeficiencyError(CauchyFwiError):
-    """A subdomain has too few non-collinear nodes for an affine fit."""
-
-
 class AssemblyError(CauchyFwiError):
-    """Operator assembly rejected its inputs."""
+    """Operator assembly rejected its inputs; apart from SolverBreakdownError
+    so that the line search never counts it as a breakdown."""
 
     category = "solver"
 
@@ -35,32 +27,17 @@ class SolverBreakdownError(CauchyFwiError):
     category = "solver"
 
 
-class InvalidSourceError(CauchyFwiError):
-    """Point source snapped to a node on the pressure-free surface."""
-
-    category = "geometry"
-
-
-class AlignmentError(CauchyFwiError):
-    """Receiver surface or sample layer does not coincide with grid nodes."""
-
-    category = "geometry"
-
-
 class GeometryError(CauchyFwiError):
-    """Inconsistent acquisition geometry (receiver/source mismatch)."""
-
-    category = "geometry"
-
-
-class UndefinedSnrError(CauchyFwiError):
-    """Noise injection requested on an all-zero trace."""
+    """Acquisition or partition geometry that does not fit the grid or the
+    data: misaligned receivers, a source on the free surface, an
+    untileable or rank-deficient partition, or noise on an all-zero trace."""
 
     category = "geometry"
 
 
 class DataFormatError(CauchyFwiError):
-    """Cauchy data file is malformed; byte_offset locates the problem."""
+    """A malformed input file or an unusable export request; byte_offset,
+    when given, locates the problem in the file."""
 
     category = "io"
 
@@ -69,12 +46,6 @@ class DataFormatError(CauchyFwiError):
             message = f"{message} (byte offset {byte_offset})"
         super().__init__(message)
         self.byte_offset = byte_offset
-
-
-class ModelFormatError(CauchyFwiError):
-    """Model or partition file is malformed."""
-
-    category = "io"
 
 
 class ConfigError(CauchyFwiError):
@@ -87,9 +58,3 @@ class ConfigError(CauchyFwiError):
         if self.problems:
             message = message + "\n" + "\n".join("  - " + p for p in self.problems)
         super().__init__(message)
-
-
-class ExportError(CauchyFwiError):
-    """Unsupported export format or non-exportable field."""
-
-    category = "io"

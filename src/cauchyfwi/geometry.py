@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundsViolationError,
-    InvalidPartitionError,
-    ModelFormatError,
-    RankDeficiencyError,
-)
+from .errors import BoundsViolationError, DataFormatError, GeometryError
 from .textio import write_text_atomic
 
 
@@ -49,8 +44,8 @@ class Grid:
             raise ValueError(f"grid must be 2D or 3D, got {len(shape)} axes")
         if len(extent) != len(shape):
             raise ValueError("extent and shape must have the same length")
-        if any(e <= 0 for e in extent):
-            raise ValueError(f"extents must be positive, got {extent}")
+        if not all(0 < e < math.inf for e in extent):
+            raise ValueError(f"extents must be positive and finite, got {extent}")
         if any(n < 2 for n in shape):
             raise ValueError(f"need at least 2 nodes per axis, got {shape}")
 
@@ -248,9 +243,9 @@ def _axis_tiling(extent, n_nodes, max_extent):
     h = extent / (n_nodes - 1)
     n_cells = n_nodes - 1
     if max_extent <= 0:
-        raise InvalidPartitionError(f"tile size must be positive, got {max_extent}")
+        raise GeometryError(f"tile size must be positive, got {max_extent}")
     if max_extent < h * (1 - 1e-12):
-        raise InvalidPartitionError(
+        raise GeometryError(
             f"tile size {max_extent} m is below the cell spacing {h} m"
         )
     n_tiles = int(math.ceil(extent / max_extent - 1e-12))
@@ -258,7 +253,7 @@ def _axis_tiling(extent, n_nodes, max_extent):
     bounds = [t * width for t in range(n_tiles)]
     bounds.append(n_cells)
     if bounds[-1] <= bounds[-2]:
-        raise InvalidPartitionError(
+        raise GeometryError(
             f"tile size {max_extent} m does not tile {extent} m at spacing {h} m"
         )
     return bounds
@@ -276,7 +271,7 @@ def build_partition(grid, max_extent, water_depth=0.0):
         max_extent = (float(max_extent),) * grid.dim
     max_extent = tuple(float(m) for m in max_extent)
     if len(max_extent) != grid.dim:
-        raise InvalidPartitionError("need one tile cap per grid axis")
+        raise GeometryError("need one tile cap per grid axis")
 
     bounds = [
         _axis_tiling(grid.extent[d], grid.shape[d], max_extent[d])
@@ -285,7 +280,7 @@ def build_partition(grid, max_extent, water_depth=0.0):
 
     hz = grid.spacing[-1]
     if water_depth < 0 or water_depth > grid.extent[-1] + 1e-9:
-        raise InvalidPartitionError(
+        raise GeometryError(
             f"water depth {water_depth} m outside grid extent {grid.extent[-1]} m"
         )
     w_layer = int(round(water_depth / hz))
@@ -385,7 +380,7 @@ def fit_coefficients(field, partition, c_min, c_max, water_speed=None):
 
     Exact on fields that are already affine per subdomain.  Frozen
     subdomains are pinned to water_speed when it is given; otherwise they
-    are fitted like any other.  Raises RankDeficiencyError when a subdomain
+    are fitted like any other.  Raises GeometryError when a subdomain
     has fewer than dim+1 non-collinear nodes.
     """
     if np.iscomplexobj(field.values):
@@ -407,7 +402,7 @@ def fit_coefficients(field, partition, c_min, c_max, water_speed=None):
         design = np.column_stack([np.ones(len(nodes)), x - centroid])
         sol, _, rank, _ = np.linalg.lstsq(design, vals[nodes], rcond=None)
         if rank < 1 + dim:
-            raise RankDeficiencyError(
+            raise GeometryError(
                 f"subdomain {j} has fewer than {dim + 1} non-collinear nodes"
             )
         coeffs[j, 0] = sol[0] - sol[1:] @ centroid
@@ -452,44 +447,44 @@ def write_model(model, path):
 
 def read_model(path, partition, c_min, c_max, water_speed=None):
     """Read a model file back against a known partition; a malformed or
-    non-finite entry raises ModelFormatError naming the file."""
+    non-finite entry raises DataFormatError naming the file."""
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines:
-        raise ModelFormatError(f"{path}: empty model file")
+        raise DataFormatError(f"{path}: empty model file")
     head = lines[0].split()
     if len(head) != 3 or head[0] != "plmodel" or not all(t.isdecimal() for t in head[1:]):
-        raise ModelFormatError(f"{path}: bad header {lines[0]!r}")
+        raise DataFormatError(f"{path}: bad header {lines[0]!r}")
     dim, n = int(head[1]), int(head[2])
     if dim != partition.grid.dim:
-        raise ModelFormatError(f"{path}: dimension {dim} does not match the grid")
+        raise DataFormatError(f"{path}: dimension {dim} does not match the grid")
     if n != partition.n_subdomains:
-        raise ModelFormatError(
+        raise DataFormatError(
             f"{path}: {n} subdomains in file, partition has {partition.n_subdomains}"
         )
     if len(lines) - 1 != n:
-        raise ModelFormatError(f"{path}: expected {n} coefficient rows")
+        raise DataFormatError(f"{path}: expected {n} coefficient rows")
     coeffs = np.zeros((n, 1 + dim))
     seen = np.zeros(n, dtype=bool)
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3 + dim:
-            raise ModelFormatError(f"{path}: malformed row {ln!r}")
+            raise DataFormatError(f"{path}: malformed row {ln!r}")
         try:
             j, frozen = int(parts[0]), bool(int(parts[-1]))
             values = [float(v) for v in parts[1 : 2 + dim]]
         except ValueError:
-            raise ModelFormatError(f"{path}: non-numeric field in row {ln!r}") from None
+            raise DataFormatError(f"{path}: non-numeric field in row {ln!r}") from None
         if not all(map(math.isfinite, values)):
-            raise ModelFormatError(f"{path}: non-finite coefficient in row {ln!r}")
+            raise DataFormatError(f"{path}: non-finite coefficient in row {ln!r}")
         if not 0 <= j < n:
-            raise ModelFormatError(f"{path}: subdomain index {j} out of range")
+            raise DataFormatError(f"{path}: subdomain index {j} out of range")
         if seen[j]:
-            raise ModelFormatError(f"{path}: repeated subdomain index {j}")
+            raise DataFormatError(f"{path}: repeated subdomain index {j}")
         seen[j] = True
         coeffs[j] = values
         if frozen != bool(partition.frozen[j]):
-            raise ModelFormatError(
+            raise DataFormatError(
                 f"{path}: frozen flag of subdomain {j} disagrees with the partition"
             )
     return PiecewiseLinearModel(partition, coeffs, c_min, c_max, water_speed)

@@ -36,10 +36,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
-    AlignmentError,
     AssemblyError,
-    ExportError,
-    InvalidSourceError,
+    DataFormatError,
+    GeometryError,
     SolverBreakdownError,
 )
 from .geometry import Grid, NodalField
@@ -292,7 +291,7 @@ class HelmholtzSystem:
         on_surface = grid.free_surface_mask()[nodes]
         if on_surface.any():
             position = np.asarray(positions, dtype=float)[on_surface.argmax()]
-            raise InvalidSourceError(
+            raise GeometryError(
                 f"source at {position.tolist()} lies on the pressure-free surface"
             )
         rhs = np.zeros((grid.n_nodes, nodes.size), dtype=complex)
@@ -310,7 +309,7 @@ def traces_many(block, grid, receivers):
     upward normal, toward the sources.
     """
     if receivers.grid != grid:
-        raise AlignmentError("receiver layer was built for a different grid")
+        raise GeometryError("receiver layer was built for a different grid")
     hz = grid.spacing[-1]
     vals = block[receivers.value_nodes].T
     dnu = (block[receivers.above_nodes] - block[receivers.below_nodes]).T / (2 * hz)
@@ -321,7 +320,7 @@ def write_field_structured_points(field, path):
     """Legacy structured-points text export: 4 header lines then one scalar
     per line, row-major."""
     if np.iscomplexobj(field.values):
-        raise ExportError("structured-points export requires a real field")
+        raise DataFormatError("structured-points export requires a real field")
     grid = field.grid
     lines = [
         "structured_points",
@@ -334,24 +333,27 @@ def write_field_structured_points(field, path):
 
 
 def read_field_structured_points(path):
-    """Read a field back; a malformed header or value raises ExportError."""
+    """Read a field back; a malformed header or a malformed or non-finite
+    value raises DataFormatError."""
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if len(lines) < 4 or lines[0] != "structured_points":
-        raise ExportError(f"{path}: not a structured-points file")
+        raise DataFormatError(f"{path}: not a structured-points file")
     try:
         dim = int(lines[1].split()[1])
         shape = tuple(int(t) for t in lines[2].split()[1:])
         spacing = tuple(float(t) for t in lines[3].split()[1:])
         if len(shape) != dim or len(spacing) != dim:
-            raise ExportError(f"{path}: inconsistent header")
+            raise DataFormatError(f"{path}: inconsistent header")
         extent = tuple(h * (n - 1) for h, n in zip(spacing, shape))
         grid = Grid(extent, shape)
         vals = np.array([float(t) for t in lines[4:]])
     except (ValueError, IndexError) as exc:
-        raise ExportError(f"{path}: malformed header or value: {exc}") from None
+        raise DataFormatError(f"{path}: malformed header or value: {exc}") from None
     if vals.size != grid.n_nodes:
-        raise ExportError(f"{path}: {vals.size} values for {grid.n_nodes} nodes")
+        raise DataFormatError(f"{path}: {vals.size} values for {grid.n_nodes} nodes")
+    if not np.isfinite(vals).all():
+        raise DataFormatError(f"{path}: non-finite value")
     return NodalField(grid, vals)
 
 

@@ -17,12 +17,7 @@ from cauchyfwi.acquisition import (
     validate_geometry,
     write_data,
 )
-from cauchyfwi.errors import (
-    AlignmentError,
-    DataFormatError,
-    GeometryError,
-    UndefinedSnrError,
-)
+from cauchyfwi.errors import DataFormatError, GeometryError
 from cauchyfwi.geometry import Grid, NodalField
 from cauchyfwi.helmholtz import FORWARD_BLOCK, PhysicsConfig, assemble, traces_many
 
@@ -52,14 +47,14 @@ class TestReceiverLayer:
 
     def test_misaligned_depth_rejected(self):
         grid = make_grid()
-        with pytest.raises(AlignmentError):
+        with pytest.raises(GeometryError, match="not on a node layer"):
             receiver_layer(grid, depth_m=31.0)
 
     def test_layer_on_boundary_rejected(self):
         grid = make_grid()
-        with pytest.raises(AlignmentError):
+        with pytest.raises(GeometryError, match="strictly inside the domain"):
             receiver_layer(grid, depth_m=0.0)
-        with pytest.raises(AlignmentError):
+        with pytest.raises(GeometryError, match="strictly inside the domain"):
             receiver_layer(grid, depth_m=150.0)
 
     def test_3d_layer_weights(self):
@@ -162,7 +157,7 @@ class TestSynthesize:
         grid = make_grid()
         rec = receiver_layer(grid, depth_m=30.0)
         odd = Grid(grid.extent, (61, 31))  # not a node-compatible refinement
-        with pytest.raises(AlignmentError):
+        with pytest.raises(GeometryError, match="not a refinement"):
             synthesize(homogeneous(odd), source_lattice(grid, 7.5, 2, 30.0), rec, PHYS)
 
 
@@ -214,7 +209,7 @@ class TestAddNoise:
         g[1] = 0.0
         broken = CauchyDataSet(data.receivers, data.obs_sources, g, data.dg,
                                data.freq_hz, data.provenance)
-        with pytest.raises(UndefinedSnrError):
+        with pytest.raises(GeometryError, match="source 1 is identically zero"):
             add_noise(broken, 15.0, seed=1)
 
     def test_noise_is_zero_mean(self):
@@ -317,11 +312,16 @@ class TestDataFiles:
         path = tmp_path / "data.txt"
         write_data(data, path)
         moved = SourceSet(data.obs_sources.positions + [0.0, 7.5], data.obs_sources.weights)
-        with pytest.raises(AlignmentError, match="data.txt: source positions"):
+        with pytest.raises(GeometryError, match="data.txt: source positions"):
             read_data(path, data.receivers, moved)
+        n = data.n_sources
+        fewer = SourceSet(data.obs_sources.positions[1:], data.obs_sources.weights[1:])
+        with pytest.raises(GeometryError,
+                           match=f"data.txt: {n} sources in file, geometry has {n - 1}$"):
+            read_data(path, data.receivers, fewer)
         heavier = ReceiverArray(data.receivers.grid, data.receivers.depth_index,
                                 data.receivers.lateral_indices, 2 * data.receivers.weights)
-        with pytest.raises(AlignmentError, match="data.txt: receiver positions"):
+        with pytest.raises(GeometryError, match="data.txt: receiver positions"):
             read_data(path, heavier, data.obs_sources)
 
     @pytest.mark.parametrize("shape, extent, reason", [
@@ -335,7 +335,7 @@ class TestDataFiles:
         path = tmp_path / "data.txt"
         write_data(CauchyDataSet(data.receivers, data.obs_sources, data.g, data.dg,
                                  data.freq_hz, prov), path)
-        with pytest.raises(AlignmentError, match=f"data.txt: synthesis grid .*{reason}"):
+        with pytest.raises(GeometryError, match=f"data.txt: synthesis grid .*{reason}"):
             read_data(path, data.receivers, data.obs_sources)
 
     def test_malformed_header_rejected(self, tmp_path):

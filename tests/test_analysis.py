@@ -12,7 +12,7 @@ from cauchyfwi.analysis import (
     write_stability_csv,
 )
 from cauchyfwi.config import parse_config
-from cauchyfwi.errors import ConfigError, ExportError
+from cauchyfwi.errors import ConfigError, DataFormatError
 from cauchyfwi.geometry import (
     Grid,
     NodalField,
@@ -158,7 +158,7 @@ class TestExportField:
     def test_unknown_format_rejected(self, tmp_path):
         grid = Grid((20.0, 10.0), (3, 2))
         field = NodalField(grid, np.zeros(6))
-        with pytest.raises(ExportError):
+        with pytest.raises(DataFormatError, match="unsupported export format 'binary'"):
             export_field(field, tmp_path / "f.bin", fmt="binary")
 
 

@@ -356,6 +356,7 @@ class TestCliFlow:
         (("obs_source_depth_m = 10", "obs_source_depth_m = 20"),
          ("source_margin_m = 30", "source_margin_m = 60")),
         (("extent_x_m = 240", "extent_x_m = 250"),),
+        (("obs_source_count = 4", "obs_source_count = 3"),),
     ])
     def test_data_from_another_geometry_fails_before_inverting(self, tmp_path, capsys,
                                                                run_outputs, changes):
@@ -442,6 +443,12 @@ class TestCliFlow:
         ("gradcheck", "nodes_x = 25\nnodes_z = 13", "nodes_x = 161\nnodes_z = 121", "config"),
         ("synth", "source_margin_m = 30", "source_margin_m = -200", "geometry"),
         ("synth", "inclusion_radius_m = 30\n", "", "config"),
+        # the frozen water tiles sit at 1500 m/s, below c_min
+        ("synth", "c_min_m_per_s = 1250", "c_min_m_per_s = 1520", "config"),
+        ("synth", "initial_top_speed_m_per_s = 1550", "initial_top_speed_m_per_s = 1000",
+         "config"),
+        # a one-node-layer tile below the water cannot be fitted
+        ("synth", "water_depth_m = 40", "water_depth_m = 50", "geometry"),
     ])
     def test_rejected_value_categorized_error(self, tmp_path, capsys, command, old, new, label):
         assert old in FAST_CONFIG
@@ -479,6 +486,9 @@ class TestCliFlow:
         ("run.cauchy.txt", 1, 1, "abc"),
         ("run.cauchy.txt", -1, 2, "nan,"),
         ("run.true_speed.txt", 1, 1, "x"),
+        ("run.cauchy.txt", 6, 4, "nan"),  # grid extent
+        ("run.true_speed.txt", 3, 1, "nan"),  # spacing
+        ("run.true_speed.txt", 10, 0, "nan"),  # value
         ("run.cauchy.txt", None, None, None),  # missing
     ])
     def test_malformed_input_is_an_io_error(self, tmp_path, capsys, run_outputs,
@@ -513,16 +523,9 @@ class TestCliFlow:
         assert categories == {
             "ConfigError": "config",
             "DataFormatError": "io",
-            "ModelFormatError": "io",
-            "ExportError": "io",
             "GeometryError": "geometry",
-            "AlignmentError": "geometry",
-            "InvalidSourceError": "geometry",
-            "InvalidPartitionError": "geometry",
-            "UndefinedSnrError": "geometry",
             "SolverBreakdownError": "solver",
             "AssemblyError": "solver",
             "CauchyFwiError": "runtime",
             "BoundsViolationError": "runtime",
-            "RankDeficiencyError": "runtime",
         }

@@ -1,12 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from cauchyfwi.errors import (
-    BoundsViolationError,
-    InvalidPartitionError,
-    ModelFormatError,
-    RankDeficiencyError,
-)
+from cauchyfwi.errors import BoundsViolationError, DataFormatError, GeometryError
 from cauchyfwi.geometry import (
     Grid,
     NodalField,
@@ -49,6 +46,9 @@ class TestGrid:
             Grid((100.0,), (11,))
         with pytest.raises(ValueError):
             Grid((100.0, -1.0), (11, 11))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                Grid((bad, 100.0), (11, 11))
         with pytest.raises(ValueError):
             Grid((100.0, 100.0), (11, 1))
 
@@ -141,11 +141,11 @@ class TestBuildPartition:
         assert np.array_equal(frozen_nodes, depth <= 20.0)
 
     def test_cap_below_spacing_rejected(self, grid2d):
-        with pytest.raises(InvalidPartitionError):
+        with pytest.raises(GeometryError, match="below the cell spacing"):
             build_partition(grid2d, 5.0)
 
     def test_water_depth_outside_grid_rejected(self, grid2d):
-        with pytest.raises(InvalidPartitionError):
+        with pytest.raises(GeometryError, match="water depth 150.0 m outside grid extent"):
             build_partition(grid2d, 50.0, water_depth=150.0)
 
     def test_3d_tiling_covers_all_nodes(self, grid3d):
@@ -278,7 +278,7 @@ class TestFitCoefficients:
         node_map = (grid.multi_indices()[:, -1] > 0).astype(int)
         part = Partition(grid, node_map, [False, False])
         field = NodalField(grid, np.ones(grid.n_nodes))
-        with pytest.raises(RankDeficiencyError, match="subdomain 0 has fewer"):
+        with pytest.raises(GeometryError, match="subdomain 0 has fewer"):
             fit_coefficients(field, part, 0.5, 2.0)
 
     def test_frozen_pinned_instead_of_fitted(self, partition2d):
@@ -392,7 +392,7 @@ class TestModelFiles:
     def test_model_header_validation(self, partition2d, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("plmodel 2 999\n")
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(DataFormatError, match="999 subdomains in file"):
             read_model(path, partition2d, 1000.0, 2000.0)
 
     def test_repeated_subdomain_rejected(self, partition2d, tmp_path):
@@ -405,7 +405,7 @@ class TestModelFiles:
         lines = path.read_text().splitlines()
         lines[2] = lines[1]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelFormatError, match="repeated subdomain index 0"):
+        with pytest.raises(DataFormatError, match="repeated subdomain index 0"):
             read_model(path, partition2d, 1000.0, 2000.0)
 
     def test_failed_write_keeps_the_old_file(self, partition2d, tmp_path, disk_full):

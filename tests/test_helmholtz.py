@@ -6,7 +6,7 @@ from scipy.special import hankel1
 from cauchyfwi import config as C
 from cauchyfwi.acquisition import receiver_layer
 from cauchyfwi.config import DEFAULT_CONFIG, parse_config
-from cauchyfwi.errors import AssemblyError, InvalidSourceError, SolverBreakdownError
+from cauchyfwi.errors import AssemblyError, GeometryError, SolverBreakdownError
 from cauchyfwi.geometry import Grid, NodalField, evaluate_model
 from cauchyfwi.helmholtz import (
     HelmholtzSystem,
@@ -368,7 +368,7 @@ class TestGreen:
         grid = Grid((100.0, 80.0), (21, 17))
         for free_surface in (True, False):
             system = assemble(grid, constant_speed(grid), PHYS, free_surface=free_surface)
-            with pytest.raises(InvalidSourceError):
+            with pytest.raises(GeometryError, match="lies on the pressure-free surface"):
                 system.green_many([(50.0, 40.0), (50.0, 0.0)])
             assert system.solve_count == 0
 
