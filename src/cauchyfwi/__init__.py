@@ -62,6 +62,6 @@ from .analysis import (
     gradcheck,
     probe_stability,
 )
-from .config import RunConfig, default_config, parse_config, render_config
+from .config import RunConfig, parse_config, render_config
 
 __version__ = "0.1.0"

@@ -17,19 +17,15 @@ import numpy as np
 from . import acquisition
 from . import config as config_mod
 from .errors import ConfigError, DataFormatError
-from .geometry import NodalField, PiecewiseLinearModel, evaluate_model
-from .helmholtz import (
-    assemble,
-    write_field_csv,
-    write_field_structured_points,
-)
+from .geometry import NodalField, evaluate_model
+from .helmholtz import write_field_csv, write_field_structured_points
 from .inversion import Objective
-from .misfit_adjoint import misfit_only
 from .textio import write_text_atomic
 
-# not called here: bench/spans.py wraps these two names on this module
+# not called here: bench/spans.py wraps these four names on this module
 from .geometry import coefficient_gradient  # noqa: F401
-from .misfit_adjoint import misfit_and_gradient  # noqa: F401
+from .helmholtz import assemble  # noqa: F401
+from .misfit_adjoint import misfit_and_gradient, misfit_only  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +202,10 @@ class StabilityProbeReport:
         return np.array([[p.linf_distance, p.misfit, p.ratio] for p in self.pairs])
 
 
-def _random_admissible_coeffs(partition, c_min, c_max, rng):
-    """Random coefficients whose evaluated field stays inside the bounds;
-    the model they go into pins the frozen tiles."""
+def _random_admissible_model(model, rng):
+    """model with random coefficients whose evaluated field stays inside its
+    bounds; the frozen tiles stay pinned."""
+    partition, c_min, c_max = model.partition, model.c_min, model.c_max
     grid = partition.grid
     n = partition.n_subdomains
     margin = 0.2 * (c_max - c_min)
@@ -221,7 +218,7 @@ def _random_admissible_coeffs(partition, c_min, c_max, rng):
             span = max(hi[d], 1e-9)
             amp = reach / (grid.dim * span)
             coeffs[j, 1 + d] = rng.uniform(-amp, amp)
-    return coeffs
+    return model.with_coefficient_vector(coeffs.ravel())
 
 
 def evaluate_pair(model_a, model_b, sim_sources, obs_sources, receivers, phys):
@@ -230,35 +227,30 @@ def evaluate_pair(model_a, model_b, sim_sources, obs_sources, receivers, phys):
     Model a is simulated from sim_sources, model b supplies the observations;
     both use the same grid and discretization.
     """
-    field_a = evaluate_model(model_a)
     field_b = evaluate_model(model_b)
-    linf = float(np.max(np.abs(field_a.values - field_b.values)))
+    linf = float(np.max(np.abs(evaluate_model(model_a).values - field_b.values)))
     data = acquisition.synthesize(field_b, obs_sources, receivers, phys)
-    system = assemble(field_a.grid, field_a, phys)
-    value, _, _ = misfit_only(system, sim_sources, data)
-    return linf, value
+    objective = Objective(model_a, sim_sources, data, phys)
+    return linf, objective.value(model_a.coefficient_vector)
 
 
-def probe_stability(partition, c_min, c_max, phys, receivers,
-                    obs_sources, sim_sources, n_pairs, seed):
+def probe_stability(model, phys, receivers, obs_sources, sim_sources, n_pairs, seed):
     """Ratio table ||c1 - c2||_inf / sqrt(J(c1, c2)) over random pairs.
 
-    Both models of a pair hold phys.water_speed on the frozen tiles.  Pairs
-    with zero distance are excluded from the statistics; pairs whose misfit
-    vanishes (or whose ratio explodes) while the models differ are flagged
-    as findings rather than dropped.  Fewer than two pairs is a ConfigError.
+    model supplies the partition, the speed bounds and the frozen
+    coefficients that both models of a pair keep.  Pairs with zero distance
+    are excluded from the statistics; pairs whose misfit vanishes (or whose
+    ratio explodes) while the models differ are flagged as findings rather
+    than dropped.  Fewer than two pairs is a ConfigError.
     """
     if n_pairs < 2:
         raise ConfigError(f"need at least two pairs, got {n_pairs}")
-    water_speed = phys.water_speed
     rng = np.random.default_rng(seed)
     pairs = []
     ratios = []
     for _ in range(n_pairs):
-        ca = _random_admissible_coeffs(partition, c_min, c_max, rng)
-        cb = _random_admissible_coeffs(partition, c_min, c_max, rng)
-        ma = PiecewiseLinearModel(partition, ca, c_min, c_max, water_speed)
-        mb = PiecewiseLinearModel(partition, cb, c_min, c_max, water_speed)
+        ma = _random_admissible_model(model, rng)
+        mb = _random_admissible_model(model, rng)
         linf, value = evaluate_pair(ma, mb, sim_sources, obs_sources, receivers, phys)
         excluded = linf == 0.0
         if excluded:

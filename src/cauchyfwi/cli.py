@@ -4,11 +4,12 @@ synth, invert and probe build their problem with one config.build_problem
 call, and gradcheck through analysis.gradcheck, which makes the same call;
 export builds only the grid and partition that reading a model file needs.
 synth and invert write a resolved-configuration snapshot next to their
-outputs; re-running from the snapshot reproduces the outputs bit-exactly for
-a fixed seed, at 1 and at 2 OpenBLAS threads alike.  Outputs are written by
-the package writers, which replace their files atomically.  A failure exits
-with status 1 and prints ``error: <category>: <message>``: the category of a
-package error, ``io`` for any OSError, ``internal`` for anything else.
+outputs; re-running from the snapshot with the same flags reproduces the
+outputs bit-exactly for a fixed seed, at 1 and at 2 OpenBLAS threads alike.
+Outputs are written by the package writers, which replace their files
+atomically.  A failure exits with status 1 and prints
+``error: <category>: <message>``: the category of a package error, ``io``
+for any OSError, ``internal`` for anything else.
 """
 
 from __future__ import annotations
@@ -31,13 +32,8 @@ from .analysis import (
 )
 from .errors import CauchyFwiError, DataFormatError, GeometryError
 from .geometry import evaluate_model, read_model, write_model, write_partition
-from .helmholtz import (
-    assemble,
-    read_field_structured_points,
-    write_field_structured_points,
-)
+from .helmholtz import read_field_structured_points, write_field_structured_points
 from .inversion import relative_l2_error, run_inversion, write_iteration_log
-from .misfit_adjoint import misfit_only
 from .textio import write_text_atomic
 
 
@@ -74,7 +70,7 @@ def cmd_synth(args):
 def cmd_invert(args):
     cfg = _load_config(args.config)
     problem = config_mod.build_problem(cfg, decoupled=args.decouple_sources)
-    grid, phys, sim, initial = problem.grid, problem.phys, problem.sim, problem.initial
+    grid, initial = problem.grid, problem.initial
     data = read_data(args.data_prefix + ".cauchy.txt", problem.receivers, problem.obs,
                      expect_freq=cfg.freq_hz)
     truth = read_field_structured_points(args.truth_field) if args.truth_field else None
@@ -86,21 +82,19 @@ def cmd_invert(args):
     if truth is not None and not truth.values.any():
         raise DataFormatError(f"{args.truth_field}: truth field is zero everywhere")
 
-    result = run_inversion(data, sim, initial, problem.optim, phys)
+    result = run_inversion(data, problem.sim, initial, problem.optim, problem.phys)
 
     # everything that can fail is computed before the first file is written
     final_field = evaluate_model(result.model)
     if args.dump_pairs:
-        system = assemble(grid, final_field, phys)
-        _, gap, _ = misfit_only(system, sim, data)
         pairs = io.StringIO()
-        np.savetxt(pairs, np.abs(gap.values) ** 2, delimiter=", ")
+        np.savetxt(pairs, np.abs(result.gap.values) ** 2, delimiter=", ")
     records = result.records
     summary = [
         f"iterations {len(records)}",
         f"termination {result.reason}",
         f"misfit_first {records[0].misfit:.17g}",
-        f"misfit_last {records[-1].misfit:.17g}",
+        f"misfit_last {result.misfit:.17g}",
         f"wall_time_s {sum(r.wall_time_s for r in records):.6g}",
         f"rhs_solves {sum(r.n_solves for r in records)}",
     ]
@@ -143,9 +137,8 @@ def cmd_gradcheck(args):
 def cmd_probe(args):
     cfg = _load_config(args.config)
     problem = config_mod.build_problem(cfg)
-    report = probe_stability(problem.partition, cfg.c_min_m_per_s, cfg.c_max_m_per_s,
-                             problem.phys, problem.receivers, problem.obs, problem.sim,
-                             n_pairs=args.pairs, seed=args.seed)
+    report = probe_stability(problem.initial, problem.phys, problem.receivers,
+                             problem.obs, problem.sim, n_pairs=args.pairs, seed=args.seed)
     if args.out:
         write_stability_csv(report, args.out)
     print(f"stability probe over {args.pairs} pairs: ratio in "

@@ -430,10 +430,6 @@ initial_bottom_speed_m_per_s = 2050
 """
 
 
-def default_config():
-    return parse_config(DEFAULT_CONFIG)
-
-
 def write_starter_config(path, force=False):
     """Write DEFAULT_CONFIG to path; an existing file is kept unless force."""
     if os.path.exists(path) and not force:

@@ -57,6 +57,8 @@ class OptimConfig:
     def __post_init__(self):
         if not self.n_iter_min <= self.n_iter_max:
             raise ValueError("n_iter_min must not exceed n_iter_max")
+        if self.n_iter_max < 1:
+            raise ValueError("n_iter_max must be positive")
         if not 0 < self.eps_j < 1:
             raise ValueError("eps_j must lie in (0, 1)")
         if self.n_eps < 1:
@@ -100,7 +102,12 @@ class IterationRecord:
 
 @dataclass
 class InversionResult:
+    """The written model, its misfit and gap matrix, one record per
+    iteration and the termination reason."""
+
     model: object
+    misfit: float
+    gap: object
     records: list
     reason: str
 
@@ -223,7 +230,8 @@ class Objective:
     model supplies the partition, the speed bounds and the frozen
     coefficients; each evaluation swaps in a new coefficient vector and
     raises BoundsViolationError when the evaluated speed leaves the bounds.
-    solves counts the right-hand sides solved over all evaluations so far.
+    solves counts the right-hand sides solved over all evaluations so far,
+    and gap holds the gap matrix of the last value call.
 
     The last value call keeps its vector's bytes, system (with its
     factorization), forward fields and gap matrix; a value_and_gradient
@@ -237,6 +245,7 @@ class Objective:
         self.data = data
         self.phys = phys
         self.solves = 0
+        self.gap = None
         self._kept = None
 
     def _system(self, vec):
@@ -251,6 +260,7 @@ class Objective:
             value, gap, fields = misfit_only(system, self.sim_sources, self.data)
         finally:
             self.solves += system.solve_count
+        self.gap = gap
         self._kept = (_key(vec), system, fields, gap)
         return value
 
@@ -284,9 +294,11 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
     gradient, projection onto the partition coefficients, L-BFGS
     direction, backtracking update.  Each trial of the update assembles,
     factorizes and runs n_sim forward solves.
-    Returns the last accepted model, one record per iteration, and the
-    termination reason.  The accepted misfit sequence is non-increasing and
-    frozen coefficients are bit-identical to the initial model's.
+    Returns the last accepted model with its misfit and gap matrix, one
+    record per iteration, and the termination reason.  A record holds the
+    misfit at the start of its iteration.  The accepted misfit sequence is
+    non-increasing and frozen coefficients are bit-identical to the initial
+    model's.
     """
     objective = Objective(initial_model, sim_sources, data, phys)
     coefficients = initial_model.coefficient_vector.copy()
@@ -307,6 +319,7 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
         t0 = time.perf_counter()
         solves_0 = objective.solves
         value, grad = objective.value_and_gradient(coefficients)
+        misfit, gap = value, objective.gap
         grad_norm = float(np.linalg.norm(grad))
 
         if grad_norm == 0.0:
@@ -345,6 +358,8 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
 
         step = result.coefficients - coefficients
         coefficients = result.coefficients
+        # the search stops at the accepted trial, the objective's last value call
+        misfit, gap = result.misfit, objective.gap
         grad_prev = grad
 
         stop, _ = stagnation([r.misfit for r in records], cfg)
@@ -353,7 +368,7 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
             break
 
     return InversionResult(initial_model.with_coefficient_vector(coefficients),
-                           records, reason)
+                           misfit, gap, records, reason)
 
 
 def write_iteration_log(records, path):

@@ -22,6 +22,7 @@ from cauchyfwi.config import DEFAULT_CONFIG, parse_config
 from cauchyfwi.geometry import (
     Grid,
     NodalField,
+    PiecewiseLinearModel,
     build_partition,
     evaluate_model,
     fit_coefficients,
@@ -360,8 +361,11 @@ def run_probe(tag):
     receivers = receiver_layer(grid, depth_m=20.0)
     obs = source_lattice(grid, depth_m=5.0, count=3, margin_m=30.0)
     sim = source_lattice(grid, depth_m=5.0, count=3, margin_m=30.0)
-    report = probe_stability(partition, 1400.0, 3400.0, phys, receivers,
-                             obs, sim, n_pairs=50, seed=20260808)
+    # the probe reads only the partition, bounds and water speed of the model
+    model = PiecewiseLinearModel(partition, np.zeros((partition.n_subdomains, 3)),
+                                 1400.0, 3400.0, water_speed=1500.0)
+    report = probe_stability(model, phys, receivers, obs, sim, n_pairs=50,
+                             seed=20260808)
     return {
         "report": report,
         "elapsed": time.perf_counter() - t0,

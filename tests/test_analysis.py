@@ -195,6 +195,11 @@ class TestStabilityProbe:
         sim = source_lattice(grid, depth_m=10.0, count=3, margin_m=20.0)
         return grid, partition, receivers, obs, sim
 
+    def model(self, partition):
+        # the probe reads only the partition, bounds and water speed
+        return PiecewiseLinearModel(partition, np.zeros((partition.n_subdomains, 3)),
+                                    1250.0, 3400.0, water_speed=1500.0)
+
     def test_identical_pair_has_zero_distance_and_floor_misfit(self):
         grid, partition, receivers, obs, sim = self.build()
         rng = np.random.default_rng(5)
@@ -213,7 +218,7 @@ class TestStabilityProbe:
     def test_report_reproducible_and_finite(self):
         grid, partition, receivers, obs, sim = self.build()
         reports = [
-            probe_stability(partition, 1250.0, 3400.0, PHYS, receivers,
+            probe_stability(self.model(partition), PHYS, receivers,
                             obs, sim, n_pairs=6, seed=42)
             for _ in range(2)
         ]
@@ -224,7 +229,7 @@ class TestStabilityProbe:
 
     def test_no_unflagged_zero_misfit_with_distinct_models(self, tmp_path):
         grid, partition, receivers, obs, sim = self.build()
-        report = probe_stability(partition, 1250.0, 3400.0, PHYS, receivers,
+        report = probe_stability(self.model(partition), PHYS, receivers,
                                  obs, sim, n_pairs=6, seed=1)
         for pair in report.pairs:
             if pair.linf_distance > 0 and pair.misfit <= 0:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cauchyfwi import cli, errors
+from cauchyfwi.acquisition import read_data
 from cauchyfwi.cli import cli_main
 from cauchyfwi.config import (
     DEFAULT_CONFIG,
@@ -18,14 +19,13 @@ from cauchyfwi.config import (
     build_receivers,
     build_sim_sources,
     check_acquisition,
-    default_config,
     parse_config,
     render_config,
 )
 from cauchyfwi.errors import CauchyFwiError, ConfigError
-from cauchyfwi.geometry import NodalField
+from cauchyfwi.geometry import NodalField, read_model
 from cauchyfwi.helmholtz import read_field_structured_points, write_field_structured_points
-from cauchyfwi.inversion import OptimConfig
+from cauchyfwi.inversion import Objective, OptimConfig
 
 FAST_CONFIG = """
 [grid]
@@ -93,7 +93,7 @@ def run_outputs(tmp_path_factory):
 
 class TestConfigParsing:
     def test_default_config_parses(self):
-        cfg = default_config()
+        cfg = parse_config(DEFAULT_CONFIG)
         assert cfg.freq_hz == 12.5
         assert cfg.n_iter_min == 50
         assert build_optimizer(cfg) == OptimConfig(n_iter_max=175)
@@ -284,6 +284,49 @@ class TestCliFlow:
         assert (tmp_path / "a.cauchy.txt").read_bytes() == \
                (tmp_path / "b.cauchy.txt").read_bytes()
 
+    def test_rerun_decoupled_invert_from_snapshot_bit_identical(self, tmp_path,
+                                                                 run_outputs):
+        # the snapshot does not record --decouple-sources: the re-run repeats it
+        data = str(run_outputs / "run")
+        config = self.write_config(tmp_path)
+        for prefix in ("a", "b"):
+            code = cli_main(["invert", "--config", config, "--data-prefix", data,
+                             "--out-prefix", str(tmp_path / prefix), "--decouple-sources",
+                             "--dump-pairs", str(tmp_path / f"{prefix}.pairs.csv")])
+            assert code == 0
+            config = str(tmp_path / "a.resolved.cfg")
+        for suffix in ("model.txt", "log.csv", "pairs.csv", "speed.txt", "resolved.cfg"):
+            assert (tmp_path / f"a.{suffix}").read_bytes() == \
+                   (tmp_path / f"b.{suffix}").read_bytes(), suffix
+        summaries = [[line for line in (tmp_path / f"{prefix}.summary.txt").read_text()
+                      .splitlines() if not line.startswith("wall_time_s ")]
+                     for prefix in ("a", "b")]
+        assert summaries[0] == summaries[1]
+
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_summary_and_pairs_describe_the_written_model(self, tmp_path, run_outputs,
+                                                          decoupled):
+        cfg_path = str(run_outputs / "run.cfg")
+        data_prefix = str(run_outputs / "run")
+        pairs = tmp_path / "pairs.csv"
+        args = ["invert", "--config", cfg_path, "--data-prefix", data_prefix,
+                "--out-prefix", str(tmp_path / "result"), "--dump-pairs", str(pairs)]
+        assert cli_main(args + ["--decouple-sources"] * decoupled) == 0
+
+        cfg = parse_config(FAST_CONFIG)
+        problem = build_problem(cfg, decoupled=decoupled)
+        model = read_model(str(tmp_path / "result.model.txt"), problem.partition,
+                           cfg.c_min_m_per_s, cfg.c_max_m_per_s, cfg.water_speed_m_per_s)
+        data = read_data(data_prefix + ".cauchy.txt", problem.receivers, problem.obs,
+                         expect_freq=cfg.freq_hz)
+        objective = Objective(problem.initial, problem.sim, data, problem.phys)
+        value = objective.value(model.coefficient_vector)
+        summary = dict(line.split(" ", 1)
+                       for line in (tmp_path / "result.summary.txt").read_text().splitlines())
+        assert float(summary["misfit_last"]) == value
+        assert np.array_equal(np.loadtxt(pairs, delimiter=",", ndmin=2),
+                              np.abs(objective.gap.values) ** 2)
+
     def test_gradcheck_subcommand_passes(self, tmp_path):
         text = FAST_CONFIG.replace("snr_db = 15", "snr_db = inf")
         cfg = self.write_config(tmp_path, text)
@@ -419,6 +462,7 @@ class TestCliFlow:
         cases += [("invert", FAST_CONFIG.replace(optimizer, optimizer.replace(old, new)))
                   for old, new in (
                       ("n_iter_min = 1", "n_iter_min = 5"),
+                      ("n_iter_min = 1\nn_iter_max = 3", "n_iter_min = 0\nn_iter_max = 0"),
                       ("n_eps = 1", "n_eps = 1\neps_j = 0"),
                       ("n_eps = 1", "n_eps = 1\nbacktrack_rho = 1.5"),
                       ("n_eps = 1", "n_eps = 1\ninitial_step_fraction = 0"),

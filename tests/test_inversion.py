@@ -509,6 +509,39 @@ class TestRunInversion:
         # Armijo-rejected trials and the accepted one
         assert outcomes.count("evaluated") == 1 + total("armijo") + len(result.records)
 
+    @pytest.mark.parametrize("stop", ["max_iterations", "line_search_failure"])
+    def test_result_carries_the_written_models_misfit_and_gap(self, monkeypatch, stop):
+        truth, initial, data, sim = small_problem(seed=1)
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=4, n_eps=2, eps_j=1e-9)
+        searches = []
+
+        def failing_from_third_search(coefficients, misfit_0, grad, d, misfit_fn, cfg,
+                                      alpha, rejected=None):
+            # from the third search on, evaluate one trial and give up, so the
+            # objective's last value call is a rejected trial
+            searches.append(alpha)
+            if len(searches) >= 3:
+                misfit_fn(coefficients - 1e-3 * alpha * d)
+                return inversion.LineSearchResult(False, 0.0, misfit_0, coefficients,
+                                                  cfg.max_backtracks + 1, rejected)
+            return line_search(coefficients, misfit_0, grad, d, misfit_fn, cfg, alpha,
+                               rejected)
+
+        if stop == "line_search_failure":
+            monkeypatch.setattr(inversion, "line_search", failing_from_third_search)
+        result = run_inversion(data, sim, initial, cfg, PHYS)
+        assert result.reason == stop
+
+        fresh = Objective(initial, sim, data, PHYS)
+        value = fresh.value(result.model.coefficient_vector)
+        assert np.float64(result.misfit).tobytes() == np.float64(value).tobytes()
+        assert result.gap.values.tobytes() == fresh.gap.values.tobytes()
+        if stop == "max_iterations":
+            # the records hold the misfit at the start of each iteration
+            assert result.misfit < result.records[-1].misfit
+        else:
+            assert result.misfit == result.records[-1].misfit
+
     def test_iteration_log_csv(self, tmp_path):
         truth, initial, data, sim = small_problem(seed=7)
         cfg = OptimConfig(n_iter_min=1, n_iter_max=2, n_eps=1, eps_j=1e-9)
