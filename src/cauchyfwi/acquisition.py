@@ -10,7 +10,7 @@ sensors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +43,8 @@ class ReceiverArray:
         depth_index: node layer of the surface (0 < depth_index < nz-1)
         lateral_indices: (n, dim-1) lateral node indices per receiver
         weights: surface quadrature weight per receiver, m^(dim-1)
+        value_nodes: flat node index of each receiver, set at construction
+        above_nodes, below_nodes: the nodes one layer above and below it
 
     The normal of the surface points from the unknown region up toward the
     sources.
@@ -52,6 +54,9 @@ class ReceiverArray:
     depth_index: int
     lateral_indices: np.ndarray
     weights: np.ndarray
+    value_nodes: np.ndarray = field(init=False, repr=False)
+    above_nodes: np.ndarray = field(init=False, repr=False)
+    below_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lat = np.atleast_2d(np.asarray(self.lateral_indices, dtype=np.int64))
@@ -75,6 +80,13 @@ class ReceiverArray:
         w.setflags(write=False)
         object.__setattr__(self, "lateral_indices", lat)
         object.__setattr__(self, "weights", w)
+        for name, layer in (("value_nodes", self.depth_index),
+                            ("above_nodes", self.depth_index - 1),
+                            ("below_nodes", self.depth_index + 1)):
+            multi = (*lat.T, np.full(lat.shape[0], layer, dtype=np.int64))
+            nodes = np.ravel_multi_index(multi, self.grid.shape)
+            nodes.setflags(write=False)
+            object.__setattr__(self, name, nodes)
 
     @property
     def n_receivers(self):
@@ -83,24 +95,6 @@ class ReceiverArray:
     @property
     def depth_m(self):
         return self.depth_index * self.grid.spacing[-1]
-
-    def _nodes_at(self, layer):
-        multi = np.column_stack(
-            [self.lateral_indices, np.full(self.n_receivers, layer, dtype=np.int64)]
-        )
-        return np.ravel_multi_index(tuple(multi.T), self.grid.shape)
-
-    @property
-    def value_nodes(self):
-        return self._nodes_at(self.depth_index)
-
-    @property
-    def above_nodes(self):
-        return self._nodes_at(self.depth_index - 1)
-
-    @property
-    def below_nodes(self):
-        return self._nodes_at(self.depth_index + 1)
 
     @property
     def positions(self):

@@ -21,9 +21,17 @@ SUPERLU_PANEL_SIZE): its defaults suit far larger matrices, and these
 settings factorize our grids about a third faster with the same fill (see
 HelmholtzSystem).
 
-Assembly fills a sparsity pattern cached per grid and boundary choice: the
+The column order, minimum degree followed by SuperLU's elimination-tree
+postorder, depends on the sparsity pattern alone, never on the values,
+and every operator on one grid and boundary choice has the same pattern.
+So the order is computed once per pattern, by one MMD_AT_PLUS_A
+factorization of a diagonally dominant stand-in, and cached with it.
+Assembly fills that cached pattern, already in column order: the
 off-diagonal values depend on the grid alone, so each call computes only
-the diagonal.
+the diagonal.  Each operator is then factorized in SuperLU's NATURAL
+order, which skips the ordering; its factors and solves are bit-equal to
+those of an ordering computed for that operator (HelmholtzSystem gives
+the timings).
 """
 
 from __future__ import annotations
@@ -91,9 +99,9 @@ def assemble(grid, speed, phys, free_surface=True):
     free-space response).
 
     Only the diagonal depends on the speed and the frequency.  It is
-    written into a copy of the grid's cached values (see _pattern), so the
-    matrix shares its read-only indptr and indices with every other system
-    on the same grid.
+    written into a copy of the grid's cached values, which are in the
+    column order the LU factorizes in (see _pattern), so the system shares
+    its read-only structure with every other system on the same grid.
     """
     if speed.grid != grid:
         raise AssemblyError("speed field lives on a different grid")
@@ -106,7 +114,7 @@ def assemble(grid, speed, phys, free_surface=True):
     shape = grid.shape
     h = grid.spacing
     idx = grid.multi_indices()
-    indptr, indices, offdiag, diag_slot, dirichlet = _pattern(grid, free_surface)
+    indptr, indices, offdiag, diag_slot, order, dirichlet = _pattern(grid, free_surface)
 
     k2 = phys.k ** 2
     ik0 = 1j * phys.absorbing_k0
@@ -121,21 +129,62 @@ def assemble(grid, speed, phys, free_surface=True):
     data = offdiag.copy()
     data[diag_slot] = diag
     m = grid.n_nodes
-    matrix = sp.csc_matrix((data, indices, indptr), shape=(m, m))
-    return HelmholtzSystem(grid, speed, phys, matrix, dirichlet)
+    ordered = sp.csc_matrix((data, indices, indptr), shape=(m, m))
+    return HelmholtzSystem(grid, speed, phys, ordered, order, dirichlet)
 
 
 @functools.lru_cache(maxsize=64)
 def _pattern(grid, free_surface):
-    """Compressed-column structure of the operator on a grid, and its
-    off-diagonal values, which depend on the grid alone.
+    """Compressed-column structure of the operator on a grid, with its
+    columns in a fill-reducing order, and its off-diagonal values, which
+    depend on the grid alone.
 
-    Returns (indptr, indices, offdiag, diag_slot, dirichlet), all read-only:
-    offdiag holds every value of the matrix with zeros in the diagonal
-    entries, diag_slot[j] is the position in offdiag of entry (j, j), and
-    dirichlet masks the rows of the pressure-free face (none when
-    free_surface is False).
+    Returns (indptr, indices, offdiag, diag_slot, order, dirichlet), all
+    read-only.  The first three describe A[:, order], with zeros in the
+    diagonal entries; diag_slot[j] is the position in offdiag of entry
+    (j, j) of A, and dirichlet masks the rows of the pressure-free face
+    (none when free_surface is False).
+
+    The order is q = argsort(perm_c), where perm_c is the column
+    permutation of an MMD_AT_PLUS_A factorization of a diagonally dominant
+    stand-in with the operator's structure.  Minimum degree and the
+    elimination-tree postorder that make up perm_c read the structure
+    alone, so every operator on the grid would get the same perm_c.  The
+    stand-in is complex, like the operators: with a real one the
+    benchmark's invert_coupled peaked at 90.0 MB of resident memory
+    instead of 86.4 MB.
     """
+    m = grid.n_nodes
+    matrix, dirichlet = _offdiagonal(grid, free_surface)
+    col_of_slot = np.repeat(np.arange(m), np.diff(matrix.indptr))
+    diag_slot = np.flatnonzero(matrix.indices == col_of_slot)
+
+    dominant = np.abs(matrix.data).astype(complex)
+    dominant[diag_slot] = 1.0 + np.add.reduceat(dominant, matrix.indptr[:-1])
+    # perm_c is a view that keeps the stand-in's LU alive; argsort copies
+    # it, so the LU is freed before the arrays below are allocated
+    order = np.argsort(spla.splu(
+        sp.csc_matrix((dominant, matrix.indices, matrix.indptr), shape=(m, m)),
+        permc_spec="MMD_AT_PLUS_A",
+        relax=SUPERLU_RELAX,
+        panel_size=SUPERLU_PANEL_SIZE,
+    ).perm_c)
+
+    # slot s of A moves to position position[s] of A[:, order]
+    slots = sp.csc_matrix((np.arange(matrix.nnz), matrix.indices, matrix.indptr),
+                          shape=(m, m))[:, order]
+    position = np.argsort(slots.data)
+    arrays = (slots.indptr, slots.indices, matrix.data[slots.data], position[diag_slot],
+              order, dirichlet)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _offdiagonal(grid, free_surface):
+    """The operator's off-diagonal values in compressed columns, with
+    explicit zeros in the diagonal entries, and the mask of its Dirichlet
+    rows.  Its triplets are freed on return, before _pattern factorizes."""
     dim = grid.dim
     shape = grid.shape
     h = grid.spacing
@@ -171,22 +220,19 @@ def _pattern(grid, free_surface):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(m, m),
     ).tocsc()
-    col_of_slot = np.repeat(np.arange(m), np.diff(matrix.indptr))
-    diag_slot = np.flatnonzero(matrix.indices == col_of_slot)
-    arrays = (matrix.indptr, matrix.indices, matrix.data, diag_slot, dirichlet)
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+    return matrix, dirichlet
 
 
 class HelmholtzSystem:
     """Assembled operator with a lazily cached sparse LU factorization.
 
-    The operator is fixed at construction, but the object is not
-    immutable: it caches the factorization on first use, for every later
-    solve, and solve_count counts the right-hand sides solved, for cost
-    accounting.  The factorization is SuperLU's with the MMD_AT_PLUS_A
-    column ordering and partial pivoting (see the module docstring).
+    The operator A arrives with its columns already in the fill-reducing
+    order: ordered is A[:, order], in compressed columns.  The operator is
+    fixed at construction, but the object is not immutable: it caches the
+    factorization on first use, for every later solve, and solve_count
+    counts the right-hand sides solved, for cost accounting.  The
+    factorization is SuperLU's, with partial pivoting, of the columns in
+    the order they arrive (see the module docstring).
 
     SuperLU relaxes supernodes up to SUPERLU_RELAX columns and factorizes
     panels of SUPERLU_PANEL_SIZE columns, in place of its defaults (from
@@ -218,31 +264,57 @@ class HelmholtzSystem:
     three 2-D grids.  Large relax values were left untried: relax=64 has
     been seen to crash the interpreter at exit in scipy 1.17.1.
 
+    Those times include an MMD_AT_PLUS_A ordering in every factorization.
+    The columns arrive in the order it chose, cached per grid, and SuperLU
+    factorizes them in its NATURAL order.  Median factorization times at 1
+    BLAS thread, the per-call ordering and the cached one interleaved over
+    40 runs each (same machine and versions):
+
+        41 x 21     1.66 ms -> 1.23 ms   (-26 %)
+        81 x 41     7.78 ms -> 6.36 ms   (-18 %)
+        161 x 81   43.9 ms  -> 38.6 ms   (-12 %)
+
+    The first operator on a grid in a process pays for the cached order
+    with one more factorization, of the stand-in, which costs about the
+    left-hand time; all of _pattern takes 2.5, 11 and 50 ms.  scipy runs
+    SuperLU in its symmetric mode when the ordering is NATURAL, so the
+    tests pin that factors and solves stay bit-equal to a per-call
+    ordering.
+
     A block of right-hand sides is solved FORWARD_BLOCK columns at a time
-    into a Fortran-ordered result.  In chunks this narrow every column came
-    out bit-equal to that column solved alone, at 1 and 2 BLAS threads; in
-    one 32-column solve the larger supernodes of this ordering let
-    OpenBLAS's trsm/gemm take their threaded path at 2 threads, which
-    changed the last bits of up to 31 of the 32 columns.  At 1 thread the
-    chunks are no slower than one wide solve.
+    into a Fortran-ordered result, each chunk scattered from the column
+    order back to node order.  The scatter costs about 7 %: 32 columns on
+    81 x 41 take 10.1 ms, against 9.5 ms when SuperLU permutes them itself
+    under a per-call ordering.  In chunks this narrow every column came out
+    bit-equal to that column solved alone, at 1 and 2 BLAS threads; in one
+    32-column solve the larger supernodes of this ordering let OpenBLAS's
+    trsm/gemm take their threaded path at 2 threads, which changed the
+    last bits of up to 31 of the 32 columns.  At 1 thread the chunks are
+    no slower than one wide solve.
     """
 
-    def __init__(self, grid, speed, phys, matrix, dirichlet_mask):
+    def __init__(self, grid, speed, phys, ordered, order, dirichlet_mask):
         self.grid = grid
         self.speed = speed
         self.phys = phys
-        self.matrix = matrix
         self.dirichlet_mask = dirichlet_mask
         self.solve_count = 0
+        self._ordered = ordered
+        self._order = order
         self._factor = None
+
+    @property
+    def matrix(self):
+        """The operator A, put back in node order anew on each access."""
+        return self._ordered[:, np.argsort(self._order)]
 
     @property
     def factorization(self):
         if self._factor is None:
             try:
                 self._factor = spla.splu(
-                    self.matrix,
-                    permc_spec="MMD_AT_PLUS_A",
+                    self._ordered,
+                    permc_spec="NATURAL",
                     relax=SUPERLU_RELAX,
                     panel_size=SUPERLU_PANEL_SIZE,
                 )
@@ -255,8 +327,9 @@ class HelmholtzSystem:
 
         Direct factorization; the residual satisfies |A u - b| <= 1e-10 |b|
         for well-scaled inputs and output is deterministic.  The columns
-        are solved FORWARD_BLOCK at a time into a Fortran-ordered result.
-        A non-finite result raises SolverBreakdownError.
+        are solved FORWARD_BLOCK at a time into a Fortran-ordered result,
+        each scattered back from the column order to node order.  A
+        non-finite result raises SolverBreakdownError.
         """
         b = np.asarray(rhs, dtype=complex)
         if b.shape[0] != self.grid.n_nodes:
@@ -269,7 +342,7 @@ class HelmholtzSystem:
             lu = self.factorization
             for start in range(0, cols.shape[1], FORWARD_BLOCK):
                 chunk = slice(start, start + FORWARD_BLOCK)
-                x[:, chunk] = lu.solve(cols[:, chunk])
+                x[self._order, chunk] = lu.solve(cols[:, chunk])
         except (RuntimeError, ValueError) as exc:
             raise SolverBreakdownError(f"triangular solve failed: {exc}") from exc
         if not np.isfinite(x).all():

@@ -63,6 +63,17 @@ class TestReceiverLayer:
         assert rec.n_receivers == 7 * 5
         assert np.isclose(rec.weights.sum(), 60.0 * 40.0, rtol=1e-13)
 
+    def test_nodes_fixed_and_read_only(self):
+        grid = Grid((60.0, 40.0, 50.0), (7, 5, 6))
+        rec = receiver_layer(grid, depth_m=20.0, count=3, margin_m=10.0)
+        positions = grid.node_positions()
+        assert np.array_equal(positions[rec.value_nodes], rec.positions)
+        # z is the last, fastest axis: the straddling layers are one node off
+        assert np.array_equal(rec.above_nodes, rec.value_nodes - 1)
+        assert np.array_equal(rec.below_nodes, rec.value_nodes + 1)
+        for nodes in (rec.value_nodes, rec.above_nodes, rec.below_nodes):
+            assert not nodes.flags.writeable
+
     def test_on_grid_remap(self):
         grid = make_grid()
         rec = receiver_layer(grid, depth_m=30.0, count=5, margin_m=15.0)

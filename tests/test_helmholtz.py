@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.special import hankel1
 
 from cauchyfwi import config as C
@@ -9,8 +10,12 @@ from cauchyfwi.config import DEFAULT_CONFIG, parse_config
 from cauchyfwi.errors import AssemblyError, GeometryError, SolverBreakdownError
 from cauchyfwi.geometry import Grid, NodalField, evaluate_model
 from cauchyfwi.helmholtz import (
+    FORWARD_BLOCK,
+    SUPERLU_PANEL_SIZE,
+    SUPERLU_RELAX,
     HelmholtzSystem,
     PhysicsConfig,
+    _pattern,
     assemble,
     points_per_wavelength,
     read_field_structured_points,
@@ -212,10 +217,11 @@ class TestAssemble:
         grid = GRID_3D
         speed = random_speed(grid, 14)
         first = assemble(grid, speed, PHYS).matrix
-        first.data[:] = 7.0
+        for written in (first.data, first.indices, first.indptr):
+            written[:] = 7
         second = assemble(grid, speed, PHYS).matrix
         assert_bit_equal(second, coo_reference(grid, speed, PHYS))
-        for shared in (second.indptr, second.indices):
+        for shared in _pattern(grid, True):
             assert not shared.flags.writeable
             with pytest.raises(ValueError):
                 shared[0] = 1
@@ -333,6 +339,46 @@ class TestSolve:
                 single = system.green_many(positions[[col]])
                 assert single.tobytes() == full[:, col].tobytes()
 
+    @pytest.mark.parametrize("grid_name", ["criterion_1", "default_2d", "3d"])
+    def test_cached_order_bit_equal_to_per_call_ordering(self, grid_name):
+        # the column order computed once per grid must give the factors and
+        # the solves of a minimum-degree ordering run on the operator itself
+        if grid_name == "criterion_1":
+            grid = criterion_1_start()[0].grid
+        elif grid_name == "default_2d":
+            grid = C.build_grid(parse_config(DEFAULT_CONFIG))
+        else:
+            grid = GRID_3D
+        rng = np.random.default_rng(17)
+        for free_surface in (True, False):
+            for freq_hz in (12.5, 25.0):
+                phys = PhysicsConfig(freq_hz=freq_hz, water_speed=1500.0)
+                speed = random_speed(grid, int(rng.integers(1 << 30)))
+                system = assemble(grid, speed, phys, free_surface=free_surface)
+                ref = spla.splu(system.matrix, permc_spec="MMD_AT_PLUS_A",
+                                relax=SUPERLU_RELAX, panel_size=SUPERLU_PANEL_SIZE)
+                lu = system.factorization
+                assert lu.L.data.tobytes() == ref.L.data.tobytes()
+                assert lu.U.data.tobytes() == ref.U.data.tobytes()
+                shape = (grid.n_nodes, FORWARD_BLOCK)
+                b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                assert system.solve(b).tobytes(order="F") == ref.solve(b).tobytes(order="F")
+
+    def test_one_ordering_per_grid(self, monkeypatch):
+        orderings = []
+        splu = spla.splu
+
+        def counting_splu(matrix, permc_spec=None, **kwargs):
+            orderings.append(permc_spec)
+            return splu(matrix, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        _pattern.cache_clear()
+        grid = Grid((100.0, 80.0), (21, 17))
+        for seed in (18, 19):
+            assemble(grid, random_speed(grid, seed), PHYS).factorization
+        assert orderings == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+
     def test_symmetric_ordering_keeps_fill_low(self):
         # MMD on A^T + A leaves 93,263 nonzeros in L + U here; the default
         # COLAMD ordering left 150,722
@@ -429,14 +475,15 @@ class TestSolverBreakdown:
         grid = Grid((20.0, 20.0), (3, 3))
         speed = constant_speed(grid)
         singular = sp.csc_matrix((9, 9), dtype=complex)
-        system = HelmholtzSystem(grid, speed, PHYS, singular, grid.free_surface_mask())
+        system = HelmholtzSystem(grid, speed, PHYS, singular, np.arange(9),
+                                 grid.free_surface_mask())
         with pytest.raises(SolverBreakdownError):
             system.factorization
 
     def test_non_finite_solution_reported(self):
         grid = Grid((20.0, 20.0), (3, 3))
         tiny = sp.identity(9, dtype=complex, format="csc") * 1e-300
-        system = HelmholtzSystem(grid, constant_speed(grid), PHYS, tiny,
+        system = HelmholtzSystem(grid, constant_speed(grid), PHYS, tiny, np.arange(9),
                                  grid.free_surface_mask())
         with pytest.raises(SolverBreakdownError):
             system.solve(np.full(9, 1e10, dtype=complex))  # 1e310 overflows
