@@ -124,6 +124,8 @@ def gradcheck(cfg, n_probes=0, steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
         raise ConfigError("gradient check expects a small grid (<= 151 x 101)")
     if n_probes < 0:
         raise ConfigError(f"the number of probes must be >= 0, got {n_probes}")
+    if seed < 0:
+        raise ConfigError(f"the seed must be >= 0, got {seed}")
     problem = config_mod.build_problem(cfg)
     truth = config_mod.build_true_field(cfg, problem.grid)
     data = acquisition.synthesize(truth, problem.obs, problem.receivers, problem.phys)
@@ -241,10 +243,12 @@ def probe_stability(model, phys, receivers, obs_sources, sim_sources, n_pairs, s
     coefficients that both models of a pair keep.  Pairs with zero distance
     are excluded from the statistics; pairs whose misfit vanishes (or whose
     ratio explodes) while the models differ are flagged as findings rather
-    than dropped.  Fewer than two pairs is a ConfigError.
+    than dropped.  Fewer than two pairs or a negative seed is a ConfigError.
     """
     if n_pairs < 2:
         raise ConfigError(f"need at least two pairs, got {n_pairs}")
+    if seed < 0:
+        raise ConfigError(f"the seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     pairs = []
     ratios = []

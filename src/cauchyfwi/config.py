@@ -2,9 +2,11 @@
 
 Every physical quantity carries its unit in the key name.  Unknown keys are
 rejected, every number must be finite (noise.snr_db alone may be inf), and
-validation reports every failure at once so a bad file can be fixed in one
-pass.  build_problem builds the whole inverse problem a configuration fixes
-from the build_* builders, which stay public for callers that need one part.
+validation reports every rejected value at once so a bad file can be fixed
+in one pass.  Acquisition rules are checked on the sources and receivers
+the builders return, one GeometryError at a time.  build_problem builds the
+whole inverse problem a configuration fixes from the build_* builders,
+which stay public for callers that need one part.
 The synth and invert commands archive the resolved configuration; the
 archived text reproduces the run bit-exactly under the same seed.
 """
@@ -164,7 +166,7 @@ def parse_config(text):
 
 
 def validate(cfg):
-    """Cross-field checks; raises ConfigError listing every failure."""
+    """Value checks; raises ConfigError listing every failure."""
     problems = []
     if cfg.dim not in (2, 3):
         problems.append(f"grid.dim must be 2 or 3, got {cfg.dim}")
@@ -186,6 +188,12 @@ def validate(cfg):
         problems.append(
             f"phantom.inclusion_radius_m must be > 0, got {cfg.inclusion_radius_m}"
         )
+    if cfg.water_depth_m < cfg.receiver_depth_m:
+        problems.append("the receiver layer must lie inside the known water layer")
+    if cfg.refine < 1:
+        problems.append("synthesis.refine must be >= 1")
+    if cfg.seed < 0:
+        problems.append(f"noise.seed must be >= 0, got {cfg.seed}")
     built = {}
     for section, build in (("optimizer", build_optimizer), ("grid", build_grid),
                            ("physics", build_physics)):
@@ -196,36 +204,13 @@ def validate(cfg):
     if problems:
         raise ConfigError("configuration rejected", problems)
 
-    grid, phys = built["grid"], built["physics"]
-    ppw = points_per_wavelength(grid, phys, cfg.c_min_m_per_s)
+    # the sampling rule needs the built grid and physics
+    ppw = points_per_wavelength(built["grid"], built["physics"], cfg.c_min_m_per_s)
     if ppw < 4.0:
-        problems.append(
+        raise ConfigError("configuration rejected", [
             f"only {ppw:.2f} grid points per shortest wavelength; need at least 4 "
             "(raise the node counts or lower the frequency)"
-        )
-    hz = grid.spacing[-1]
-    if cfg.receiver_depth_m <= 0 or cfg.receiver_depth_m >= cfg.extent_z_m:
-        problems.append("receiver layer must be strictly inside the domain")
-    src_bottom = cfg.obs_source_depth_m + (
-        cfg.obs_source_depth_span_m if cfg.obs_source_layers > 1 else 0.0
-    )
-    if cfg.obs_source_depth_m <= 0:
-        problems.append("sources must sit below the free surface")
-    if src_bottom > cfg.receiver_depth_m - 2 * hz + 1e-9:
-        problems.append(
-            "observation sources must sit at least two node layers above the receivers"
-        )
-    sim_depth = cfg.sim_source_depth_m if cfg.sim_source_depth_m > 0 else cfg.obs_source_depth_m
-    if sim_depth > cfg.receiver_depth_m - 2 * hz + 1e-9:
-        problems.append(
-            "simulation sources must sit at least two node layers above the receivers"
-        )
-    if cfg.water_depth_m < cfg.receiver_depth_m:
-        problems.append("the receiver layer must lie inside the known water layer")
-    if cfg.refine < 1:
-        problems.append("synthesis.refine must be >= 1")
-    if problems:
-        raise ConfigError("configuration rejected", problems)
+        ])
 
 
 def render_config(cfg):
@@ -342,10 +327,11 @@ class Problem:
 
 
 def build_problem(cfg, decoupled=False):
-    """Grid, physics, partition, checked acquisition, simulation sources,
-    starting model and optimizer settings of cfg, built once.
+    """Grid, physics, partition, checked acquisition, checked simulation
+    sources, starting model and optimizer settings of cfg, built once.
 
-    decoupled is passed to build_sim_sources.  A starting model outside
+    decoupled is passed to build_sim_sources.  validate_geometry checks both
+    source sets against the receivers (GeometryError).  A starting model outside
     [c_min, c_max], which the water speed also pins, raises ConfigError:
     no inversion could start from it.
     """
@@ -353,15 +339,16 @@ def build_problem(cfg, decoupled=False):
     phys = build_physics(cfg)
     partition = build_partition_for(cfg, grid)
     receivers, obs = check_acquisition(cfg, grid)
+    sim = build_sim_sources(cfg, grid, decoupled=decoupled)
+    validate_geometry(sim, receivers, grid)
     initial = build_initial_model(cfg, partition)
     try:
         evaluate_model(initial)
     except BoundsViolationError as exc:
         raise ConfigError(f"starting model leaves [c_min_m_per_s, c_max_m_per_s]: "
                           f"{exc}") from None
-    return Problem(grid, phys, partition, receivers, obs,
-                   build_sim_sources(cfg, grid, decoupled=decoupled),
-                   initial, build_optimizer(cfg))
+    return Problem(grid, phys, partition, receivers, obs, sim, initial,
+                   build_optimizer(cfg))
 
 
 DEFAULT_CONFIG = """\

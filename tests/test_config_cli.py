@@ -22,7 +22,7 @@ from cauchyfwi.config import (
     parse_config,
     render_config,
 )
-from cauchyfwi.errors import CauchyFwiError, ConfigError
+from cauchyfwi.errors import CauchyFwiError, ConfigError, GeometryError
 from cauchyfwi.geometry import NodalField, read_model
 from cauchyfwi.helmholtz import read_field_structured_points, write_field_structured_points
 from cauchyfwi.inversion import Objective, OptimConfig
@@ -114,6 +114,15 @@ class TestConfigParsing:
         assert "bogus_key" in message
         assert "other_bogus" in message
 
+    def test_rejected_values_listed_exhaustively(self):
+        text = FAST_CONFIG
+        for old, new in (("c_max_m_per_s = 3400", "c_max_m_per_s = 1250"),
+                         ("refine = 2", "refine = 0"), ("seed = 7", "seed = -1")):
+            text = text.replace(old, new)
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert len(err.value.problems) == 3, err.value.problems
+
     def test_duplicate_key_rejected(self):
         text = FAST_CONFIG + "\n[physics]\nfreq_hz = 30\n"
         with pytest.raises(ConfigError) as err:
@@ -134,10 +143,16 @@ class TestConfigParsing:
         assert "wavelength" in str(err.value)
 
     def test_source_receiver_separation_enforced(self):
-        text = FAST_CONFIG.replace("obs_source_depth_m = 10",
-                                   "obs_source_depth_m = 25")
-        with pytest.raises(ConfigError):
-            parse_config(text)
+        cfg = parse_config(FAST_CONFIG.replace("obs_source_depth_m = 10",
+                                               "obs_source_depth_m = 25"))
+        with pytest.raises(GeometryError, match="above the receiver layer"):
+            build_problem(cfg)
+
+    def test_volumetric_sources_checked_at_their_deepest_layer(self):
+        # layers at 10 and 15 m; the receivers at 30 m are 2 hz = 15 m below
+        cfg = parse_config(DEFAULT_CONFIG.replace("obs_source_depth_span_m = 7.5",
+                                                  "obs_source_depth_span_m = 10"))
+        assert build_problem(cfg).obs.positions[:, -1].max() == 15.0
 
     def test_builders_produce_consistent_geometry(self):
         cfg = parse_config(FAST_CONFIG)
@@ -259,6 +274,20 @@ class TestCliFlow:
         assert cli_main(["probe", "--config", cfg, "--pairs", "2", "--out", str(probe)]) == 1
         assert probe.read_text() == "previous probe\n"
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_simulation_source_depth_checked_only_by_decoupled_invert(self, tmp_path,
+                                                                       capsys):
+        cfg = self.write_config(tmp_path, FAST_CONFIG.replace("sim_source_depth_m = 20",
+                                                              "sim_source_depth_m = 30"))
+        prefix = str(tmp_path / "run")
+        assert cli_main(["synth", "--config", cfg, "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        code = cli_main(["invert", "--config", cfg, "--data-prefix", prefix,
+                         "--out-prefix", str(tmp_path / "result"), "--decouple-sources"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: geometry:"), err
+        assert not list(tmp_path.glob("result.*"))
 
     def test_invert_decoupled_sources_decreases_misfit(self, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -455,6 +484,7 @@ class TestCliFlow:
         cases = [("synth", "[grid]\nnot_a_key = 3\n")]
         cases += [("synth", FAST_CONFIG.replace("snr_db = 15", f"snr_db = {snr}"))
                   for snr in ("nan", "-inf")]
+        cases += [("synth", FAST_CONFIG.replace("seed = 7", "seed = -1"))]
         cases += [("synth", FAST_CONFIG.replace(old, old.split(" = ")[0] + " = nan"))
                   for old in ("extent_x_m = 240", "receiver_depth_m = 40",
                               "source_margin_m = 30", "tile_x_m = 80",
@@ -493,6 +523,13 @@ class TestCliFlow:
          "config"),
         # a one-node-layer tile below the water cannot be fitted
         ("synth", "water_depth_m = 40", "water_depth_m = 50", "geometry"),
+        # with the y keys a dim = 4 file builds a grid: only the dim rule says config
+        ("synth", "dim = 2", "dim = 4\nextent_y_m = 240\nnodes_y = 25", "config"),
+        ("synth", "refine = 2", "refine = 0", "config"),
+        ("synth", "c_max_m_per_s = 3400", "c_max_m_per_s = 1250", "config"),
+        ("synth", "water_depth_m = 40", "water_depth_m = 30", "config"),
+        # hz = 10 m: sources at 25 m are one node layer above the receivers
+        ("synth", "obs_source_depth_m = 10", "obs_source_depth_m = 25", "geometry"),
     ])
     def test_rejected_value_categorized_error(self, tmp_path, capsys, command, old, new, label):
         assert old in FAST_CONFIG
@@ -508,6 +545,8 @@ class TestCliFlow:
         ["probe", "--pairs", "1"],
         ["probe", "--pairs", "0"],
         ["gradcheck", "--probes", "-1"],
+        ["probe", "--seed", "-1"],
+        ["gradcheck", "--probes", "2", "--seed", "-1"],
     ])
     def test_count_argument_is_a_config_error(self, tmp_path, capsys, args):
         assert cli_main(args + ["--config", self.write_config(tmp_path)]) == 1
