@@ -16,7 +16,7 @@ import numpy as np
 
 from . import helmholtz
 from .errors import DataFormatError, GeometryError
-from .geometry import Grid
+from .geometry import Grid, read_only
 from .helmholtz import assemble
 from .textio import write_text_atomic
 
@@ -59,10 +59,10 @@ class ReceiverArray:
     below_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        lat = np.atleast_2d(np.asarray(self.lateral_indices, dtype=np.int64))
+        lat = read_only(np.atleast_2d(self.lateral_indices), np.int64)
         if lat.shape[1] != self.grid.dim - 1:
             raise GeometryError("need dim-1 lateral indices per receiver")
-        w = np.asarray(self.weights, dtype=float).ravel()
+        w = read_only(np.ravel(self.weights), float)
         if w.size != lat.shape[0]:
             raise GeometryError("one weight per receiver required")
         if (w <= 0).any():
@@ -74,10 +74,6 @@ class ReceiverArray:
         for d in range(self.grid.dim - 1):
             if lat[:, d].min() < 0 or lat[:, d].max() >= self.grid.shape[d]:
                 raise GeometryError("receiver lateral index outside the grid")
-        lat = lat.copy()
-        lat.setflags(write=False)
-        w = w.copy()
-        w.setflags(write=False)
         object.__setattr__(self, "lateral_indices", lat)
         object.__setattr__(self, "weights", w)
         for name, layer in (("value_nodes", self.depth_index),
@@ -85,8 +81,7 @@ class ReceiverArray:
                             ("below_nodes", self.depth_index + 1)):
             multi = (*lat.T, np.full(lat.shape[0], layer, dtype=np.int64))
             nodes = np.ravel_multi_index(multi, self.grid.shape)
-            nodes.setflags(write=False)
-            object.__setattr__(self, name, nodes)
+            object.__setattr__(self, name, read_only(nodes))
 
     @property
     def n_receivers(self):
@@ -166,16 +161,12 @@ class SourceSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        w = np.asarray(self.weights, dtype=float).ravel()
+        pos = read_only(np.atleast_2d(self.positions), float)
+        w = read_only(np.ravel(self.weights), float)
         if w.size != pos.shape[0]:
             raise GeometryError("one weight per source required")
         if (w <= 0).any():
             raise GeometryError("source weights must be positive")
-        pos = pos.copy()
-        pos.setflags(write=False)
-        w = w.copy()
-        w.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", w)
 
@@ -259,18 +250,14 @@ class CauchyDataSet:
 
     def __post_init__(self):
         shape = (self.obs_sources.n_sources, self.receivers.n_receivers)
-        g = np.asarray(self.g, dtype=complex)
-        dg = np.asarray(self.dg, dtype=complex)
+        g = read_only(self.g, complex)
+        dg = read_only(self.dg, complex)
         if g.shape != shape or dg.shape != shape:
             raise GeometryError(
                 f"trace matrices must have shape {shape}, got {g.shape} and {dg.shape}"
             )
         if not (np.isfinite(g).all() and np.isfinite(dg).all()):
             raise ValueError("traces contain non-finite values")
-        g = g.copy()
-        g.setflags(write=False)
-        dg = dg.copy()
-        dg.setflags(write=False)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "dg", dg)
 

@@ -51,7 +51,7 @@ def cmd_init(args):
 def cmd_synth(args):
     cfg = _load_config(args.config)
     problem = config_mod.build_problem(cfg)
-    fine = problem.grid.refine(1 if args.inverse_crime else cfg.refine)
+    fine = problem.grid.refine(cfg.refine)
     truth_fine = config_mod.build_true_field(cfg, fine)
     data = synthesize(truth_fine, problem.obs, problem.receivers, problem.phys)
     if math.isfinite(cfg.snr_db):
@@ -174,8 +174,6 @@ def build_parser():
     p = sub.add_parser("synth", help="synthesize Cauchy data from the phantom")
     p.add_argument("--config", required=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--inverse-crime", action="store_true",
-                   help="synthesize on the inversion grid itself")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("invert", help="reconstruct the wave speed from data")

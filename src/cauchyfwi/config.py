@@ -192,6 +192,10 @@ def validate(cfg):
         problems.append("the receiver layer must lie inside the known water layer")
     if cfg.refine < 1:
         problems.append("synthesis.refine must be >= 1")
+    if cfg.sim_source_count < 0:
+        problems.append(
+            f"acquisition.sim_source_count must be >= 0, got {cfg.sim_source_count}"
+        )
     if cfg.seed < 0:
         problems.append(f"noise.seed must be >= 0, got {cfg.seed}")
     built = {}

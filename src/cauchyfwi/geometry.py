@@ -20,6 +20,14 @@ from .errors import BoundsViolationError, DataFormatError, GeometryError
 from .textio import write_text_atomic
 
 
+def read_only(values, dtype=None):
+    """A read-only C-ordered copy of values; how every value type and
+    per-grid cache stores its arrays, so no caller holds a writable alias."""
+    arr = np.array(values, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Grid:
     """Rectilinear node grid.
@@ -65,25 +73,40 @@ class Grid:
     def cell_volume(self):
         return math.prod(self.spacing)
 
+    # cached on the method, so equal grids share one entry
+    @functools.lru_cache(maxsize=64)
     def multi_indices(self):
         """(n_nodes, dim) integer node indices in C (row-major) order."""
-        return _multi_indices(self)
+        return read_only(np.indices(self.shape).reshape(self.dim, -1).T)
 
+    @functools.lru_cache(maxsize=64)
     def node_positions(self):
         """(n_nodes, dim) node coordinates in meters, C order."""
-        return _node_positions(self)
+        return read_only(self.multi_indices() * np.array(self.spacing))
 
+    @functools.lru_cache(maxsize=64)
     def node_weights(self):
         """Tensor-product trapezoid quadrature weight per node, m^dim."""
-        return _node_weights(self)
+        axis_w = []
+        for n, h in zip(self.shape, self.spacing):
+            w = np.full(n, h)
+            w[0] = w[-1] = 0.5 * h
+            axis_w.append(w)
+        return read_only(functools.reduce(np.multiply.outer, axis_w).ravel())
 
+    @functools.lru_cache(maxsize=64)
     def free_surface_mask(self):
         """Boolean flat mask of nodes on the depth-0 face."""
-        return _free_surface_mask(self)
+        return read_only(self.multi_indices()[:, -1] == 0)
 
+    @functools.lru_cache(maxsize=64)
     def boundary_scale(self):
         """Per-node factor 2^-(number of boundary faces touched)."""
-        return _boundary_scale(self)
+        idx = self.multi_indices()
+        n_faces = np.zeros(self.n_nodes, dtype=int)
+        for d, n in enumerate(self.shape):
+            n_faces += (idx[:, d] == 0) | (idx[:, d] == n - 1)
+        return read_only(0.5 ** n_faces)
 
     def nearest_nodes(self, positions):
         """Flat indices of the grid nodes closest to (n, dim) physical
@@ -109,50 +132,6 @@ class Grid:
         return Grid(self.extent, tuple((n - 1) * f + 1 for n in self.shape))
 
 
-@functools.lru_cache(maxsize=64)
-def _multi_indices(grid):
-    idx = np.indices(grid.shape).reshape(grid.dim, -1).T
-    idx.setflags(write=False)
-    return idx
-
-
-@functools.lru_cache(maxsize=64)
-def _node_positions(grid):
-    pos = _multi_indices(grid).astype(float) * np.array(grid.spacing)
-    pos.setflags(write=False)
-    return pos
-
-
-@functools.lru_cache(maxsize=64)
-def _node_weights(grid):
-    axis_w = []
-    for n, h in zip(grid.shape, grid.spacing):
-        w = np.full(n, h)
-        w[0] = w[-1] = 0.5 * h
-        axis_w.append(w)
-    w = functools.reduce(np.multiply.outer, axis_w).ravel()
-    w.setflags(write=False)
-    return w
-
-
-@functools.lru_cache(maxsize=64)
-def _free_surface_mask(grid):
-    mask = (_multi_indices(grid)[:, -1] == 0).copy()
-    mask.setflags(write=False)
-    return mask
-
-
-@functools.lru_cache(maxsize=64)
-def _boundary_scale(grid):
-    idx = _multi_indices(grid)
-    n_faces = np.zeros(grid.n_nodes, dtype=int)
-    for d, n in enumerate(grid.shape):
-        n_faces += (idx[:, d] == 0) | (idx[:, d] == n - 1)
-    scale = 0.5 ** n_faces
-    scale.setflags(write=False)
-    return scale
-
-
 @dataclass(frozen=True, eq=False)
 class NodalField:
     """One value per grid node, flat in C order.  Real or complex."""
@@ -161,13 +140,11 @@ class NodalField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values).ravel()
+        vals = read_only(np.ravel(self.values))
         if vals.size != self.grid.n_nodes:
             raise ValueError(
                 f"field has {vals.size} values, grid has {self.grid.n_nodes} nodes"
             )
-        vals = vals.copy()
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def reshape(self):
@@ -189,8 +166,8 @@ class Partition:
     frozen: np.ndarray
 
     def __post_init__(self):
-        node_map = np.asarray(self.node_map, dtype=np.int32).ravel()
-        frozen = np.asarray(self.frozen, dtype=bool).ravel()
+        node_map = read_only(np.ravel(self.node_map), np.int32)
+        frozen = read_only(np.ravel(self.frozen), bool)
         if node_map.size != self.grid.n_nodes:
             raise ValueError("node_map length must equal the node count")
         n = frozen.size
@@ -200,10 +177,6 @@ class Partition:
         if (counts == 0).any():
             empty = int(np.nonzero(counts == 0)[0][0])
             raise ValueError(f"subdomain {empty} owns no nodes")
-        node_map = node_map.copy()
-        node_map.setflags(write=False)
-        frozen = frozen.copy()
-        frozen.setflags(write=False)
         object.__setattr__(self, "node_map", node_map)
         object.__setattr__(self, "frozen", frozen)
 
@@ -212,21 +185,14 @@ class Partition:
         return int(self.frozen.size)
 
     def nodes_of(self, j):
-        """Flat node indices owned by subdomain j."""
-        return self._node_lists()[j]
+        """Flat node indices owned by subdomain j, as a read-only view."""
+        return self._node_lists[j]
 
+    @functools.cached_property
     def _node_lists(self):
-        cache = getattr(self, "_node_lists_cache", None)
-        if cache is None:
-            order = np.argsort(self.node_map, kind="stable")
-            bounds = np.searchsorted(
-                self.node_map[order], np.arange(self.n_subdomains + 1)
-            )
-            cache = [
-                order[bounds[j] : bounds[j + 1]] for j in range(self.n_subdomains)
-            ]
-            object.__setattr__(self, "_node_lists_cache", cache)
-        return cache
+        order = read_only(np.argsort(self.node_map, kind="stable"))
+        bounds = np.searchsorted(self.node_map[order], np.arange(self.n_subdomains + 1))
+        return tuple(order[bounds[j] : bounds[j + 1]] for j in range(self.n_subdomains))
 
     def bounding_box(self, j):
         """(low, high) corner positions in meters of subdomain j's nodes."""
@@ -339,8 +305,7 @@ class PiecewiseLinearModel:
         if self.water_speed is not None:
             coeffs[self.partition.frozen, 0] = float(self.water_speed)
             coeffs[self.partition.frozen, 1:] = 0.0
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", read_only(coeffs))
 
     @property
     def coefficient_vector(self):
@@ -447,7 +412,8 @@ def write_model(model, path):
 
 def read_model(path, partition, c_min, c_max, water_speed=None):
     """Read a model file back against a known partition; a malformed or
-    non-finite entry raises DataFormatError naming the file."""
+    non-finite entry raises DataFormatError naming the file, and so does a
+    frozen row other than (water_speed, 0, ...) when water_speed is given."""
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines:
@@ -486,6 +452,10 @@ def read_model(path, partition, c_min, c_max, water_speed=None):
         if frozen != bool(partition.frozen[j]):
             raise DataFormatError(
                 f"{path}: frozen flag of subdomain {j} disagrees with the partition"
+            )
+        if frozen and water_speed is not None and values != [water_speed] + [0.0] * dim:
+            raise DataFormatError(
+                f"{path}: frozen row {ln!r} does not carry the water speed {water_speed} m/s"
             )
     return PiecewiseLinearModel(partition, coeffs, c_min, c_max, water_speed)
 

@@ -49,7 +49,7 @@ from .errors import (
     GeometryError,
     SolverBreakdownError,
 )
-from .geometry import Grid, NodalField
+from .geometry import Grid, NodalField, read_only
 from .textio import write_text_atomic
 
 # Columns per triangular solve; see HelmholtzSystem.
@@ -174,11 +174,8 @@ def _pattern(grid, free_surface):
     slots = sp.csc_matrix((np.arange(matrix.nnz), matrix.indices, matrix.indptr),
                           shape=(m, m))[:, order]
     position = np.argsort(slots.data)
-    arrays = (slots.indptr, slots.indices, matrix.data[slots.data], position[diag_slot],
-              order, dirichlet)
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+    return tuple(read_only(a) for a in (slots.indptr, slots.indices, matrix.data[slots.data],
+                                        position[diag_slot], order, dirichlet))
 
 
 def _offdiagonal(grid, free_surface):

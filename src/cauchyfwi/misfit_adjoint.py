@@ -35,7 +35,7 @@ import numpy as np
 
 from . import helmholtz
 from .errors import GeometryError
-from .geometry import NodalField
+from .geometry import NodalField, read_only
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,9 +47,9 @@ class ReciprocityGapMatrix:
     obs_weights: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        wy = np.asarray(self.sim_weights, dtype=float).ravel()
-        wz = np.asarray(self.obs_weights, dtype=float).ravel()
+        vals = read_only(self.values, complex)
+        wy = read_only(np.ravel(self.sim_weights), float)
+        wz = read_only(np.ravel(self.obs_weights), float)
         if vals.shape != (wy.size, wz.size):
             raise GeometryError(
                 f"gap matrix shape {vals.shape} does not match "
@@ -57,9 +57,6 @@ class ReciprocityGapMatrix:
             )
         if not np.isfinite(vals).all():
             raise ValueError("gap matrix contains non-finite values")
-        vals, wy, wz = vals.copy(), wy.copy(), wz.copy()
-        for arr in (vals, wy, wz):
-            arr.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "sim_weights", wy)
         object.__setattr__(self, "obs_weights", wz)

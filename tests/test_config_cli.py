@@ -530,6 +530,7 @@ class TestCliFlow:
         ("synth", "water_depth_m = 40", "water_depth_m = 30", "config"),
         # hz = 10 m: sources at 25 m are one node layer above the receivers
         ("synth", "obs_source_depth_m = 10", "obs_source_depth_m = 25", "geometry"),
+        ("synth", "sim_source_count = 3", "sim_source_count = -2", "config"),
     ])
     def test_rejected_value_categorized_error(self, tmp_path, capsys, command, old, new, label):
         assert old in FAST_CONFIG

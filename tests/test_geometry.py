@@ -389,6 +389,19 @@ class TestModelFiles:
         back = read_model(path, partition2d, 1000.0, 2000.0, water_speed=1500.0)
         assert np.array_equal(back.coeffs, model.coeffs)
 
+    def test_frozen_row_must_carry_the_water_speed(self, partition2d, tmp_path):
+        # a file written at 1600 m/s water, read after the config says 1500
+        n = partition2d.n_subdomains
+        model = PiecewiseLinearModel(partition2d, np.full((n, 3), 1700.0), 1000.0, 2000.0,
+                                     water_speed=1600.0)
+        path = tmp_path / "model.txt"
+        write_model(model, path)
+        j = int(np.flatnonzero(partition2d.frozen)[0])
+        with pytest.raises(DataFormatError, match=f"model.txt: frozen row '{j} 1600 0 0 1'"):
+            read_model(path, partition2d, 1000.0, 2000.0, water_speed=1500.0)
+        back = read_model(path, partition2d, 1000.0, 2000.0, water_speed=1600.0)
+        assert np.array_equal(back.coeffs, model.coeffs)
+
     def test_model_header_validation(self, partition2d, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("plmodel 2 999\n")
