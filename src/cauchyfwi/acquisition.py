@@ -216,7 +216,12 @@ def source_lattice(grid, depth_m, count, margin_m=0.0, depth_span_m=0.0, n_layer
 
 
 def validate_geometry(sources, receivers, grid):
-    """Sources must sit at least two layers above the receiver surface."""
+    """Sources must sit at least two layers above the receiver surface, and
+    no two of them may snap to the same node of grid."""
+    n_nodes = np.unique(grid.nearest_nodes(sources.positions)).size
+    if n_nodes < sources.n_sources:
+        raise GeometryError(f"{sources.n_sources} sources snap to only {n_nodes} "
+                            f"distinct nodes of the {grid.shape} grid")
     hz = grid.spacing[-1]
     sigma_depth = receivers.depth_index * hz
     gap = sigma_depth - sources.positions[:, -1].max()

@@ -114,11 +114,12 @@ def gradcheck(cfg, n_probes=0, steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
               seed=7, tolerance=1e-4):
     """Adjoint gradient versus central finite differences, step-swept.
 
-    Builds the configured geometry on the inversion grid, synthesizes clean
-    data from the phantom, and differentiates the misfit of the depth-only
-    starting model.  n_probes = 0 probes every non-frozen coefficient.  A
-    probe whose misfit differences drown in rounding is retried once with
-    10x wider steps, then reported inconclusive.
+    Builds the configured problem, takes its clean data from
+    config.build_clean_data (the phantom solved on the refine grid), and
+    differentiates the misfit of the depth-only starting model.  With
+    n_probes = 0 every non-frozen coefficient is probed.  A probe whose
+    misfit differences drown in rounding is retried once with 10x wider
+    steps, then reported inconclusive.
     """
     if cfg.dim == 2 and (cfg.nodes_x > 151 or cfg.nodes_z > 101):
         raise ConfigError("gradient check expects a small grid (<= 151 x 101)")
@@ -127,10 +128,9 @@ def gradcheck(cfg, n_probes=0, steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
     if seed < 0:
         raise ConfigError(f"the seed must be >= 0, got {seed}")
     problem = config_mod.build_problem(cfg)
-    truth = config_mod.build_true_field(cfg, problem.grid)
-    data = acquisition.synthesize(truth, problem.obs, problem.receivers, problem.phys)
     model = problem.initial
-    objective = Objective(model, problem.sim, data, problem.phys)
+    objective = Objective(model, problem.sim, config_mod.build_clean_data(cfg, problem),
+                          problem.phys)
     base = model.coefficient_vector.copy()
     j0, adjoint = objective.value_and_gradient(base)
 

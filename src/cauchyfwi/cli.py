@@ -3,6 +3,7 @@
 synth, invert and probe build their problem with one config.build_problem
 call, and gradcheck through analysis.gradcheck, which makes the same call;
 export builds only the grid and partition that reading a model file needs.
+synth and gradcheck take their clean data from config.build_clean_data.
 synth and invert write a resolved-configuration snapshot next to their
 outputs; re-running from the snapshot with the same flags reproduces the
 outputs bit-exactly for a fixed seed, at 1 and at 2 OpenBLAS threads alike.
@@ -16,13 +17,12 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import sys
 
 import numpy as np
 
 from . import config as config_mod
-from .acquisition import add_noise, read_data, synthesize, write_data
+from .acquisition import add_noise, read_data, write_data
 from .analysis import (
     export_field,
     gradcheck,
@@ -51,11 +51,7 @@ def cmd_init(args):
 def cmd_synth(args):
     cfg = _load_config(args.config)
     problem = config_mod.build_problem(cfg)
-    fine = problem.grid.refine(cfg.refine)
-    truth_fine = config_mod.build_true_field(cfg, fine)
-    data = synthesize(truth_fine, problem.obs, problem.receivers, problem.phys)
-    if math.isfinite(cfg.snr_db):
-        data = add_noise(data, cfg.snr_db, cfg.seed)
+    data = add_noise(config_mod.build_clean_data(cfg, problem), cfg.snr_db, cfg.seed)
 
     prefix = args.out_prefix
     write_data(data, prefix + ".cauchy.txt")

@@ -6,7 +6,9 @@ validation reports every rejected value at once so a bad file can be fixed
 in one pass.  Acquisition rules are checked on the sources and receivers
 the builders return, one GeometryError at a time.  build_problem builds the
 whole inverse problem a configuration fixes from the build_* builders,
-which stay public for callers that need one part.
+which stay public for callers that need one part; build_clean_data
+synthesizes its noise-free data on the refine grid, and acquisition.add_noise
+turns them into a run's data.
 The synth and invert commands archive the resolved configuration; the
 archived text reproduces the run bit-exactly under the same seed.
 """
@@ -17,16 +19,10 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
+from . import acquisition
 from .errors import BoundsViolationError, ConfigError
 from .geometry import Grid, Partition, PiecewiseLinearModel, build_partition, evaluate_model
 from .helmholtz import PhysicsConfig, points_per_wavelength
-from .acquisition import (
-    ReceiverArray,
-    SourceSet,
-    receiver_layer,
-    source_lattice,
-    validate_geometry,
-)
 from .inversion import OptimConfig
 from .phantom import INCLUSION_PROFILES, layered_inclusion_phantom, initial_depth_model
 from .textio import write_text_atomic
@@ -258,12 +254,12 @@ def build_partition_for(cfg, grid):
 
 
 def build_receivers(cfg, grid):
-    return receiver_layer(grid, cfg.receiver_depth_m, cfg.receiver_count,
-                          cfg.receiver_margin_m)
+    return acquisition.receiver_layer(grid, cfg.receiver_depth_m, cfg.receiver_count,
+                                      cfg.receiver_margin_m)
 
 
 def build_obs_sources(cfg, grid):
-    return source_lattice(
+    return acquisition.source_lattice(
         grid, cfg.obs_source_depth_m, cfg.obs_source_count,
         margin_m=cfg.source_margin_m,
         depth_span_m=cfg.obs_source_depth_span_m, n_layers=cfg.obs_source_layers,
@@ -280,7 +276,7 @@ def build_sim_sources(cfg, grid, decoupled=False):
         return build_obs_sources(cfg, grid)
     count = cfg.sim_source_count if cfg.sim_source_count > 0 else cfg.obs_source_count
     depth = cfg.sim_source_depth_m if cfg.sim_source_depth_m > 0 else cfg.obs_source_depth_m
-    return source_lattice(grid, depth, count, margin_m=cfg.source_margin_m)
+    return acquisition.source_lattice(grid, depth, count, margin_m=cfg.source_margin_m)
 
 
 def build_optimizer(cfg):
@@ -288,17 +284,25 @@ def build_optimizer(cfg):
 
 
 def build_true_field(cfg, grid):
+    """The phantom on grid; ConfigError if any speed leaves [c_min, c_max]."""
     if cfg.dim == 2:
         center = (cfg.inclusion_center_x_m, cfg.inclusion_center_z_m)
     else:
         center = (cfg.inclusion_center_x_m, cfg.inclusion_center_y_m,
                   cfg.inclusion_center_z_m)
-    return layered_inclusion_phantom(
+    truth = layered_inclusion_phantom(
         grid, cfg.water_depth_m, cfg.water_speed_m_per_s,
         cfg.background_surface_m_per_s, cfg.background_gradient_per_s,
         center, cfg.inclusion_radius_m, cfg.inclusion_speed_m_per_s,
         profile=cfg.inclusion_profile,
     )
+    low, high = truth.values.min(), truth.values.max()
+    if not cfg.c_min_m_per_s <= low <= high <= cfg.c_max_m_per_s:
+        raise ConfigError(
+            f"phantom speeds span [{low:.6g}, {high:.6g}] m/s, outside [c_min_m_per_s, "
+            f"c_max_m_per_s] = [{cfg.c_min_m_per_s:g}, {cfg.c_max_m_per_s:g}]"
+        )
+    return truth
 
 
 def build_initial_model(cfg, partition):
@@ -312,7 +316,7 @@ def build_initial_model(cfg, partition):
 def check_acquisition(cfg, grid):
     receivers = build_receivers(cfg, grid)
     obs = build_obs_sources(cfg, grid)
-    validate_geometry(obs, receivers, grid)
+    acquisition.validate_geometry(obs, receivers, grid)
     return receivers, obs
 
 
@@ -323,9 +327,9 @@ class Problem:
     grid: Grid
     phys: PhysicsConfig
     partition: Partition
-    receivers: ReceiverArray
-    obs: SourceSet
-    sim: SourceSet
+    receivers: acquisition.ReceiverArray
+    obs: acquisition.SourceSet
+    sim: acquisition.SourceSet
     initial: PiecewiseLinearModel
     optim: OptimConfig
 
@@ -344,7 +348,7 @@ def build_problem(cfg, decoupled=False):
     partition = build_partition_for(cfg, grid)
     receivers, obs = check_acquisition(cfg, grid)
     sim = build_sim_sources(cfg, grid, decoupled=decoupled)
-    validate_geometry(sim, receivers, grid)
+    acquisition.validate_geometry(sim, receivers, grid)
     initial = build_initial_model(cfg, partition)
     try:
         evaluate_model(initial)
@@ -353,6 +357,14 @@ def build_problem(cfg, decoupled=False):
                           f"{exc}") from None
     return Problem(grid, phys, partition, receivers, obs, sim, initial,
                    build_optimizer(cfg))
+
+
+def build_clean_data(cfg, problem):
+    """Noise-free data of cfg's phantom at problem's sources and receivers,
+    synthesized on problem.grid refined cfg.refine times."""
+    fine = problem.grid.refine(cfg.refine)
+    return acquisition.synthesize(build_true_field(cfg, fine), problem.obs,
+                                  problem.receivers, problem.phys)
 
 
 DEFAULT_CONFIG = """\

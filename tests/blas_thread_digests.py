@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse.linalg  # noqa: F401  loads scipy's OpenBLAS
 
 from cauchyfwi import config as C
-from cauchyfwi.acquisition import add_noise, synthesize
+from cauchyfwi.acquisition import add_noise
 from cauchyfwi.config import DEFAULT_CONFIG, parse_config
 from cauchyfwi.geometry import evaluate_model
 from cauchyfwi.helmholtz import assemble
@@ -49,11 +49,8 @@ def digest(*arrays):
 
 def main():
     cfg = parse_config(DEFAULT_CONFIG)
-    grid = C.build_grid(cfg)
-    phys = C.build_physics(cfg)
-    receivers, obs = C.check_acquisition(cfg, grid)
-    sim = C.build_sim_sources(cfg, grid)
-    initial = C.build_initial_model(cfg, C.build_partition_for(cfg, grid))
+    problem = C.build_problem(cfg)
+    grid, phys, sim, initial = problem.grid, problem.phys, problem.sim, problem.initial
     start = evaluate_model(initial)
     print("openblas_threads", *openblas_threads())
 
@@ -68,9 +65,7 @@ def main():
     fields = assemble(grid, start, phys).green_many(sim.positions)
     print("green_many", digest(fields))
 
-    fine = C.build_grid(cfg, refine=cfg.refine)
-    data = synthesize(C.build_true_field(cfg, fine), obs, receivers, phys)
-    data = add_noise(data, cfg.snr_db, cfg.seed)
+    data = add_noise(C.build_clean_data(cfg, problem), cfg.snr_db, cfg.seed)
     objective = Objective(initial, sim, data, phys)
     vec = initial.coefficient_vector
     step = np.zeros_like(initial.coeffs)

@@ -8,11 +8,9 @@ per-criterion lines.
 
 import functools
 import hashlib
-import math
 import time
 
 import numpy as np
-import pytest
 from scipy.special import hankel1
 
 from cauchyfwi import config as C
@@ -90,24 +88,21 @@ def test_criterion_1_adjoint_gradient_matches_finite_differences():
 def run_zero_residual(tag):
     t0 = time.perf_counter()
     cfg = parse_config(GRADCHECK_CONFIG)
-    grid = C.build_grid(cfg)
-    phys = C.build_physics(cfg)
-    partition = C.build_partition_for(cfg, grid)
-    receivers, obs = C.check_acquisition(cfg, grid)
-    sim = C.build_sim_sources(cfg, grid)
+    problem = C.build_problem(cfg)
+    grid, phys, partition = problem.grid, problem.phys, problem.partition
     truth = fit_coefficients(C.build_true_field(cfg, grid), partition,
                              cfg.c_min_m_per_s, cfg.c_max_m_per_s,
                              water_speed=cfg.water_speed_m_per_s)
     truth_field = evaluate_model(truth)
-    data = synthesize(truth_field, obs, receivers, phys)
+    data = synthesize(truth_field, problem.obs, problem.receivers, phys)
 
     perturbed = truth.coeffs.copy()
     j = int(np.nonzero(~partition.frozen)[0][0])
     perturbed[j, 0] *= 1.10
     init = truth.with_coefficient_vector(perturbed.ravel())
 
-    j_true, _, _ = misfit_only(assemble(grid, truth_field, phys), sim, data)
-    j_init, _, _ = misfit_only(assemble(grid, evaluate_model(init), phys), sim, data)
+    j_true, _, _ = misfit_only(assemble(grid, truth_field, phys), problem.sim, data)
+    j_init, _, _ = misfit_only(assemble(grid, evaluate_model(init), phys), problem.sim, data)
     return {
         "j_true": j_true,
         "j_init": j_init,
@@ -134,9 +129,8 @@ def test_criterion_2_zero_residual_at_truth():
 def run_symmetry(tag):
     t0 = time.perf_counter()
     cfg = parse_config(GRADCHECK_CONFIG)
-    grid = C.build_grid(cfg)
-    phys = C.build_physics(cfg)
-    receivers, _ = C.check_acquisition(cfg, grid)
+    problem = C.build_problem(cfg)
+    grid, phys, receivers = problem.grid, problem.phys, problem.receivers
     obs = source_lattice(grid, depth_m=5.0, count=4, margin_m=30.0)
     truth_field = C.build_true_field(cfg, grid)
     data = synthesize(truth_field, obs, receivers, phys)
@@ -234,18 +228,12 @@ def test_criterion_4_analytic_accuracy_and_convergence_order():
 def run_reconstruction(tag, decoupled):
     t0 = time.perf_counter()
     cfg = parse_config(DEFAULT_CONFIG)
-    grid = C.build_grid(cfg)
-    fine = C.build_grid(cfg, refine=cfg.refine)
-    phys = C.build_physics(cfg)
-    partition = C.build_partition_for(cfg, grid)
-    receivers, obs = C.check_acquisition(cfg, grid)
-    data = synthesize(C.build_true_field(cfg, fine), obs, receivers, phys)
-    data = add_noise(data, cfg.snr_db, cfg.seed)
-    sim = C.build_sim_sources(cfg, grid, decoupled=decoupled)
-    initial = C.build_initial_model(cfg, partition)
-    result = run_inversion(data, sim, initial, C.build_optimizer(cfg), phys)
+    problem = C.build_problem(cfg, decoupled=decoupled)
+    data = add_noise(C.build_clean_data(cfg, problem), cfg.snr_db, cfg.seed)
+    initial = problem.initial
+    result = run_inversion(data, problem.sim, initial, problem.optim, problem.phys)
 
-    truth_inv = C.build_true_field(cfg, grid)
+    truth_inv = C.build_true_field(cfg, problem.grid)
     e_init = relative_l2_error(truth_inv, evaluate_model(initial))
     e_final = relative_l2_error(truth_inv, evaluate_model(result.model))
     history = np.array(result.misfit_history)
@@ -257,8 +245,8 @@ def run_reconstruction(tag, decoupled):
         "n_iter": len(result.records),
         "initial": initial,
         "model": result.model,
-        "n_sim": sim.n_sources,
-        "n_obs": obs.n_sources,
+        "n_sim": problem.sim.n_sources,
+        "n_obs": problem.obs.n_sources,
         "elapsed": time.perf_counter() - t0,
         "digest": _digest(history, result.model.coefficient_vector),
     }

@@ -140,13 +140,14 @@ class TestSynthesize:
         assert order >= 1.7
 
     def test_streams_source_blocks_and_keeps_only_traces(self):
-        # 128 sources on the 81 x 41 h/2 grid: 16 blocks of FORWARD_BLOCK.
+        # 128 sources on distinct nodes of the 81 x 41 h/2 grid: 16 blocks
+        # of FORWARD_BLOCK.
         grid = make_grid()
         fine = grid.refine(2)
         field = homogeneous(fine, 1550.0)
         rec = receiver_layer(grid, depth_m=30.0)
-        obs = source_lattice(grid, depth_m=5.0, count=64, margin_m=30.0,
-                             depth_span_m=10.0, n_layers=2)
+        obs = source_lattice(grid, depth_m=5.0, count=32, margin_m=30.0,
+                             depth_span_m=15.0, n_layers=4)
         assert obs.n_sources >= 8 * FORWARD_BLOCK
         rec_fine = rec.on_grid(fine)
         system = assemble(fine, field, PHYS)  # also caches the grid's pattern

@@ -9,6 +9,7 @@ from cauchyfwi.acquisition import read_data
 from cauchyfwi.cli import cli_main
 from cauchyfwi.config import (
     DEFAULT_CONFIG,
+    build_clean_data,
     build_grid,
     build_initial_model,
     build_obs_sources,
@@ -241,6 +242,20 @@ class TestCliFlow:
         rejected = {cause: int(totals["rejected_" + cause])
                     for cause in ("bounds", "armijo", "breakdown")}
         assert min(rejected.values()) >= 0
+
+    def test_synth_at_infinite_snr_writes_the_clean_data(self, tmp_path):
+        text = FAST_CONFIG.replace("snr_db = 15", "snr_db = inf").replace("seed = 7",
+                                                                           "seed = 5")
+        prefix = str(tmp_path / "run")
+        assert cli_main(["synth", "--config", self.write_config(tmp_path, text),
+                         "--out-prefix", prefix]) == 0
+        cfg = parse_config(text)
+        problem = build_problem(cfg)
+        clean = build_clean_data(cfg, problem)
+        data = read_data(prefix + ".cauchy.txt", problem.receivers, problem.obs)
+        assert np.array_equal(data.g, clean.g) and np.array_equal(data.dg, clean.dg)
+        assert (tmp_path / "run.cauchy.txt").read_text().splitlines()[4:6] == [
+            "snr inf", "seed 5"]
 
     def test_failed_write_leaves_no_partial_or_temp_file(self, tmp_path, monkeypatch, disk_full):
         cfg = self.write_config(tmp_path)
@@ -530,6 +545,13 @@ class TestCliFlow:
         ("synth", "water_depth_m = 40", "water_depth_m = 30", "config"),
         # hz = 10 m: sources at 25 m are one node layer above the receivers
         ("synth", "obs_source_depth_m = 10", "obs_source_depth_m = 25", "geometry"),
+        # phantoms reaching down to 4 m/s or up to 1e6 m/s, outside [c_min, c_max]
+        ("synth", "background_surface_m_per_s = 1600", "background_surface_m_per_s = -1",
+         "config"),
+        ("synth", "inclusion_speed_m_per_s = 2200", "inclusion_speed_m_per_s = 1e6",
+         "config"),
+        # 400 sources over 180 m snap to 19 nodes 10 m apart
+        ("synth", "obs_source_count = 4", "obs_source_count = 400", "geometry"),
         ("synth", "sim_source_count = 3", "sim_source_count = -2", "config"),
     ])
     def test_rejected_value_categorized_error(self, tmp_path, capsys, command, old, new, label):
