@@ -2,8 +2,8 @@
 
 Reconstructs piecewise-linear acoustic wave-speed models by minimizing a
 reciprocity-gap misfit between simulated point-source fields and measured
-pressure / normal-velocity traces, with an adjoint-state gradient and an
-L-BFGS driver.
+pressure / normal-velocity traces, with an adjoint-state gradient and a
+preconditioned L-BFGS driver stopped by the discrepancy principle.
 """
 
 from .geometry import (

@@ -328,6 +328,23 @@ def add_noise(data, snr_db, seed):
     return CauchyDataSet(data.receivers, data.obs_sources, g, dg, data.freq_hz, prov)
 
 
+def noise_variances(data):
+    """Per-source noise variances E|n|^2 of the pressure and the derivative
+    traces, estimated from the traces themselves, or None at infinite SNR.
+
+    add_noise gives a trace of clean mean power P the variance f P, with
+    f = 10^(-snr/10), so its noisy mean power is (1 + f) P on average and
+    the variance is P_noisy f / (1 + f).
+    """
+    snr_db = data.provenance.snr_db
+    if math.isinf(snr_db) and snr_db > 0:
+        return None
+    factor = 10.0 ** (-snr_db / 10.0)
+    scale = factor / (1.0 + factor)
+    return (scale * np.mean(np.abs(data.g) ** 2, axis=1),
+            scale * np.mean(np.abs(data.dg) ** 2, axis=1))
+
+
 def write_data(data, path):
     """Text format: header lines, one row per observation source and per
     receiver ('source x,[ y,] z, weight'), then one CSV row per (source,

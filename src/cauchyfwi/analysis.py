@@ -19,7 +19,7 @@ from . import config as config_mod
 from .errors import ConfigError, DataFormatError
 from .geometry import NodalField, evaluate_model
 from .helmholtz import write_field_csv, write_field_structured_points
-from .inversion import Objective
+from .inversion import Objective, coefficient_scales
 from .textio import write_text_atomic
 
 # not called here: bench/spans.py wraps these four names on this module
@@ -98,18 +98,6 @@ class GradCheckReport:
         return max(done) if done else float("nan")
 
 
-def _coefficient_scales(model):
-    """Natural perturbation scale per coefficient (speed range per unit)."""
-    part = model.partition
-    grid = part.grid
-    span = model.c_max - model.c_min
-    scales = np.empty((part.n_subdomains, 1 + grid.dim))
-    scales[:, 0] = span
-    for d in range(grid.dim):
-        scales[:, 1 + d] = span / grid.extent[d]
-    return scales.ravel()
-
-
 def gradcheck(cfg, n_probes=0, steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
               seed=7, tolerance=1e-4):
     """Adjoint gradient versus central finite differences, step-swept.
@@ -140,7 +128,7 @@ def gradcheck(cfg, n_probes=0, steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
         rng = np.random.default_rng(seed)
         candidates = np.sort(rng.choice(candidates, size=n_probes, replace=False))
 
-    scales = _coefficient_scales(model)
+    scales = coefficient_scales(model)
     eps_floor = 1e-10 * max(np.max(np.abs(adjoint)), 1e-300)
 
     checks = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 
 import numpy as np
@@ -86,11 +87,14 @@ def cmd_invert(args):
         pairs = io.StringIO()
         np.savetxt(pairs, np.abs(result.gap.values) ** 2, delimiter=", ")
     records = result.records
+    floor = result.gap.noise_floor
     summary = [
         f"iterations {len(records)}",
         f"termination {result.reason}",
         f"misfit_first {records[0].misfit:.17g}",
         f"misfit_last {result.misfit:.17g}",
+        f"noise_floor_last {floor:.17g}",
+        f"misfit_over_noise_floor {result.misfit / floor if floor > 0 else math.inf:.6g}",
         f"wall_time_s {sum(r.wall_time_s for r in records):.6g}",
         f"rhs_solves {sum(r.n_solves for r in records)}",
     ]

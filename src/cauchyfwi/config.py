@@ -192,6 +192,11 @@ def validate(cfg):
         problems.append(
             f"acquisition.sim_source_count must be >= 0, got {cfg.sim_source_count}"
         )
+    if cfg.sim_source_depth_m <= 0 and cfg.sim_source_depth_m != -1:
+        problems.append(
+            f"acquisition.sim_source_depth_m must be > 0, or -1 for the observation "
+            f"depth, got {cfg.sim_source_depth_m}"
+        )
     if cfg.seed < 0:
         problems.append(f"noise.seed must be >= 0, got {cfg.seed}")
     built = {}
@@ -270,7 +275,8 @@ def build_sim_sources(cfg, grid, decoupled=False):
     """Simulation sources: the observation set, or a decoupled one.
 
     With decoupled=True the count and depth come from the sim_source keys,
-    letting the computational sources differ from the field acquisition.
+    letting the computational sources differ from the field acquisition; a
+    count of 0 and a depth of -1 (the defaults) take the observation values.
     """
     if not decoupled:
         return build_obs_sources(cfg, grid)

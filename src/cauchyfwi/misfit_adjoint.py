@@ -11,10 +11,20 @@ telescopes to zero exactly, which is what drives the misfit
 
     J = sum_{y,z} w_y w_z |S[y, z]|^2
 
-toward zero at the true model.  The misfit costs n_sim forward solves;
-the gradient takes those forward fields and costs n_sim adjoint solves on
-the same factorization: the observation sources are aggregated into a
-single adjoint right-hand side per simulation source.
+toward zero at the true model.  With noisy observations J cannot fall
+below its noise floor: the gap is linear in the observed traces, so the
+expected misfit at a model that fits the clean data exactly is
+
+    E[J_noise] = sum_{y,z} w_y w_z sum_i w_i^2 (|u_y(i)|^2 s2_dG(z)
+                                                 + |du_y(i)|^2 s2_G(z))
+
+with s2 the per-trace noise variances (acquisition.noise_variances).  The
+gap matrix carries it, computed from the same traces at no solve.
+
+The misfit costs n_sim forward solves; the gradient takes those forward
+fields and costs n_sim adjoint solves on the same factorization: the
+observation sources are aggregated into a single adjoint right-hand side
+per simulation source.
 
 Discrete consistency: the adjoint source is assembled as the exact
 transpose of the trace and normal-derivative sampling operators (monopole
@@ -34,17 +44,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import helmholtz
+from .acquisition import noise_variances
 from .errors import GeometryError
 from .geometry import NodalField, read_only
 
 
 @dataclass(frozen=True, eq=False)
 class ReciprocityGapMatrix:
-    """Gap values over (simulation source, observation source) pairs."""
+    """Gap values over (simulation source, observation source) pairs, and
+    the misfit the data noise alone would give (0 for clean data)."""
 
     values: np.ndarray
     sim_weights: np.ndarray
     obs_weights: np.ndarray
+    noise_floor: float = 0.0
 
     def __post_init__(self):
         vals = read_only(self.values, complex)
@@ -77,7 +90,24 @@ def reciprocity_gap(sim_values, sim_dnu, data, sim_weights):
         )
     w = data.receivers.weights
     s = (sim_values * w) @ data.dg.T - (sim_dnu * w) @ data.g.T
-    return ReciprocityGapMatrix(s, sim_weights, data.obs_sources.weights)
+    return ReciprocityGapMatrix(s, sim_weights, data.obs_sources.weights,
+                                noise_floor(sim_values, sim_dnu, data, sim_weights))
+
+
+def noise_floor(sim_values, sim_dnu, data, sim_weights):
+    """E[J_noise] of the simulated traces against data's noise; 0 without
+    noise.  The variances depend on the observation source alone, so the
+    double sum factors into two products of sums."""
+    variances = noise_variances(data)
+    if variances is None:
+        return 0.0
+    var_g, var_dg = variances
+    w2 = data.receivers.weights ** 2
+    wy = np.asarray(sim_weights, dtype=float)
+    wz = data.obs_sources.weights
+    power = float(wy @ np.sum(np.abs(sim_values) ** 2 * w2, axis=1))
+    power_dnu = float(wy @ np.sum(np.abs(sim_dnu) ** 2 * w2, axis=1))
+    return power * float(wz @ var_dg) + power_dnu * float(wz @ var_g)
 
 
 def misfit(gap):

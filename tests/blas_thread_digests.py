@@ -72,7 +72,8 @@ def main():
     step[~initial.partition.frozen, 0] = rng.uniform(-20.0, 20.0, (~initial.partition.frozen).sum())
     for name, v in (("start", vec), ("perturbed", vec + step.ravel())):
         value, grad = objective.value_and_gradient(v)
-        print("objective", name, value.hex(), digest(grad))
+        floor = objective.gap.noise_floor
+        print("objective", name, value.hex(), floor.hex(), digest(grad))
 
     # four iterations: the last two take L-BFGS directions from stored pairs
     optim = OptimConfig(n_iter_min=1, n_iter_max=4, n_eps=1)

@@ -29,6 +29,7 @@ from cauchyfwi.geometry import (
 from cauchyfwi.helmholtz import PhysicsConfig, assemble
 from cauchyfwi.inversion import (
     OptimConfig,
+    discrepancy,
     relative_l2_error,
     run_inversion,
     stagnation,
@@ -340,15 +341,24 @@ def test_criterion_7_algorithm_mechanics():
         js = out["history"]
         mono_ok &= bool(np.all(js[1:] <= js[:-1] * (1 + 1e-12)))
 
-    # the recorded stop must match a recomputation from the history alone
+    # both runs end by a rule, and the recorded stop must match a
+    # recomputation from the records alone: the first iteration whose
+    # accepted misfit reaches DISCREPANCY_TAU times its noise floor, or
+    # whose misfit history stagnates, whichever comes first (the
+    # discrepancy principle is tested first within an iteration)
     replay_ok = True
     for out in (coupled, decoupled):
-        if out["reason"] != "stagnation":
-            continue
-        js = list(out["history"])
-        fired = next((j for j in range(1, len(js) + 1)
-                      if stagnation(js[:j], cfg)[0]), None)
-        replay_ok &= fired == out["n_iter"]
+        records = out["records"]
+        js = [r.misfit for r in records]
+        replayed = None
+        for j, r in enumerate(records, start=1):
+            if discrepancy(r.accepted_misfit, r.accepted_noise_floor):
+                replayed = (j, "discrepancy")
+            elif stagnation(js[:j], cfg)[0]:
+                replayed = (j, "stagnation")
+            if replayed:
+                break
+        replay_ok &= replayed == (out["n_iter"], out["reason"])
 
     frozen = coupled["initial"].partition.frozen
     frozen_ok = bool(
@@ -361,8 +371,10 @@ def test_criterion_7_algorithm_mechanics():
     ok = window_ok and mono_ok and replay_ok and frozen_ok
     _report(7, ok, f"stagnation fires exactly below 1% over 10 iterations after "
                    f"iteration 50 (e = {e_under:.4f} stops, {e_over:.4f} continues); "
-                   f"misfit sequences non-increasing; frozen water coefficients "
-                   f"bit-identical")
+                   f"stops replayed from the records ({coupled['reason']} at "
+                   f"{coupled['n_iter']}, {decoupled['reason']} at "
+                   f"{decoupled['n_iter']}); misfit sequences non-increasing; frozen "
+                   f"water coefficients bit-identical")
     assert window_ok
     assert mono_ok
     assert replay_ok

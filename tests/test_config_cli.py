@@ -26,7 +26,7 @@ from cauchyfwi.config import (
 from cauchyfwi.errors import CauchyFwiError, ConfigError, GeometryError
 from cauchyfwi.geometry import NodalField, read_model
 from cauchyfwi.helmholtz import read_field_structured_points, write_field_structured_points
-from cauchyfwi.inversion import Objective, OptimConfig
+from cauchyfwi.inversion import DISCREPANCY_TAU, Objective, OptimConfig
 
 FAST_CONFIG = """
 [grid]
@@ -314,9 +314,11 @@ class TestCliFlow:
             "--out-prefix", out_prefix, "--decouple-sources",
         ])
         assert code == 0
-        rows = (tmp_path / "dec.log.csv").read_text().strip().splitlines()[1:]
-        js = [float(r.split(",")[1]) for r in rows]
-        assert js[-1] < js[0]
+        # the log holds start-of-iteration misfits, so a run that stops after
+        # its first accepted step logs one row; the summary has the written model's
+        summary = dict(line.split(" ", 1) for line in
+                       (tmp_path / "dec.summary.txt").read_text().splitlines())
+        assert float(summary["misfit_last"]) < float(summary["misfit_first"])
 
     def test_rerun_from_snapshot_bit_identical(self, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -368,6 +370,12 @@ class TestCliFlow:
         summary = dict(line.split(" ", 1)
                        for line in (tmp_path / "result.summary.txt").read_text().splitlines())
         assert float(summary["misfit_last"]) == value
+        floor = objective.gap.noise_floor
+        assert float(summary["noise_floor_last"]) == floor > 0
+        ratio = float(summary["misfit_over_noise_floor"])
+        assert ratio == pytest.approx(value / floor, rel=1e-5)
+        if summary["termination"] == "discrepancy":
+            assert value <= DISCREPANCY_TAU * floor
         assert np.array_equal(np.loadtxt(pairs, delimiter=",", ndmin=2),
                               np.abs(objective.gap.values) ** 2)
 
@@ -553,6 +561,9 @@ class TestCliFlow:
         # 400 sources over 180 m snap to 19 nodes 10 m apart
         ("synth", "obs_source_count = 4", "obs_source_count = 400", "geometry"),
         ("synth", "sim_source_count = 3", "sim_source_count = -2", "config"),
+        # -1 alone means "the observation depth"
+        ("synth", "sim_source_depth_m = 20", "sim_source_depth_m = -5", "config"),
+        ("synth", "sim_source_depth_m = 20", "sim_source_depth_m = 0", "config"),
     ])
     def test_rejected_value_categorized_error(self, tmp_path, capsys, command, old, new, label):
         assert old in FAST_CONFIG

@@ -7,7 +7,7 @@ import pytest
 
 from cauchyfwi import inversion
 
-from cauchyfwi.acquisition import receiver_layer, source_lattice, synthesize
+from cauchyfwi.acquisition import add_noise, receiver_layer, source_lattice, synthesize
 from cauchyfwi.errors import BoundsViolationError, SolverBreakdownError
 from cauchyfwi.geometry import (
     Grid,
@@ -18,10 +18,13 @@ from cauchyfwi.geometry import (
 )
 from cauchyfwi.helmholtz import FORWARD_BLOCK, HelmholtzSystem, PhysicsConfig, assemble
 from cauchyfwi.inversion import (
+    DISCREPANCY_TAU,
     LBFGS_PAIRS,
     Objective,
     OptimConfig,
     RejectedTrials,
+    coefficient_scales,
+    discrepancy,
     lbfgs_direction,
     line_search,
     relative_l2_error,
@@ -65,34 +68,50 @@ def curved_pairs(rng, n, m):
 
 
 class TestLbfgsDirection:
-    def test_one_pair_equals_dense_bfgs_product(self):
+    def check_one_pair_against_dense_bfgs(self, scaled):
         rng = np.random.default_rng(17)
         ((s, y),) = curved_pairs(rng, 6, 1)
         g = rng.normal(size=6)
+        metric = rng.uniform(1e-3, 1e3, 6) if scaled else np.ones(6)
+        m = np.diag(metric)
         rho = 1.0 / float(s @ y)
-        h0 = float(s @ y) / float(y @ y) * np.eye(6)
+        h0 = float(s @ y) / float(y @ m @ y) * m
         v = np.eye(6) - rho * np.outer(y, s)
         h = v.T @ h0 @ v + rho * np.outer(s, s)
-        assert np.allclose(lbfgs_direction(g, deque([(s, y)])), h @ g, rtol=1e-12, atol=0)
+        assert np.allclose(lbfgs_direction(g, deque([(s, y)]), metric), h @ g,
+                           rtol=1e-12, atol=0)
+
+    def test_one_pair_equals_dense_bfgs_product(self):
+        self.check_one_pair_against_dense_bfgs(scaled=False)
+
+    def test_one_pair_with_a_diagonal_metric_equals_dense_bfgs_product(self):
+        self.check_one_pair_against_dense_bfgs(scaled=True)
+
+    def test_no_pairs_give_the_scaled_gradient(self):
+        rng = np.random.default_rng(20)
+        g, metric = rng.normal(size=6), rng.uniform(0.1, 10.0, 6)
+        assert lbfgs_direction(g, deque(), metric).tobytes() == (metric * g).tobytes()
 
     def test_descent_whenever_every_pair_has_positive_curvature(self):
         rng = np.random.default_rng(18)
         for m in range(LBFGS_PAIRS + 1):
             pairs = deque(curved_pairs(rng, 8, m), maxlen=LBFGS_PAIRS)
+            metric = rng.uniform(1e-3, 1e3, 8)
             for g in rng.normal(size=(20, 8)):
-                assert float(g @ lbfgs_direction(g, pairs)) > 0
+                assert float(g @ lbfgs_direction(g, pairs, metric)) > 0
 
     def test_pair_failing_the_curvature_test_leaves_the_direction(self):
         rng = np.random.default_rng(19)
         pairs = deque(curved_pairs(rng, 5, 2), maxlen=LBFGS_PAIRS)
         g = rng.normal(size=5)
-        before = lbfgs_direction(g, pairs).tobytes()
+        metric = np.ones(5)
+        before = lbfgs_direction(g, pairs, metric).tobytes()
         s = rng.normal(size=5)
         orthogonal = np.array([s[1], -s[0], 0.0, 0.0, 0.0])
         for y in (-s, orthogonal, np.zeros(5)):
             update_pairs(pairs, s, y)
             assert len(pairs) == 2
-            assert lbfgs_direction(g, pairs).tobytes() == before
+            assert lbfgs_direction(g, pairs, metric).tobytes() == before
         update_pairs(pairs, s, s)
         assert len(pairs) == 3
 
@@ -101,16 +120,19 @@ class TestLbfgsDirection:
         cfg = OptimConfig(n_iter_min=1, n_iter_max=4, n_eps=1, eps_j=1e-9)
         stored, searches = [], []
         direction = inversion.lbfgs_direction
+        metric = coefficient_scales(initial) ** 2
 
-        def recording_direction(grad, pairs):
+        def recording_direction(grad, pairs, m):
+            assert m.tobytes() == metric.tobytes()
             stored.append(len(pairs))
-            return direction(grad, pairs)
+            return direction(grad, pairs, m)
 
         def failing_third_search(coefficients, misfit_0, grad, d, misfit_fn, cfg, alpha,
                                  rejected=None):
             fraction_step = (cfg.initial_step_fraction * (initial.c_max - initial.c_min)
                              / np.max(np.abs(d)))
-            searches.append((alpha, fraction_step, d.tobytes() == grad.tobytes()))
+            on_scaled_gradient = d.tobytes() == (metric * grad).tobytes()
+            searches.append((alpha, fraction_step, on_scaled_gradient))
             if len(searches) == 3:
                 return inversion.LineSearchResult(False, 0.0, misfit_0, coefficients,
                                                   cfg.max_backtracks + 1, rejected)
@@ -121,9 +143,10 @@ class TestLbfgsDirection:
         monkeypatch.setattr(inversion, "line_search", failing_third_search)
         result = run_inversion(data, sim, initial, cfg, PHYS)
         assert len(result.records) == 4
-        # iteration 3 fails on its pairs, restarts on the gradient with the
-        # initial_step_fraction step, and iteration 4 has one pair again
-        assert stored == [0, 1, 2, 1]
+        # iteration 3 fails on its pairs, restarts on the scaled gradient
+        # (a direction without pairs) with the initial_step_fraction step,
+        # and iteration 4 has one pair again
+        assert stored == [0, 1, 2, 0, 1]
         alphas, fraction_steps, on_gradient = zip(*searches)
         assert alphas == (fraction_steps[0], 1.0, 1.0, fraction_steps[3], 1.0)
         assert on_gradient == (True, False, False, True, False)
@@ -287,6 +310,48 @@ class TestStagnation:
         cfg = OptimConfig(n_iter_min=1, n_iter_max=100, n_eps=10)
         stop, _ = stagnation([1.0] * 5, cfg)
         assert not stop
+
+
+class TestDiscrepancy:
+    def test_stops_at_tau_times_a_positive_floor(self):
+        assert DISCREPANCY_TAU == 1.5
+        assert discrepancy(1.5, 1.0)
+        assert not discrepancy(np.nextafter(1.5, 2.0), 1.0)
+        # clean data have no floor: only stagnation stops such a run
+        assert not discrepancy(0.0, 0.0)
+
+    def test_noisy_run_stops_at_its_floor_before_the_iteration_floor(self, monkeypatch):
+        truth, initial, data, sim = small_problem(seed=2)
+        columns = []
+        solve = HelmholtzSystem.solve
+
+        def counting_solve(system, rhs):
+            columns.append(np.shape(rhs)[1])
+            return solve(system, rhs)
+
+        monkeypatch.setattr(HelmholtzSystem, "solve", counting_solve)
+        cfg = OptimConfig()  # n_iter_min 50
+        result = run_inversion(add_noise(data, 15.0, 3), sim, initial, cfg, PHYS)
+        records = result.records
+        assert result.reason == "discrepancy"
+        assert len(records) < cfg.n_iter_min
+        fired = [discrepancy(r.accepted_misfit, r.accepted_noise_floor) for r in records]
+        assert fired == [False] * (len(records) - 1) + [True]
+        # each record's accepted values start the next one, and the last
+        # record's are the returned model's
+        for a, b in zip(records, records[1:]):
+            assert (a.accepted_misfit, a.accepted_noise_floor) == (b.misfit, b.noise_floor)
+        assert records[-1].accepted_misfit == result.misfit
+        assert records[-1].accepted_noise_floor == result.gap.noise_floor > 0
+        # no adjoint solve after the stop: every solve belongs to a record
+        assert sum(r.n_solves for r in records) == sum(columns)
+
+    def test_clean_run_records_zero_floors(self):
+        truth, initial, data, sim = small_problem(seed=2)
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=4, n_eps=2, eps_j=1e-9)
+        result = run_inversion(data, sim, initial, cfg, PHYS)
+        assert result.reason == "max_iterations"
+        assert all(r.noise_floor == r.accepted_noise_floor == 0.0 for r in result.records)
 
 
 class TestRelativeL2Error:
@@ -497,8 +562,11 @@ class TestRunInversion:
             return v
 
         monkeypatch.setattr(Objective, "value", recording_value)
-        cfg = OptimConfig(n_iter_min=1, n_iter_max=4, n_eps=2, eps_j=1e-9)
+        # a first step long enough to leave the bounds and fail Armijo
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=4, n_eps=2, eps_j=1e-9,
+                          initial_step_fraction=0.3)
         result = run_inversion(data, sim, initial, cfg, PHYS)
+
         def total(cause):
             return sum(getattr(r.rejected, cause) for r in result.records)
 

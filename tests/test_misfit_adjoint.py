@@ -10,6 +10,7 @@ from cauchyfwi.acquisition import (
     CauchyDataSet,
     Provenance,
     ReceiverArray,
+    add_noise,
     receiver_layer,
     source_lattice,
     synthesize,
@@ -152,6 +153,39 @@ class TestMisfitValue:
         j1 = misfit(ReciprocityGapMatrix(s, w, w))
         j2 = misfit(ReciprocityGapMatrix(-s.T, w, w))
         assert j2 == pytest.approx(j1, rel=1e-13)
+
+
+class TestNoiseFloor:
+    """E[J_noise] where it is exact: at a piecewise-linear truth on the
+    inversion grid, whose clean data the model fits to rounding."""
+
+    def truth_traces(self):
+        grid, _, receivers, _, sim, truth, _, clean = crime_scenario()
+        _, vals, dnu = simulate_traces(assemble(grid, evaluate_model(truth), PHYS),
+                                       sim, receivers)
+        return vals, dnu, sim, clean
+
+    def test_clean_data_have_no_floor(self):
+        vals, dnu, sim, clean = self.truth_traces()
+        gap = reciprocity_gap(vals, dnu, clean, sim.weights)
+        assert gap.noise_floor == 0.0
+        noisy = reciprocity_gap(vals, dnu, add_noise(clean, 15.0, 1), sim.weights)
+        assert noisy.noise_floor > 0.0
+
+    @pytest.mark.parametrize("snr_db", [15.0, 5.0])
+    def test_mean_misfit_at_the_truth_matches_the_floor(self, snr_db):
+        # at 5 dB the floor without its 1 / (1 + f) factor would sit about
+        # 14 standard errors above the mean
+        vals, dnu, sim, clean = self.truth_traces()
+        js, floors = [], []
+        for seed in range(400):
+            gap = reciprocity_gap(vals, dnu, add_noise(clean, snr_db, seed), sim.weights)
+            js.append(misfit(gap))
+            floors.append(gap.noise_floor)
+        j_clean = misfit(reciprocity_gap(vals, dnu, clean, sim.weights))
+        assert j_clean <= 1e-12 * np.mean(floors)
+        standard_error = np.std(js, ddof=1) / np.sqrt(len(js))
+        assert abs(np.mean(js) - np.mean(floors)) <= 3.0 * standard_error
 
 
 class TestAdjointSolve:
