@@ -77,6 +77,10 @@ def export_field(field, path, fmt="structured-points", sigma=0.0):
 # ---------------------------------------------------------------------------
 # gradient check
 
+# Finite-difference steps, as fractions of inversion.coefficient_scales.
+GRADCHECK_STEPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+
+
 @dataclass
 class CoefficientCheck:
     index: int
@@ -98,9 +102,8 @@ class GradCheckReport:
         return max(done) if done else float("nan")
 
 
-def gradcheck(cfg, n_probes=0, steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
-              seed=7, tolerance=1e-4):
-    """Adjoint gradient versus central finite differences, step-swept.
+def gradcheck(cfg, n_probes=0, seed=7, tolerance=1e-4):
+    """Adjoint gradient versus central finite differences over GRADCHECK_STEPS.
 
     Builds the configured problem, takes its clean data from
     config.build_clean_data (the phantom solved on the refine grid), and
@@ -135,7 +138,7 @@ def gradcheck(cfg, n_probes=0, steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
     for k in candidates:
         best = None
         for widen in (1.0, 10.0):
-            for rel in steps:
+            for rel in GRADCHECK_STEPS:
                 delta = rel * widen * scales[k]
                 plus = base.copy()
                 plus[k] += delta

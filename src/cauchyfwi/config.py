@@ -27,9 +27,9 @@ from .inversion import OptimConfig
 from .phantom import INCLUSION_PROFILES, layered_inclusion_phantom, initial_depth_model
 from .textio import write_text_atomic
 
-# (section, key) -> (type, default); None default means required (2D) or
-# conditional on dim = 3 for *_y_m keys.  The optimizer keys are the
-# OptimConfig fields, in their order and with their defaults.
+# (section, key) -> (type, default); None default means required.  The y keys
+# (*_y, *_y_m) are required for dim = 3 and keep their defaults for dim = 2.
+# The optimizer keys are the OptimConfig fields, in order, with defaults.
 _SCHEMA = {
     ("grid", "dim"): (int, 2),
     ("grid", "extent_x_m"): (float, None),
@@ -173,6 +173,10 @@ def validate(cfg):
             problems.append("grid.nodes_y required for a 3D grid")
         if cfg.tile_y_m <= 0:
             problems.append("partition.tile_y_m required for a 3D grid")
+    elif cfg.dim == 2:
+        problems += [f"{sec}.{key} applies only to a 3D grid, got {cfg.values[key]}"
+                     for (sec, key), (_, default) in _SCHEMA.items()
+                     if key.endswith(("_y", "_y_m")) and cfg.values[key] != default]
     if not 0 < cfg.c_min_m_per_s < cfg.c_max_m_per_s:
         problems.append("physics speeds need 0 < c_min < c_max")
     if cfg.inclusion_profile not in INCLUSION_PROFILES:

@@ -8,15 +8,15 @@ c - alpha * s until the Armijo condition holds and the trial model stays
 inside the speed bounds.  The recursion starts from gamma M, where M is the
 diagonal of squared coefficient scales (coefficient_scales): the intercepts
 a_j are speeds and the slopes A_j speeds per metre, so without M a step
-barely moves the slopes.
+barely moves the slopes.  The line search's constants are module constants.
 
 The run stops at the iteration cap; by the discrepancy principle, once an
 accepted misfit falls to DISCREPANCY_TAU times its noise floor (noisy data
 only); on stagnation of the misfit over a trailing window; or when a
-steepest-descent line search fails.  A failed search along an L-BFGS
-direction built from stored pairs is retried once as a steepest-descent
-restart along M g, which drops the pairs; a search without pairs is already
-that and is not repeated.
+steepest-descent line search fails; OptimConfig holds the cap and the
+stagnation window.  A failed search along an L-BFGS direction built from
+stored pairs is retried once as a steepest-descent restart along M g, which
+drops the pairs; a search without pairs is already that and is not repeated.
 """
 
 from __future__ import annotations
@@ -41,31 +41,29 @@ CURVATURE_TOL = 1e-12
 # times its noise floor E[J_noise].  Over the default configuration's noise
 # seeds, 1.5 is reached on every run; 1.3 is not.
 DISCREPANCY_TAU = 1.5
+# Backtracking line search, at textbook values (Nocedal and Wright,
+# Numerical Optimization, 2nd ed., 3.1).
+ARMIJO_C1 = 1e-4
+BACKTRACK_RHO = 0.5
+INITIAL_STEP_FRACTION = 0.01
+MAX_BACKTRACKS = 30
 
 
 @dataclass
 class OptimConfig:
-    """Stopping and line-search constants.
+    """The stopping rule.
 
     On noisy data the run stops as soon as an accepted misfit reaches
     DISCREPANCY_TAU times its noise floor, at any iteration.  Otherwise the
     iteration floor n_iter_min keeps the run alive through early slow
     progress; stagnation then stops it once the relative misfit decrease
-    over the last n_eps iterations drops below eps_j.
-    initial_step_fraction sets the first trial step only where no L-BFGS
-    pair is stored, on the first iteration and after a restart: that step
-    moves the largest coefficient by this fraction of the speed range.
-    Elsewhere the first trial is the unit step.
+    over the last n_eps iterations drops below eps_j.  n_iter_max caps the run.
     """
 
     n_iter_min: int = 50
     n_iter_max: int = 250
     n_eps: int = 10
     eps_j: float = 0.01
-    armijo_c1: float = 1e-4
-    backtrack_rho: float = 0.5
-    initial_step_fraction: float = 0.01
-    max_backtracks: int = 30
 
     def __post_init__(self):
         if not self.n_iter_min <= self.n_iter_max:
@@ -76,14 +74,6 @@ class OptimConfig:
             raise ValueError("eps_j must lie in (0, 1)")
         if self.n_eps < 1:
             raise ValueError("n_eps must be positive")
-        if not 0 < self.armijo_c1 < 1:
-            raise ValueError("armijo_c1 must lie in (0, 1)")
-        if not 0 < self.backtrack_rho < 1:
-            raise ValueError("backtrack_rho must lie in (0, 1)")
-        if not self.initial_step_fraction > 0:
-            raise ValueError("initial_step_fraction must be positive")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must not be negative")
 
 
 @dataclass
@@ -113,7 +103,6 @@ class IterationRecord:
     noise_floor: float
     grad_norm: float
     alpha: float
-    backtracks: int
     wall_time_s: float
     n_solves: int
     accepted_misfit: float
@@ -194,14 +183,15 @@ class LineSearchResult:
     rejected: RejectedTrials = field(default_factory=RejectedTrials)
 
 
-def line_search(coefficients, misfit_0, grad, direction, misfit_fn, cfg, alpha,
-                rejected=None):
+def line_search(coefficients, misfit_0, grad, direction, misfit_fn, alpha, rejected=None):
     """Backtracking along c - alpha * s under Armijo plus bound feasibility.
 
     alpha is the first trial step; each rejection multiplies it by
-    backtrack_rho.  misfit_fn(trial) returns the trial's misfit.  A trial
-    that violates the speed bounds (BoundsViolationError) or breaks the
-    solver (SolverBreakdownError) is rejected regardless of its misfit.
+    BACKTRACK_RHO, and MAX_BACKTRACKS + 1 rejections fail the search.
+    misfit_fn(trial) returns the trial's misfit, accepted when at most
+    misfit_0 - ARMIJO_C1 alpha <grad, direction>.  A trial that violates the
+    speed bounds (BoundsViolationError) or breaks the solver
+    (SolverBreakdownError) is rejected regardless of its misfit.
     Rejected trials are counted into `rejected` (a new RejectedTrials if
     None), which the result carries.
     Requires <grad, direction> > 0 (a descent direction for the subtractive
@@ -212,7 +202,7 @@ def line_search(coefficients, misfit_0, grad, direction, misfit_fn, cfg, alpha,
         raise ValueError("line search needs a descent direction (<g, s> > 0)")
     if rejected is None:
         rejected = RejectedTrials()
-    for m in range(cfg.max_backtracks + 1):
+    for m in range(MAX_BACKTRACKS + 1):
         trial = coefficients - alpha * np.asarray(direction)
         try:
             value = misfit_fn(trial)
@@ -221,12 +211,12 @@ def line_search(coefficients, misfit_0, grad, direction, misfit_fn, cfg, alpha,
         except SolverBreakdownError:
             rejected.breakdown += 1
         else:
-            if value <= misfit_0 - cfg.armijo_c1 * alpha * gs:
+            if value <= misfit_0 - ARMIJO_C1 * alpha * gs:
                 return LineSearchResult(True, alpha, value, trial, m, rejected)
             rejected.armijo += 1
-        alpha *= cfg.backtrack_rho
+        alpha *= BACKTRACK_RHO
     return LineSearchResult(False, 0.0, misfit_0, np.asarray(coefficients),
-                            cfg.max_backtracks + 1, rejected)
+                            MAX_BACKTRACKS + 1, rejected)
 
 
 def discrepancy(misfit, noise_floor):
@@ -358,10 +348,10 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
 
     def first_trial(direction):
         # the unit step of an L-BFGS direction; without pairs, the step that
-        # moves the largest coefficient by initial_step_fraction of the range
+        # moves the largest coefficient by INITIAL_STEP_FRACTION of the range
         if pairs:
             return 1.0
-        return cfg.initial_step_fraction * speed_range / float(np.max(np.abs(direction)))
+        return INITIAL_STEP_FRACTION * speed_range / float(np.max(np.abs(direction)))
 
     for j in range(1, cfg.n_iter_max + 1):
         t0 = time.perf_counter()
@@ -373,7 +363,7 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
 
         if grad_norm == 0.0:
             reason = "stationary"
-            records.append(IterationRecord(j, value, floor, grad_norm, 0.0, 0,
+            records.append(IterationRecord(j, value, floor, grad_norm, 0.0,
                                            time.perf_counter() - t0,
                                            objective.solves - solves_0, value, floor))
             break
@@ -387,19 +377,19 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
 
         rejected = RejectedTrials()
         result = line_search(coefficients, value, grad, direction, objective.value,
-                             cfg, first_trial(direction), rejected)
+                             first_trial(direction), rejected)
         if not result.ok and pairs:
             # one automatic restart along M g, which forgets the pairs;
             # without pairs it would repeat the failed search
             pairs.clear()
             direction = lbfgs_direction(grad, pairs, metric)
             result = line_search(coefficients, value, grad, direction, objective.value,
-                                 cfg, first_trial(direction), rejected)
+                                 first_trial(direction), rejected)
         if result.ok:
             # the search stops at the accepted trial, the objective's last value call
             misfit, gap = result.misfit, objective.gap
         records.append(IterationRecord(
-            j, value, floor, grad_norm, result.alpha, result.backtracks,
+            j, value, floor, grad_norm, result.alpha,
             time.perf_counter() - t0, objective.solves - solves_0,
             misfit, gap.noise_floor, rejected,
         ))

@@ -99,8 +99,13 @@ class TestConfigParsing:
         assert cfg.n_iter_min == 50
         assert build_optimizer(cfg) == OptimConfig(n_iter_max=175)
         section = render_config(cfg).split("[optimizer]\n", 1)[1].split("\n\n", 1)[0]
-        assert [ln.split(" = ")[0] for ln in section.splitlines()] == [
-            f.name for f in dataclasses.fields(OptimConfig)]
+        # the optimizer section is the stopping rule; the line search's
+        # constants are inversion module constants
+        stopping_rule = ["n_iter_min", "n_iter_max", "n_eps", "eps_j"]
+        assert [f.name for f in dataclasses.fields(OptimConfig)] == stopping_rule
+        assert [ln.split(" = ")[0] for ln in section.splitlines()] == stopping_rule
+        with pytest.raises(TypeError):
+            OptimConfig(armijo_c1=1e-4)
 
     def test_render_parse_round_trip(self):
         cfg = parse_config(FAST_CONFIG)
@@ -118,11 +123,13 @@ class TestConfigParsing:
     def test_rejected_values_listed_exhaustively(self):
         text = FAST_CONFIG
         for old, new in (("c_max_m_per_s = 3400", "c_max_m_per_s = 1250"),
-                         ("refine = 2", "refine = 0"), ("seed = 7", "seed = -1")):
+                         ("refine = 2", "refine = 0"), ("seed = 7", "seed = -1"),
+                         ("extent_x_m = 240", "extent_x_m = 240\nextent_y_m = -1"),
+                         ("nodes_x = 25", "nodes_x = 25\nnodes_y = -1")):
             text = text.replace(old, new)
         with pytest.raises(ConfigError) as err:
             parse_config(text)
-        assert len(err.value.problems) == 3, err.value.problems
+        assert len(err.value.problems) == 5, err.value.problems
 
     def test_duplicate_key_rejected(self):
         text = FAST_CONFIG + "\n[physics]\nfreq_hz = 30\n"
@@ -329,6 +336,27 @@ class TestCliFlow:
         assert cli_main(["synth", "--config", snapshot, "--out-prefix", p2]) == 0
         assert (tmp_path / "a.cauchy.txt").read_bytes() == \
                (tmp_path / "b.cauchy.txt").read_bytes()
+
+    def test_snapshot_with_line_search_keys_is_refused_by_name(self, tmp_path, capsys,
+                                                               run_outputs):
+        # a snapshot from before the line-search constants left the schema
+        # lists them at their defaults after eps_j
+        removed = ("armijo_c1", "backtrack_rho", "initial_step_fraction", "max_backtracks")
+        text = (run_outputs / "run.resolved.cfg").read_text()
+        eps_line = next(ln for ln in text.splitlines() if ln.startswith("eps_j = "))
+        old_keys = "\n".join(f"{key} = {value}" for key, value in
+                             zip(removed, ("0.0001", "0.5", "0.01", "30")))
+        path = tmp_path / "old.resolved.cfg"
+        path.write_text(text.replace(eps_line, eps_line + "\n" + old_keys))
+        code = cli_main(["invert", "--config", str(path),
+                         "--data-prefix", str(run_outputs / "run"),
+                         "--out-prefix", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:"), err
+        for key in removed:
+            assert f"unknown key optimizer.{key}" in err, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.resolved.cfg"]
 
     def test_rerun_decoupled_invert_from_snapshot_bit_identical(self, tmp_path,
                                                                  run_outputs):
@@ -548,6 +576,9 @@ class TestCliFlow:
         ("synth", "water_depth_m = 40", "water_depth_m = 50", "geometry"),
         # with the y keys a dim = 4 file builds a grid: only the dim rule says config
         ("synth", "dim = 2", "dim = 4\nextent_y_m = 240\nnodes_y = 25", "config"),
+        # a 2D grid has no y axis: its y keys keep their defaults
+        ("synth", "extent_x_m = 240", "extent_x_m = 240\nextent_y_m = -1", "config"),
+        ("synth", "nodes_x = 25", "nodes_x = 25\nnodes_y = -1", "config"),
         ("synth", "refine = 2", "refine = 0", "config"),
         ("synth", "c_max_m_per_s = 3400", "c_max_m_per_s = 1250", "config"),
         ("synth", "water_depth_m = 40", "water_depth_m = 30", "config"),

@@ -127,36 +127,36 @@ class TestLbfgsDirection:
             stored.append(len(pairs))
             return direction(grad, pairs, m)
 
-        def failing_third_search(coefficients, misfit_0, grad, d, misfit_fn, cfg, alpha,
+        def failing_third_search(coefficients, misfit_0, grad, d, misfit_fn, alpha,
                                  rejected=None):
-            fraction_step = (cfg.initial_step_fraction * (initial.c_max - initial.c_min)
-                             / np.max(np.abs(d)))
+            fraction_step = (inversion.INITIAL_STEP_FRACTION
+                             * (initial.c_max - initial.c_min) / np.max(np.abs(d)))
             on_scaled_gradient = d.tobytes() == (metric * grad).tobytes()
             searches.append((alpha, fraction_step, on_scaled_gradient))
             if len(searches) == 3:
                 return inversion.LineSearchResult(False, 0.0, misfit_0, coefficients,
-                                                  cfg.max_backtracks + 1, rejected)
-            return line_search(coefficients, misfit_0, grad, d, misfit_fn, cfg, alpha,
-                               rejected)
+                                                  inversion.MAX_BACKTRACKS + 1, rejected)
+            return line_search(coefficients, misfit_0, grad, d, misfit_fn, alpha, rejected)
 
         monkeypatch.setattr(inversion, "lbfgs_direction", recording_direction)
         monkeypatch.setattr(inversion, "line_search", failing_third_search)
         result = run_inversion(data, sim, initial, cfg, PHYS)
         assert len(result.records) == 4
         # iteration 3 fails on its pairs, restarts on the scaled gradient
-        # (a direction without pairs) with the initial_step_fraction step,
+        # (a direction without pairs) with the INITIAL_STEP_FRACTION step,
         # and iteration 4 has one pair again
         assert stored == [0, 1, 2, 0, 1]
         alphas, fraction_steps, on_gradient = zip(*searches)
         assert alphas == (fraction_steps[0], 1.0, 1.0, fraction_steps[3], 1.0)
         assert on_gradient == (True, False, False, True, False)
 
-    def test_failed_search_without_pairs_is_not_repeated(self):
+    def test_failed_search_without_pairs_is_not_repeated(self, monkeypatch):
         # the first iteration has no pairs: a restart would search the same
-        # gradient direction from the same initial_step_fraction step
+        # gradient direction from the same INITIAL_STEP_FRACTION step
         truth, initial, data, sim = small_problem(seed=1)
-        cfg = OptimConfig(n_iter_min=1, n_iter_max=3, n_eps=1,
-                          initial_step_fraction=50.0, max_backtracks=2)
+        monkeypatch.setattr(inversion, "INITIAL_STEP_FRACTION", 50.0)
+        monkeypatch.setattr(inversion, "MAX_BACKTRACKS", 2)
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=3, n_eps=1)
         result = run_inversion(data, sim, initial, cfg, PHYS)
         assert result.reason == "line_search_failure"
         assert len(result.records) == 1
@@ -180,9 +180,8 @@ class TestLineSearch:
         g = q @ (c0 - c_star)
         s = g.copy()
         alpha_star = float(g @ s) / float(s @ q @ s)
-        cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1)
         # a first trial below 2 alpha* passes Armijo
-        result = line_search(c0, f(c0), g, s, f, cfg, alpha_star)
+        result = line_search(c0, f(c0), g, s, f, alpha_star)
         assert result.ok
         assert result.backtracks == 0
         assert result.misfit < f(c0)
@@ -194,8 +193,7 @@ class TestLineSearch:
         f = self.quadratic(q, c_star)
         g = q @ c0
         alpha_star = float(g @ g) / float(g @ q @ g)
-        cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1)
-        result = line_search(c0, f(c0), g, g, f, cfg, 40 * alpha_star)
+        result = line_search(c0, f(c0), g, g, f, 40 * alpha_star)
         assert result.ok
         assert result.backtracks > 0
 
@@ -213,28 +211,26 @@ class TestLineSearch:
             return f_raw(c)
 
         g = q @ c0
-        cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1)
         # the first trial lands at the origin
-        result = line_search(c0, f_raw(c0), g, g, f, cfg, 1.0)
+        result = line_search(c0, f_raw(c0), g, g, f, 1.0)
         assert result.ok
         assert result.backtracks >= 2
         assert result.coefficients[0] >= 0.75
 
-    def test_exhausted_budget_reports_failure(self):
+    def test_exhausted_budget_reports_failure(self, monkeypatch):
         def f(c):
             return 1.0  # no decrease anywhere
 
         g = np.array([1.0])
-        cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1, max_backtracks=5)
-        result = line_search(np.array([0.0]), 1.0, g, g, f, cfg, 1.0)
+        monkeypatch.setattr(inversion, "MAX_BACKTRACKS", 5)
+        result = line_search(np.array([0.0]), 1.0, g, g, f, 1.0)
         assert not result.ok
         assert result.backtracks == 6
 
     def test_ascent_direction_rejected(self):
-        cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1)
         with pytest.raises(ValueError):
             line_search(np.zeros(2), 1.0, np.array([1.0, 0.0]),
-                        np.array([-1.0, 0.0]), lambda c: 0.0, cfg, 1.0)
+                        np.array([-1.0, 0.0]), lambda c: 0.0, 1.0)
 
     def test_solver_breakdown_is_a_rejected_trial(self):
         q = np.eye(2)
@@ -248,8 +244,7 @@ class TestLineSearch:
                 raise SolverBreakdownError("triangular solve returned non-finite values")
             return f_raw(c)
 
-        cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1)
-        result = line_search(c0, f_raw(c0), c0, c0, f, cfg, 0.5)
+        result = line_search(c0, f_raw(c0), c0, c0, f, 0.5)
         assert result.ok
         assert result.backtracks == 1
         assert result.rejected == RejectedTrials(breakdown=1)
@@ -258,7 +253,6 @@ class TestLineSearch:
         # trial 1 leaves the bounds, trial 2 lands just above its Armijo
         # bound, trial 3 on its own, smaller bound and is accepted
         c0 = np.array([1.0])
-        cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1)
         trials = []
 
         def f(c):
@@ -266,12 +260,12 @@ class TestLineSearch:
             if len(trials) == 1:
                 raise BoundsViolationError("out of bounds")
             if len(trials) == 2:
-                return np.nextafter(1.0 - cfg.armijo_c1 * 0.25, np.inf)
-            return 1.0 - cfg.armijo_c1 * 0.125
+                return np.nextafter(1.0 - inversion.ARMIJO_C1 * 0.25, np.inf)
+            return 1.0 - inversion.ARMIJO_C1 * 0.125
 
-        result = line_search(c0, 1.0, c0, c0, f, cfg, 0.5)
+        result = line_search(c0, 1.0, c0, c0, f, 0.5)
         assert result.ok and result.backtracks == 2
-        assert result.misfit == 1.0 - cfg.armijo_c1 * 0.125
+        assert result.misfit == 1.0 - inversion.ARMIJO_C1 * 0.125
         assert result.rejected == RejectedTrials(bounds=1, armijo=1)
         assert trials == [0.5, 0.75, 0.875]
 
@@ -563,8 +557,8 @@ class TestRunInversion:
 
         monkeypatch.setattr(Objective, "value", recording_value)
         # a first step long enough to leave the bounds and fail Armijo
-        cfg = OptimConfig(n_iter_min=1, n_iter_max=4, n_eps=2, eps_j=1e-9,
-                          initial_step_fraction=0.3)
+        monkeypatch.setattr(inversion, "INITIAL_STEP_FRACTION", 0.3)
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=4, n_eps=2, eps_j=1e-9)
         result = run_inversion(data, sim, initial, cfg, PHYS)
 
         def total(cause):
@@ -583,17 +577,16 @@ class TestRunInversion:
         cfg = OptimConfig(n_iter_min=1, n_iter_max=4, n_eps=2, eps_j=1e-9)
         searches = []
 
-        def failing_from_third_search(coefficients, misfit_0, grad, d, misfit_fn, cfg,
-                                      alpha, rejected=None):
+        def failing_from_third_search(coefficients, misfit_0, grad, d, misfit_fn, alpha,
+                                      rejected=None):
             # from the third search on, evaluate one trial and give up, so the
             # objective's last value call is a rejected trial
             searches.append(alpha)
             if len(searches) >= 3:
                 misfit_fn(coefficients - 1e-3 * alpha * d)
                 return inversion.LineSearchResult(False, 0.0, misfit_0, coefficients,
-                                                  cfg.max_backtracks + 1, rejected)
-            return line_search(coefficients, misfit_0, grad, d, misfit_fn, cfg, alpha,
-                               rejected)
+                                                  inversion.MAX_BACKTRACKS + 1, rejected)
+            return line_search(coefficients, misfit_0, grad, d, misfit_fn, alpha, rejected)
 
         if stop == "line_search_failure":
             monkeypatch.setattr(inversion, "line_search", failing_from_third_search)
