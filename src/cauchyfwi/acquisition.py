@@ -298,17 +298,28 @@ def synthesize(true_field, obs_sources, receivers, phys):
     return CauchyDataSet(receivers, obs_sources, g, dg, phys.freq_hz, prov)
 
 
+def noise_factor(snr_db):
+    """Noise power per unit signal power, f = 10^(-snr/10), of any finite SNR
+    in dB; None for +inf, which means clean data.  nan and -inf raise ValueError."""
+    if snr_db == math.inf:
+        return None
+    if not math.isfinite(snr_db):
+        raise ValueError(f"SNR must be finite or +inf dB, got {snr_db}")
+    return 10.0 ** (-snr_db / 10.0)
+
+
 def add_noise(data, snr_db, seed):
     """Add circular complex Gaussian noise at a target SNR in dB.
 
     Noise is drawn independently for every source, receiver, and component;
     the per-trace variance is the trace's mean power scaled by
-    10^(-snr/10).  A +inf SNR disables noise.  Deterministic per seed.
+    noise_factor(snr_db), and a +inf SNR adds none.  Deterministic per seed.
     """
-    if math.isinf(snr_db) and snr_db > 0:
-        return replace(data, provenance=replace(data.provenance, snr_db=math.inf, seed=seed))
+    factor = noise_factor(snr_db)
+    prov = replace(data.provenance, snr_db=float(snr_db), seed=int(seed))
+    if factor is None:
+        return replace(data, provenance=prov)
     rng = np.random.default_rng(seed)
-    factor = 10.0 ** (-snr_db / 10.0)
     g = np.array(data.g)
     dg = np.array(data.dg)
     for mat, name in ((g, "pressure"), (dg, "derivative")):
@@ -324,7 +335,6 @@ def add_noise(data, snr_db, seed):
                 + 1j * rng.standard_normal(mat.shape[1])
             )
             mat[s] += noise
-    prov = replace(data.provenance, snr_db=float(snr_db), seed=int(seed))
     return CauchyDataSet(data.receivers, data.obs_sources, g, dg, data.freq_hz, prov)
 
 
@@ -333,13 +343,12 @@ def noise_variances(data):
     traces, estimated from the traces themselves, or None at infinite SNR.
 
     add_noise gives a trace of clean mean power P the variance f P, with
-    f = 10^(-snr/10), so its noisy mean power is (1 + f) P on average and
-    the variance is P_noisy f / (1 + f).
+    f = noise_factor(snr), so its noisy mean power is (1 + f) P on average
+    and the variance is P_noisy f / (1 + f).
     """
-    snr_db = data.provenance.snr_db
-    if math.isinf(snr_db) and snr_db > 0:
+    factor = noise_factor(data.provenance.snr_db)
+    if factor is None:
         return None
-    factor = 10.0 ** (-snr_db / 10.0)
     scale = factor / (1.0 + factor)
     return (scale * np.mean(np.abs(data.g) ** 2, axis=1),
             scale * np.mean(np.abs(data.dg) ** 2, axis=1))
@@ -349,14 +358,12 @@ def write_data(data, path):
     """Text format: header lines, one row per observation source and per
     receiver ('source x,[ y,] z, weight'), then one CSV row per (source,
     receiver) pair."""
-    snr = data.provenance.snr_db
-    snr_text = "inf" if math.isinf(snr) else f"{snr:.17g}"
     lines = [
         "cauchy v2",
         f"freq {data.freq_hz:.17g}",
         f"nsrc {data.n_sources}",
         f"nrcv {data.n_receivers}",
-        f"snr {snr_text}",
+        f"snr {data.provenance.snr_db:.17g}",
         f"seed {data.provenance.seed}",
         "grid " + " ".join(
             [str(len(data.provenance.grid_shape))]
@@ -383,6 +390,7 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
     Raises DataFormatError naming the byte offset of the first problem, and
     GeometryError naming the file when its sources or receivers differ from
     the given ones or its synthesis grid does not refine the receiver grid.
+    The frequency must be finite and positive, the SNR one noise_factor takes.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -411,6 +419,15 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
             raise ValueError
         return Grid([float(t) for t in toks[gdim:]], [int(t) for t in toks[:gdim]])
 
+    def frequency(text):
+        if not 0 < float(text) < math.inf:
+            raise ValueError
+        return float(text)
+
+    def snr_db(text):
+        noise_factor(float(text))  # nan and -inf raise ValueError
+        return float(text)
+
     def point_row(text):
         row = [float(t) for t in text.split(",")]
         if len(row) != receivers.grid.dim + 1:
@@ -420,7 +437,7 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
     _, version = take(0, "cauchy")
     if version != "v2":
         raise DataFormatError(f"{path}: unsupported version {version!r}", lines[0][0])
-    off, freq = take(1, "freq", float)
+    off, freq = take(1, "freq", frequency)
     if expect_freq is not None and abs(freq - expect_freq) > 1e-9 * max(1.0, expect_freq):
         raise DataFormatError(
             f"{path}: file frequency {freq} Hz does not match expected {expect_freq} Hz",
@@ -428,7 +445,7 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
         )
     _, nsrc = take(2, "nsrc", int)
     _, nrcv = take(3, "nrcv", int)
-    _, snr = take(4, "snr", float)
+    _, snr = take(4, "snr", snr_db)
     _, seed = take(5, "seed", int)
     _, fine = take(6, "grid", grid_provenance)
 

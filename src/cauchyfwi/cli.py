@@ -6,7 +6,8 @@ export builds only the grid and partition that reading a model file needs.
 synth and gradcheck take their clean data from config.build_clean_data.
 synth and invert write a resolved-configuration snapshot next to their
 outputs; re-running from the snapshot with the same flags reproduces the
-outputs bit-exactly for a fixed seed, at 1 and at 2 OpenBLAS threads alike.
+outputs bit-exactly for a fixed seed; on the default configuration this holds
+at 1 and at 2 OpenBLAS threads alike.
 Outputs are written by the package writers, which replace their files
 atomically.  A failure exits with status 1 and prints
 ``error: <category>: <message>``: the category of a package error, ``io``
@@ -32,7 +33,7 @@ from .analysis import (
     write_stability_csv,
 )
 from .errors import CauchyFwiError, DataFormatError, GeometryError
-from .geometry import evaluate_model, read_model, write_model, write_partition
+from .geometry import NodalField, evaluate_model, read_model, write_model, write_partition
 from .helmholtz import read_field_structured_points, write_field_structured_points
 from .inversion import relative_l2_error, run_inversion, write_iteration_log
 from .textio import write_text_atomic
@@ -71,7 +72,9 @@ def cmd_invert(args):
     data = read_data(args.data_prefix + ".cauchy.txt", problem.receivers, problem.obs,
                      expect_freq=cfg.freq_hz)
     truth = read_field_structured_points(args.truth_field) if args.truth_field else None
-    if truth is not None and truth.grid != grid:
+    # the file stores the spacing, so its extents come back only to rounding
+    if truth is not None and (truth.grid.shape != grid.shape or not np.allclose(
+            truth.grid.extent, grid.extent, rtol=1e-12, atol=0.0)):
         raise GeometryError(
             f"{args.truth_field}: truth field has {truth.grid.shape} nodes over "
             f"{truth.grid.extent} m, the inversion grid {grid.shape} over {grid.extent} m"
@@ -101,6 +104,7 @@ def cmd_invert(args):
     summary += [f"rejected_{cause} {sum(getattr(r.rejected, cause) for r in records)}"
                 for cause in ("bounds", "armijo", "breakdown")]
     if truth is not None:
+        truth = NodalField(grid, truth.values)  # its nodes, on the inversion grid
         e_init = relative_l2_error(truth, evaluate_model(initial))
         e_final = relative_l2_error(truth, final_field)
         summary.append(f"rel_l2_initial {e_init:.6g}")

@@ -231,23 +231,19 @@ def render_config(cfg):
             if sec != section:
                 continue
             val = cfg.values[key]
-            if typ is float:
-                text = "inf" if math.isinf(val) else f"{val:.17g}"
-            else:
-                text = str(val)
-            lines.append(f"{key} = {text}")
+            lines.append(f"{key} = {val:.17g}" if typ is float else f"{key} = {val}")
         lines.append("")
     return "\n".join(lines)
 
 
+def _axes(cfg, key):
+    """cfg's x, [y,] z values of key, whose {} stands for the axis letter."""
+    return tuple(cfg.values[key.format(a)] for a in ("xz" if cfg.dim == 2 else "xyz"))
+
+
 def build_grid(cfg, refine=1):
-    if cfg.dim == 2:
-        extent = (cfg.extent_x_m, cfg.extent_z_m)
-        shape = (cfg.nodes_x, cfg.nodes_z)
-    else:
-        extent = (cfg.extent_x_m, cfg.extent_y_m, cfg.extent_z_m)
-        shape = (cfg.nodes_x, cfg.nodes_y, cfg.nodes_z)
-    return Grid(extent, shape).refine(refine)
+    """The inversion grid, refined refine times."""
+    return Grid(_axes(cfg, "extent_{}_m"), _axes(cfg, "nodes_{}")).refine(refine)
 
 
 def build_physics(cfg):
@@ -255,11 +251,8 @@ def build_physics(cfg):
 
 
 def build_partition_for(cfg, grid):
-    if cfg.dim == 2:
-        caps = (cfg.tile_x_m, cfg.tile_z_m)
-    else:
-        caps = (cfg.tile_x_m, cfg.tile_y_m, cfg.tile_z_m)
-    return build_partition(grid, caps, cfg.water_depth_m)
+    """The partition of grid into tiles of at most the tile_*_m sizes."""
+    return build_partition(grid, _axes(cfg, "tile_{}_m"), cfg.water_depth_m)
 
 
 def build_receivers(cfg, grid):
@@ -295,15 +288,11 @@ def build_optimizer(cfg):
 
 def build_true_field(cfg, grid):
     """The phantom on grid; ConfigError if any speed leaves [c_min, c_max]."""
-    if cfg.dim == 2:
-        center = (cfg.inclusion_center_x_m, cfg.inclusion_center_z_m)
-    else:
-        center = (cfg.inclusion_center_x_m, cfg.inclusion_center_y_m,
-                  cfg.inclusion_center_z_m)
     truth = layered_inclusion_phantom(
         grid, cfg.water_depth_m, cfg.water_speed_m_per_s,
         cfg.background_surface_m_per_s, cfg.background_gradient_per_s,
-        center, cfg.inclusion_radius_m, cfg.inclusion_speed_m_per_s,
+        _axes(cfg, "inclusion_center_{}_m"), cfg.inclusion_radius_m,
+        cfg.inclusion_speed_m_per_s,
         profile=cfg.inclusion_profile,
     )
     low, high = truth.values.min(), truth.values.max()

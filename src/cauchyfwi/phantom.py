@@ -40,20 +40,19 @@ def layered_inclusion_phantom(grid, water_depth_m, water_speed,
     return NodalField(grid, vals)
 
 
-def depth_profile_field(grid, water_depth_m, water_speed, top_speed, bottom_speed):
-    """Speed varying with depth only: water above, a linear ramp below."""
+def initial_depth_model(partition, water_depth_m, water_speed,
+                        top_speed, bottom_speed, c_min, c_max):
+    """Depth-only starting model projected onto the partition subspace.
+
+    The speed is water_speed down to water_depth_m, then a linear ramp from
+    top_speed to bottom_speed at the bottom of the grid.
+    """
+    grid = partition.grid
     depth = grid.node_positions()[:, -1]
     vals = np.full(grid.n_nodes, float(water_speed))
     below = depth > water_depth_m
     span = grid.extent[-1] - water_depth_m
     ramp = top_speed + (bottom_speed - top_speed) * (depth - water_depth_m) / span
     vals[below] = ramp[below]
-    return NodalField(grid, vals)
-
-
-def initial_depth_model(partition, water_depth_m, water_speed,
-                        top_speed, bottom_speed, c_min, c_max):
-    """Depth-only starting model projected onto the partition subspace."""
-    field = depth_profile_field(partition.grid, water_depth_m, water_speed,
-                                top_speed, bottom_speed)
-    return fit_coefficients(field, partition, c_min, c_max, water_speed=water_speed)
+    return fit_coefficients(NodalField(grid, vals), partition, c_min, c_max,
+                            water_speed=water_speed)

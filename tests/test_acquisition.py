@@ -10,6 +10,7 @@ from cauchyfwi.acquisition import (
     ReceiverArray,
     SourceSet,
     add_noise,
+    noise_factor,
     read_data,
     receiver_layer,
     source_lattice,
@@ -215,6 +216,14 @@ class TestAddNoise:
         assert np.array_equal(out.g, data.g)
         assert np.array_equal(out.dg, data.dg)
 
+    def test_noise_factor_decides_what_an_snr_means(self):
+        assert noise_factor(math.inf) is None
+        assert noise_factor(10.0) == 0.1
+        assert noise_factor(-10.0) == 10.0
+        for bad in (math.nan, -math.inf):
+            with pytest.raises(ValueError):
+                noise_factor(bad)
+
     def test_zero_trace_rejected(self):
         data = small_dataset()
         g = np.array(data.g)
@@ -349,6 +358,29 @@ class TestDataFiles:
                                  data.freq_hz, prov), path)
         with pytest.raises(GeometryError, match=f"data.txt: synthesis grid .*{reason}"):
             read_data(path, data.receivers, data.obs_sources)
+
+    @pytest.mark.parametrize("header, bad", [("snr", "nan"), ("snr", "-inf"),
+                                             ("freq", "nan"), ("freq", "inf"),
+                                             ("freq", "0")])
+    def test_unusable_header_value_names_its_byte_offset(self, tmp_path, header, bad):
+        data = small_dataset()
+        path = tmp_path / "data.txt"
+        write_data(data, path)
+        lines = path.read_bytes().split(b"\n")
+        row = next(i for i, ln in enumerate(lines) if ln.startswith(header.encode() + b" "))
+        lines[row] = f"{header} {bad}".encode()
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataFormatError, match=f"malformed '{header}' line") as err:
+            read_data(path, data.receivers, data.obs_sources)
+        assert err.value.byte_offset == sum(len(ln) + 1 for ln in lines[:row])
+
+    def test_negative_snr_round_trips(self, tmp_path):
+        noisy = add_noise(small_dataset(), -3.0, seed=2)
+        path = tmp_path / "data.txt"
+        write_data(noisy, path)
+        back = read_data(path, noisy.receivers, noisy.obs_sources)
+        assert back.provenance.snr_db == -3.0
+        assert np.array_equal(back.g, noisy.g)
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "data.txt"

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import cauchyfwi
 from cauchyfwi.acquisition import receiver_layer, source_lattice
 from cauchyfwi.analysis import (
     evaluate_pair,
@@ -86,6 +91,17 @@ def dense_smoothing_reference(values2d, sigma):
     return out
 
 
+def dense_smoothing_reference_3d(values3d, sigma):
+    """Truncated-gaussian smoothing with edge renormalization as one dense
+    node-to-node weight matrix."""
+    radius = int(np.ceil(4 * sigma))
+    nodes = np.indices(values3d.shape).reshape(3, -1).T
+    offsets = nodes[:, None, :] - nodes[None, :, :]
+    w = np.exp(-0.5 * np.sum(offsets ** 2, axis=-1) / sigma ** 2)
+    w *= np.max(np.abs(offsets), axis=-1) <= radius
+    return (w @ values3d.ravel() / w.sum(axis=1)).reshape(values3d.shape)
+
+
 class TestGaussianSmooth:
     def test_sigma_zero_is_identity(self):
         grid = Grid((50.0, 30.0), (6, 4))
@@ -116,6 +132,31 @@ class TestGaussianSmooth:
         out = gaussian_smooth(field, 2.0)
         ref = dense_smoothing_reference(vals, 2.0)
         assert np.max(np.abs(out.reshape() - ref)) <= 1e-12
+
+    def test_3d_field_matches_dense_reference(self):
+        grid = Grid((60.0, 40.0, 50.0), (7, 5, 6))
+        vals = np.random.default_rng(4).normal(size=grid.shape)
+        out = gaussian_smooth(NodalField(grid, vals.ravel()), 0.8)
+        ref = dense_smoothing_reference_3d(vals, 0.8)
+        assert np.max(np.abs(out.reshape() - ref)) <= 1e-12
+
+    def test_tiny_sigma_is_identity(self):
+        # the kernel is a unit spike; no exponent may overflow on the way
+        grid = Grid((100.0, 60.0), (21, 13))
+        field = NodalField(grid, np.random.default_rng(5).normal(size=grid.n_nodes))
+        out = gaussian_smooth(field, 1e-200)
+        assert np.array_equal(out.values, field.values)
+
+    def test_importing_the_package_does_not_load_scipy_ndimage(self):
+        # gaussian_smooth imports it on first use, so no other importer pays
+        # for its memory
+        src = os.path.dirname(os.path.dirname(cauchyfwi.__file__))
+        code = ("import sys, cauchyfwi, cauchyfwi.analysis, cauchyfwi.cli; "
+                "print('scipy.ndimage' in sys.modules)")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
 
     def test_interior_support_preserves_mean(self):
         grid = Grid((100.0, 100.0), (31, 31))

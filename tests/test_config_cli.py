@@ -508,6 +508,41 @@ class TestCliFlow:
         assert err.startswith("error: io:") and "unsupported version 'v1'" in err, err
         assert not list(tmp_path.glob("result.*"))
 
+    def test_truth_field_round_trips_when_its_extent_rounds(self, tmp_path):
+        # 201 / 25 * 25 is 200.99999999999997: the file's spacing gives the
+        # extent back one ulp off
+        text = (FAST_CONFIG.replace("extent_x_m = 240", "extent_x_m = 201")
+                .replace("nodes_x = 25", "nodes_x = 26")
+                .replace("inclusion_center_x_m = 120", "inclusion_center_x_m = 100"))
+        cfg = self.write_config(tmp_path, text)
+        prefix = str(tmp_path / "run")
+        assert cli_main(["synth", "--config", cfg, "--out-prefix", prefix]) == 0
+        truth = read_field_structured_points(prefix + ".true_speed.txt")
+        grid = build_grid(parse_config(text))
+        assert truth.grid.shape == grid.shape and truth.grid.extent != grid.extent
+        assert cli_main(["invert", "--config", cfg, "--data-prefix", prefix,
+                         "--out-prefix", str(tmp_path / "result"),
+                         "--truth-field", prefix + ".true_speed.txt"]) == 0
+        summary = (tmp_path / "result.summary.txt").read_text()
+        assert "rel_l2_final" in summary
+
+    @pytest.mark.parametrize("header, bad", [("snr", "nan"), ("snr", "-inf"),
+                                             ("freq", "nan")])
+    def test_non_finite_data_header_is_an_io_error(self, tmp_path, capsys, run_outputs,
+                                                    header, bad):
+        lines = (run_outputs / "run.cauchy.txt").read_text().splitlines(keepends=True)
+        row = next(i for i, ln in enumerate(lines) if ln.startswith(header + " "))
+        lines[row] = f"{header} {bad}\n"
+        (tmp_path / "bad.cauchy.txt").write_text("".join(lines))
+        code = cli_main(["invert", "--config", str(run_outputs / "run.cfg"),
+                         "--data-prefix", str(tmp_path / "bad"),
+                         "--out-prefix", str(tmp_path / "result")])
+        assert code == 1
+        err = capsys.readouterr().err
+        offset = sum(len(ln) for ln in lines[:row])
+        assert err.startswith("error: io:") and f"(byte offset {offset})" in err, err
+        assert not list(tmp_path.glob("result.*"))
+
     def test_zero_truth_field_fails_before_writing(self, tmp_path, capsys, run_outputs):
         truth = read_field_structured_points(str(run_outputs / "run.true_speed.txt"))
         zero = str(tmp_path / "zero.txt")

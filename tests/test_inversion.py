@@ -128,14 +128,13 @@ class TestLbfgsDirection:
             return direction(grad, pairs, m)
 
         def failing_third_search(coefficients, misfit_0, grad, d, misfit_fn, alpha,
-                                 rejected=None):
+                                 rejected):
             fraction_step = (inversion.INITIAL_STEP_FRACTION
                              * (initial.c_max - initial.c_min) / np.max(np.abs(d)))
             on_scaled_gradient = d.tobytes() == (metric * grad).tobytes()
             searches.append((alpha, fraction_step, on_scaled_gradient))
             if len(searches) == 3:
-                return inversion.LineSearchResult(False, 0.0, misfit_0, coefficients,
-                                                  inversion.MAX_BACKTRACKS + 1, rejected)
+                return inversion.LineSearchResult(False, 0.0, misfit_0, coefficients)
             return line_search(coefficients, misfit_0, grad, d, misfit_fn, alpha, rejected)
 
         monkeypatch.setattr(inversion, "lbfgs_direction", recording_direction)
@@ -181,9 +180,10 @@ class TestLineSearch:
         s = g.copy()
         alpha_star = float(g @ s) / float(s @ q @ s)
         # a first trial below 2 alpha* passes Armijo
-        result = line_search(c0, f(c0), g, s, f, alpha_star)
+        rejected = RejectedTrials()
+        result = line_search(c0, f(c0), g, s, f, alpha_star, rejected)
         assert result.ok
-        assert result.backtracks == 0
+        assert rejected == RejectedTrials()
         assert result.misfit < f(c0)
 
     def test_backtracks_when_first_step_too_long(self):
@@ -193,9 +193,11 @@ class TestLineSearch:
         f = self.quadratic(q, c_star)
         g = q @ c0
         alpha_star = float(g @ g) / float(g @ q @ g)
-        result = line_search(c0, f(c0), g, g, f, 40 * alpha_star)
+        rejected = RejectedTrials()
+        result = line_search(c0, f(c0), g, g, f, 40 * alpha_star, rejected)
         assert result.ok
-        assert result.backtracks > 0
+        # trials at alpha 10, 5, 2.5, 1.25 and 0.625 overshoot; 0.3125 passes
+        assert rejected == RejectedTrials(armijo=5)
 
     def test_bound_violating_trial_rejected_despite_descent(self):
         # the full step would reduce the quadratic but leaves the bounds
@@ -212,9 +214,10 @@ class TestLineSearch:
 
         g = q @ c0
         # the first trial lands at the origin
-        result = line_search(c0, f_raw(c0), g, g, f, 1.0)
+        rejected = RejectedTrials()
+        result = line_search(c0, f_raw(c0), g, g, f, 1.0, rejected)
         assert result.ok
-        assert result.backtracks >= 2
+        assert rejected == RejectedTrials(bounds=2)
         assert result.coefficients[0] >= 0.75
 
     def test_exhausted_budget_reports_failure(self, monkeypatch):
@@ -223,14 +226,15 @@ class TestLineSearch:
 
         g = np.array([1.0])
         monkeypatch.setattr(inversion, "MAX_BACKTRACKS", 5)
-        result = line_search(np.array([0.0]), 1.0, g, g, f, 1.0)
+        rejected = RejectedTrials()
+        result = line_search(np.array([0.0]), 1.0, g, g, f, 1.0, rejected)
         assert not result.ok
-        assert result.backtracks == 6
+        assert rejected == RejectedTrials(armijo=6)
 
     def test_ascent_direction_rejected(self):
         with pytest.raises(ValueError):
             line_search(np.zeros(2), 1.0, np.array([1.0, 0.0]),
-                        np.array([-1.0, 0.0]), lambda c: 0.0, 1.0)
+                        np.array([-1.0, 0.0]), lambda c: 0.0, 1.0, RejectedTrials())
 
     def test_solver_breakdown_is_a_rejected_trial(self):
         q = np.eye(2)
@@ -244,10 +248,10 @@ class TestLineSearch:
                 raise SolverBreakdownError("triangular solve returned non-finite values")
             return f_raw(c)
 
-        result = line_search(c0, f_raw(c0), c0, c0, f, 0.5)
+        rejected = RejectedTrials()
+        result = line_search(c0, f_raw(c0), c0, c0, f, 0.5, rejected)
         assert result.ok
-        assert result.backtracks == 1
-        assert result.rejected == RejectedTrials(breakdown=1)
+        assert rejected == RejectedTrials(breakdown=1)
 
     def test_rejections_are_counted_by_cause(self):
         # trial 1 leaves the bounds, trial 2 lands just above its Armijo
@@ -263,10 +267,11 @@ class TestLineSearch:
                 return np.nextafter(1.0 - inversion.ARMIJO_C1 * 0.25, np.inf)
             return 1.0 - inversion.ARMIJO_C1 * 0.125
 
-        result = line_search(c0, 1.0, c0, c0, f, 0.5)
-        assert result.ok and result.backtracks == 2
+        rejected = RejectedTrials()
+        result = line_search(c0, 1.0, c0, c0, f, 0.5, rejected)
+        assert result.ok
         assert result.misfit == 1.0 - inversion.ARMIJO_C1 * 0.125
-        assert result.rejected == RejectedTrials(bounds=1, armijo=1)
+        assert rejected == RejectedTrials(bounds=1, armijo=1)
         assert trials == [0.5, 0.75, 0.875]
 
 
@@ -578,14 +583,13 @@ class TestRunInversion:
         searches = []
 
         def failing_from_third_search(coefficients, misfit_0, grad, d, misfit_fn, alpha,
-                                      rejected=None):
+                                      rejected):
             # from the third search on, evaluate one trial and give up, so the
             # objective's last value call is a rejected trial
             searches.append(alpha)
             if len(searches) >= 3:
                 misfit_fn(coefficients - 1e-3 * alpha * d)
-                return inversion.LineSearchResult(False, 0.0, misfit_0, coefficients,
-                                                  inversion.MAX_BACKTRACKS + 1, rejected)
+                return inversion.LineSearchResult(False, 0.0, misfit_0, coefficients)
             return line_search(coefficients, misfit_0, grad, d, misfit_fn, alpha, rejected)
 
         if stop == "line_search_failure":
