@@ -11,7 +11,8 @@ at 1 and at 2 OpenBLAS threads alike.
 Outputs are written by the package writers, which replace their files
 atomically.  A failure exits with status 1 and prints
 ``error: <category>: <message>``: the category of a package error, ``io``
-for any OSError, ``internal`` for anything else.
+for any OSError, ``memory`` for a MemoryError, ``internal`` for anything
+else.
 """
 
 from __future__ import annotations
@@ -232,6 +233,8 @@ def cli_main(argv=None):
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
     except OSError as exc:  # a file the system cannot open, read or write
         print(f"error: io: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # a run too large for this machine's memory
+        print(f"error: memory: {exc}", file=sys.stderr)
     except Exception as exc:  # a defect: reported, not raised as a traceback
         print(f"error: internal: {exc}", file=sys.stderr)
     return 1

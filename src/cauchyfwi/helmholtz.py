@@ -278,16 +278,24 @@ class HelmholtzSystem:
     tests pin that factors and solves stay bit-equal to a per-call
     ordering.
 
-    A block of right-hand sides is solved FORWARD_BLOCK columns at a time
-    into a Fortran-ordered result, each chunk scattered from the column
-    order back to node order.  The scatter costs about 7 %: 32 columns on
-    81 x 41 take 10.1 ms, against 9.5 ms when SuperLU permutes them itself
-    under a per-call ordering.  In chunks this narrow every column came out
-    bit-equal to that column solved alone, at 1 and 2 BLAS threads; in one
-    32-column solve the larger supernodes of this ordering let OpenBLAS's
-    trsm/gemm take their threaded path at 2 threads, which changed the
-    last bits of up to 31 of the 32 columns.  At 1 thread the chunks are
-    no slower than one wide solve.
+    A block of right-hand sides is solved FORWARD_BLOCK columns at a time.
+    SuperLU returns each chunk as a fresh Fortran-ordered array in the
+    column order, and each of its columns is put back in node order on its
+    own: in place, inside that array, when the block is one chunk, and
+    into the result block otherwise.  So a solve of at most FORWARD_BLOCK
+    columns holds no node-sized block but SuperLU's result and the
+    caller's right-hand side, which it never writes.  Against a scatter of
+    each chunk into a second result block, this took about 4 % less time
+    for 32 columns on 81 x 41 and 3 % less for 8 (interleaved medians of
+    60 at 1 BLAS thread), and the benchmark's inversions peak at about
+    84.7 MB of resident memory instead of 86.4 MB.
+
+    In chunks this narrow every column came out bit-equal to that column
+    solved alone, at 1 and 2 BLAS threads; in one 32-column solve the
+    larger supernodes of this ordering let OpenBLAS's trsm/gemm take their
+    threaded path at 2 threads, which changed the last bits of up to 31 of
+    the 32 columns.  At 1 thread the chunks are no slower than one wide
+    solve.
     """
 
     def __init__(self, grid, speed, phys, ordered, order, dirichlet_mask):
@@ -300,10 +308,19 @@ class HelmholtzSystem:
         self._order = order
         self._factor = None
 
+    @functools.cached_property
+    def _node_order(self):
+        """The inverse of the column order: column _node_order[i] of the
+        ordered operator, and entry _node_order[i] of a solution in the
+        column order, belong to node i."""
+        inverse = np.empty_like(self._order)
+        inverse[self._order] = np.arange(self._order.size)
+        return read_only(inverse)
+
     @property
     def matrix(self):
         """The operator A, put back in node order anew on each access."""
-        return self._ordered[:, np.argsort(self._order)]
+        return self._ordered[:, self._node_order]
 
     @property
     def factorization(self):
@@ -324,9 +341,11 @@ class HelmholtzSystem:
 
         Direct factorization; the residual satisfies |A u - b| <= 1e-10 |b|
         for well-scaled inputs and output is deterministic.  The columns
-        are solved FORWARD_BLOCK at a time into a Fortran-ordered result,
-        each scattered back from the column order to node order.  A
-        non-finite result raises SolverBreakdownError.
+        are solved FORWARD_BLOCK at a time; each solved column is put back
+        from the column order to node order, in place inside SuperLU's
+        result when the block is one chunk and into a Fortran-ordered
+        result otherwise.  rhs is never written.  A non-finite result
+        raises SolverBreakdownError.
         """
         b = np.asarray(rhs, dtype=complex)
         if b.shape[0] != self.grid.n_nodes:
@@ -334,18 +353,31 @@ class HelmholtzSystem:
         if not np.isfinite(b).all():
             raise ValueError("right-hand side contains non-finite values")
         cols = b.reshape(b.shape[0], -1)
-        x = np.empty(cols.shape, dtype=complex, order="F")
         try:
             lu = self.factorization
-            for start in range(0, cols.shape[1], FORWARD_BLOCK):
-                chunk = slice(start, start + FORWARD_BLOCK)
-                x[self._order, chunk] = lu.solve(cols[:, chunk])
+            if cols.shape[1] <= FORWARD_BLOCK:
+                x = lu.solve(cols)
+                self._put_in_node_order(x, x)
+            else:
+                x = np.empty(cols.shape, dtype=complex, order="F")
+                for start in range(0, cols.shape[1], FORWARD_BLOCK):
+                    chunk = slice(start, start + FORWARD_BLOCK)
+                    self._put_in_node_order(lu.solve(cols[:, chunk]), x[:, chunk])
         except (RuntimeError, ValueError) as exc:
             raise SolverBreakdownError(f"triangular solve failed: {exc}") from exc
         if not np.isfinite(x).all():
             raise SolverBreakdownError("triangular solve returned non-finite values")
         self.solve_count += cols.shape[1]
         return x.reshape(b.shape, order="F")
+
+    def _put_in_node_order(self, solved, out):
+        """Write the columns of solved, in the column order, to the columns
+        of out in node order, one at a time.  out may be solved itself:
+        np.take buffers an output column that overlaps its input.  Its
+        "clip" mode, which clips nothing here as the indices are a
+        permutation, spares the buffer "raise" makes of every output."""
+        for j in range(solved.shape[1]):
+            np.take(solved[:, j], self._node_order, out=out[:, j], mode="clip")
 
     def green_many(self, positions):
         """(n_nodes, n) responses to unit point sources at (n, dim)
@@ -354,21 +386,31 @@ class HelmholtzSystem:
         Each position snaps to its nearest node (Grid.nearest_nodes), which
         must lie off the depth-0 face whatever the boundary choice.  The
         right-hand side carries 1 / (cell volume) at the node so the solved
-        field approximates the response to a unit Dirac impulse.
+        field approximates the response to a unit Dirac impulse.  The nodes
+        and impulses are computed once per grid and position set.
         """
-        grid = self.grid
-        nodes = grid.nearest_nodes(positions)
-        on_surface = grid.free_surface_mask()[nodes]
-        if on_surface.any():
-            position = np.asarray(positions, dtype=float)[on_surface.argmax()]
-            raise GeometryError(
-                f"source at {position.tolist()} lies on the pressure-free surface"
-            )
-        rhs = np.zeros((grid.n_nodes, nodes.size), dtype=complex)
-        rhs[nodes, np.arange(nodes.size)] = (
-            -(1.0 / grid.cell_volume) * grid.boundary_scale()[nodes]
-        )
+        pos = np.asarray(positions, dtype=float)
+        nodes, impulses = _point_sources(self.grid, pos.shape, pos.tobytes())
+        rhs = np.zeros((self.grid.n_nodes, nodes.size), dtype=complex, order="F")
+        rhs[nodes, np.arange(nodes.size)] = impulses
         return self.solve(rhs)
+
+
+@functools.lru_cache(maxsize=64)
+def _point_sources(grid, shape, coordinates):
+    """Read-only nodes and right-hand-side values of unit point sources at
+    the float positions whose shape and bytes are given, so that one set
+    of positions is snapped and checked once per grid (see green_many)."""
+    positions = np.frombuffer(coordinates).reshape(shape)
+    nodes = grid.nearest_nodes(positions)
+    on_surface = grid.free_surface_mask()[nodes]
+    if on_surface.any():
+        position = positions[on_surface.argmax()]
+        raise GeometryError(
+            f"source at {position.tolist()} lies on the pressure-free surface"
+        )
+    impulses = -(1.0 / grid.cell_volume) * grid.boundary_scale()[nodes]
+    return read_only(nodes), read_only(impulses)
 
 
 def traces_many(block, grid, receivers):

@@ -117,38 +117,40 @@ def misfit(gap):
 
 
 def _aggregated_adjoint_rhs(gap, data, receivers, grid):
-    """(n_sim, n_nodes) adjoint right-hand sides, one per simulation source.
+    """(n_nodes, n_sim) column-major block of the right-hand sides the
+    adjoint fields are solved for, one column per simulation source.
 
     Monopole part: 2 w_z conj(S) w_i dG_obs placed on the receiver nodes.
     Dipole part: -2 w_z conj(S) w_i G_obs pushed through the transpose of
     the centered-difference stencil.  Normalized by the cell volume to
-    match the unit-impulse convention of the forward solves.
+    match the unit-impulse convention of the forward solves, and negated.
+    The scale and the sign act on the (n_sim, n_rcv) coefficients of the
+    three receiver layers, the only rows written: x / -v is -(x / v)
+    exactly, so the block is bit-equal to negating the scaled one.
     """
     coef = 2.0 * np.conj(gap.values) * gap.obs_weights[None, :]
-    mono = coef @ data.dg
-    dipo = coef @ data.g
     wr = receivers.weights
-    hz = grid.spacing[-1]
-    n_sim = gap.values.shape[0]
-    rhs = np.zeros((n_sim, grid.n_nodes), dtype=complex)
-    rhs[:, receivers.value_nodes] += mono * wr
-    rhs[:, receivers.above_nodes] -= (dipo * wr) / (2.0 * hz)
-    rhs[:, receivers.below_nodes] += (dipo * wr) / (2.0 * hz)
-    rhs /= grid.cell_volume
+    cell = grid.cell_volume
+    mono = (coef @ data.dg) * wr / -cell
+    dipo = (coef @ data.g) * wr / (2.0 * grid.spacing[-1]) / cell
+    rhs = np.zeros((grid.n_nodes, gap.values.shape[0]), dtype=complex, order="F")
+    rhs[receivers.value_nodes] = mono.T
+    rhs[receivers.above_nodes] = dipo.T
+    rhs[receivers.below_nodes] = -dipo.T
     return rhs
 
 
 def solve_adjoint_fields(system, gap, data, receivers):
     """(n_nodes, n_sim) adjoint fields solved as one block.
 
-    The right-hand sides are negated in place and solved through their
-    transpose, a Fortran-ordered view, so no second (n_nodes, n_sim) block
-    is made before the solve.
+    The right-hand sides are built in the column-major block that
+    HelmholtzSystem.solve takes, so no second (n_nodes, n_sim) block is
+    made before the solve.  Their Dirichlet rows, which only a receiver
+    layer one node below the surface reaches, are zeroed.
     """
     rhs = _aggregated_adjoint_rhs(gap, data, receivers, system.grid)
-    rhs[:, system.dirichlet_mask] = 0.0
-    np.negative(rhs, out=rhs)
-    return system.solve(rhs.T)
+    rhs[system.dirichlet_mask] = 0.0
+    return system.solve(rhs)
 
 
 def nodal_gradient(forward_fields, adjoint_fields, speed, phys, sim_weights):

@@ -653,6 +653,19 @@ class TestCliFlow:
         err = capsys.readouterr().err
         assert err.startswith("error: config:"), err
 
+    def test_memory_error_is_reported_as_memory(self, tmp_path, capsys, monkeypatch):
+        # the builder raises without allocating anything
+        def out_of_memory(cfg):
+            raise MemoryError("cannot allocate the synthesis grid")
+
+        monkeypatch.setattr(cli.config_mod, "build_problem", out_of_memory)
+        code = cli_main(["synth", "--config", self.write_config(tmp_path),
+                         "--out-prefix", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: memory: cannot allocate the synthesis grid\n", err
+        assert not list(tmp_path.glob("out.*"))
+
     def test_missing_data_categorized_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         code = cli_main(["invert", "--config", cfg,

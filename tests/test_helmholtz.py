@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -338,6 +340,49 @@ class TestSolve:
             for col in order[:3]:
                 single = system.green_many(positions[[col]])
                 assert single.tobytes() == full[:, col].tobytes()
+
+    def test_solve_never_writes_the_right_hand_side(self):
+        # each solved column goes back to node order inside SuperLU's fresh
+        # result, or into a new block past FORWARD_BLOCK columns: the
+        # caller's array keeps its bytes, the result shares none of its
+        # memory, and the values are those of a scatter into a new block
+        cfg = parse_config(DEFAULT_CONFIG)
+        grid = C.build_grid(cfg)
+        system = assemble(grid, C.build_true_field(cfg, grid), C.build_physics(cfg))
+        lu = system.factorization
+        n = grid.n_nodes
+        rng = np.random.default_rng(20)
+        for shape in ((n,), (n, 1), (n, 7), (n, 8), (n, 9), (n, 17)):
+            for layout in "CF":
+                b = np.array(rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                             order=layout)
+                before = b.tobytes(order="A")
+                x = system.solve(b)
+                assert b.tobytes(order="A") == before
+                assert not np.shares_memory(x, b)
+                cols = b.reshape(n, -1)
+                ref = np.empty(cols.shape, dtype=complex, order="F")
+                for start in range(0, cols.shape[1], FORWARD_BLOCK):
+                    chunk = slice(start, start + FORWARD_BLOCK)
+                    ref[system._order, chunk] = lu.solve(cols[:, chunk])
+                assert x.shape == shape
+                assert x.tobytes(order="F") == ref.reshape(shape, order="F").tobytes(order="F")
+
+    def test_green_many_holds_two_blocks(self):
+        # the right-hand side and SuperLU's result are the only node-sized
+        # blocks of an 8-source solve; a second result block would make 3
+        cfg = parse_config(DEFAULT_CONFIG)
+        grid = C.build_grid(cfg)
+        system = assemble(grid, C.build_true_field(cfg, grid), C.build_physics(cfg))
+        system.factorization
+        positions = C.build_sim_sources(cfg, grid).positions[:FORWARD_BLOCK]
+        tracemalloc.start()
+        try:
+            system.green_many(positions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * grid.n_nodes * FORWARD_BLOCK * 16
 
     @pytest.mark.parametrize("grid_name", ["criterion_1", "default_2d", "3d"])
     def test_cached_order_bit_equal_to_per_call_ordering(self, grid_name):

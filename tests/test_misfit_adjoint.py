@@ -221,7 +221,9 @@ class TestAdjointSolve:
                     expected[y, above] -= coef * w * g[z, i] / (2 * hz)
                     expected[y, below] += coef * w * g[z, i] / (2 * hz)
         expected /= cell
-        assert np.allclose(got, expected, rtol=1e-14, atol=0)
+        # one column per simulation source, negated, as the adjoint solve takes it
+        assert got.shape == (grid.n_nodes, 2) and got.flags.f_contiguous
+        assert np.allclose(got, -expected.T, rtol=1e-14, atol=0)
 
     def test_zero_gap_row_gives_zero_field(self):
         grid, _, receivers, obs, sim, truth, _, data = crime_scenario()
