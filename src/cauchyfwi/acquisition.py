@@ -279,18 +279,23 @@ def synthesize(true_field, obs_sources, receivers, phys):
     """Solve the true model once per observation source and record traces.
 
     true_field may live on a refinement of the receiver grid; receiver
-    positions must coincide with its nodes.  The sources are solved
-    FORWARD_BLOCK at a time against one factorization, and only the traces
-    of each block are kept, so no field of more than FORWARD_BLOCK sources
-    is ever held.  These are the column blocks HelmholtzSystem.solve uses,
-    so the traces are bit-equal to those of one solve over every source.
+    positions must coincide with its nodes.  The sources are solved in
+    blocks against one factorization, and only the traces of each block
+    are kept.  A block holds FORWARD_BLOCK sources times the ratio of the
+    receiver grid's node count to true_field's, at least one, so its field
+    takes no more memory than a FORWARD_BLOCK solve on the inversion grid:
+    2 sources on the default h/2 grid, FORWARD_BLOCK with no refinement.
+    At 1 BLAS thread each column of a solve at most FORWARD_BLOCK wide is
+    bit-equal to that column solved alone, so the traces are those of one
+    solve over every source; at 2 threads this holds on the default
+    configuration, but not on every operator (see HelmholtzSystem).
     """
     fine = true_field.grid
     rec_fine = receivers.on_grid(fine)
     validate_geometry(obs_sources, rec_fine, fine)
     system = assemble(fine, true_field, phys)
     positions = obs_sources.positions
-    step = helmholtz.FORWARD_BLOCK
+    step = max(1, helmholtz.FORWARD_BLOCK * receivers.grid.n_nodes // fine.n_nodes)
     blocks = [helmholtz.traces_many(system.green_many(positions[i:i + step]), fine, rec_fine)
               for i in range(0, len(positions), step)]
     g, dg = (np.concatenate(parts) for parts in zip(*blocks))

@@ -213,13 +213,22 @@ def validate(cfg):
     if problems:
         raise ConfigError("configuration rejected", problems)
 
-    # the sampling rule needs the built grid and physics
+    # the sampling and inclusion rules need the built grid and physics
     ppw = points_per_wavelength(built["grid"], built["physics"], cfg.c_min_m_per_s)
     if ppw < 4.0:
-        raise ConfigError("configuration rejected", [
+        problems.append(
             f"only {ppw:.2f} grid points per shortest wavelength; need at least 4 "
             "(raise the node counts or lower the frequency)"
-        ])
+        )
+    # a narrower inclusion is a spike on at most one node of the synthesis grid
+    fine_spacing = max(built["grid"].spacing) / cfg.refine
+    if cfg.inclusion_radius_m < fine_spacing:
+        problems.append(
+            f"phantom.inclusion_radius_m must be at least the synthesis grid spacing "
+            f"of {fine_spacing:g} m, got {cfg.inclusion_radius_m:g}"
+        )
+    if problems:
+        raise ConfigError("configuration rejected", problems)
 
 
 def render_config(cfg):

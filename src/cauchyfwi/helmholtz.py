@@ -99,9 +99,10 @@ def assemble(grid, speed, phys, free_surface=True):
     free-space response).
 
     Only the diagonal depends on the speed and the frequency.  It is
-    written into a copy of the grid's cached values, which are in the
-    column order the LU factorizes in (see _pattern), so the system shares
-    its read-only structure with every other system on the same grid.
+    written into a complex copy of the grid's cached real off-diagonal
+    values, which are in the column order the LU factorizes in (see
+    _pattern), so the system shares its read-only structure with every
+    other system on the same grid.
     """
     if speed.grid != grid:
         raise AssemblyError("speed field lives on a different grid")
@@ -126,7 +127,7 @@ def assemble(grid, speed, phys, free_surface=True):
     diag *= grid.boundary_scale()
     diag[dirichlet] = 1.0
 
-    data = offdiag.copy()
+    data = offdiag.astype(complex)
     data[diag_slot] = diag
     m = grid.n_nodes
     ordered = sp.csc_matrix((data, indices, indptr), shape=(m, m))
@@ -143,7 +144,10 @@ def _pattern(grid, free_surface):
     read-only.  The first three describe A[:, order], with zeros in the
     diagonal entries; diag_slot[j] is the position in offdiag of entry
     (j, j) of A, and dirichlet masks the rows of the pressure-free face
-    (none when free_surface is False).
+    (none when free_surface is False).  offdiag is float64: each value is
+    1/h^2, or 2/h^2 beside a ghost node, times the row scale, so it is
+    never complex, and half the size of the complex values assemble
+    builds from it.
 
     The order is q = argsort(perm_c), where perm_c is the column
     permutation of an MMD_AT_PLUS_A factorization of a diagonally dominant
@@ -179,9 +183,10 @@ def _pattern(grid, free_surface):
 
 
 def _offdiagonal(grid, free_surface):
-    """The operator's off-diagonal values in compressed columns, with
-    explicit zeros in the diagonal entries, and the mask of its Dirichlet
-    rows.  Its triplets are freed on return, before _pattern factorizes."""
+    """The operator's real off-diagonal values in compressed columns,
+    with explicit zeros in the diagonal entries, and the mask of its
+    Dirichlet rows.  Its triplets are freed on return, before _pattern
+    factorizes."""
     dim = grid.dim
     shape = grid.shape
     h = grid.spacing
@@ -192,7 +197,7 @@ def _offdiagonal(grid, free_surface):
 
     rows = [np.arange(m)]
     cols = [np.arange(m)]
-    vals = [np.zeros(m, dtype=complex)]
+    vals = [np.zeros(m)]
 
     strides = np.array([int(np.prod(shape[d + 1 :])) for d in range(dim)])
     flat = np.arange(m)
@@ -211,7 +216,7 @@ def _offdiagonal(grid, free_surface):
             coeff = np.where(doubled[src], 2.0, 1.0) / h[d] ** 2 * scale[src]
             rows.append(src)
             cols.append(tgt)
-            vals.append(coeff.astype(complex))
+            vals.append(coeff)
 
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -288,14 +293,19 @@ class HelmholtzSystem:
     each chunk into a second result block, this took about 4 % less time
     for 32 columns on 81 x 41 and 3 % less for 8 (interleaved medians of
     60 at 1 BLAS thread), and the benchmark's inversions peak at about
-    84.7 MB of resident memory instead of 86.4 MB.
+    84.7 MB of resident memory instead of 86.4 MB (81.2 MB since the h/2
+    synthesis solves fewer sources at a time; see acquisition.synthesize).
 
     In chunks this narrow every column came out bit-equal to that column
     solved alone, at 1 and 2 BLAS threads; in one 32-column solve the
     larger supernodes of this ordering let OpenBLAS's trsm/gemm take their
     threaded path at 2 threads, which changed the last bits of up to 31 of
     the 32 columns.  At 1 thread the chunks are no slower than one wide
-    solve.
+    solve.  The bit-equality at 2 threads holds on the operators the tests
+    cover, not on all: there, 8 random columns solved 1 or 2 at a time
+    differ in their last bits from 4 or 8 at a time on the 161 x 81 grid
+    with a random speed field, and 1, 4 and 8 at a time all differ on a
+    17 x 13 x 15 grid.  At 1 thread every width agrees on both.
     """
 
     def __init__(self, grid, speed, phys, ordered, order, dirichlet_mask):
@@ -337,7 +347,8 @@ class HelmholtzSystem:
         return self._factor
 
     def solve(self, rhs):
-        """Solve A u = rhs for one vector or a (n_nodes, k) block.
+        """Solve A u = rhs for one vector or a (n_nodes, k) block; any
+        other shape raises ValueError.
 
         Direct factorization; the residual satisfies |A u - b| <= 1e-10 |b|
         for well-scaled inputs and output is deterministic.  The columns
@@ -348,6 +359,9 @@ class HelmholtzSystem:
         raises SolverBreakdownError.
         """
         b = np.asarray(rhs, dtype=complex)
+        if b.ndim not in (1, 2):
+            raise ValueError(f"right-hand side must be one vector or a (n_nodes, k) block, "
+                             f"got shape {b.shape}")
         if b.shape[0] != self.grid.n_nodes:
             raise ValueError("right-hand side has the wrong length")
         if not np.isfinite(b).all():
@@ -368,7 +382,7 @@ class HelmholtzSystem:
         if not np.isfinite(x).all():
             raise SolverBreakdownError("triangular solve returned non-finite values")
         self.solve_count += cols.shape[1]
-        return x.reshape(b.shape, order="F")
+        return x.reshape(b.shape)
 
     def _put_in_node_order(self, solved, out):
         """Write the columns of solved, in the column order, to the columns

@@ -65,7 +65,11 @@ def main():
     fields = assemble(grid, start, phys).green_many(sim.positions)
     print("green_many", digest(fields))
 
-    data = add_noise(C.build_clean_data(cfg, problem), cfg.snr_db, cfg.seed)
+    # the h/2 synthesis, solved in blocks of its own width
+    clean = C.build_clean_data(cfg, problem)
+    print("build_clean_data", digest(clean.g, clean.dg))
+
+    data = add_noise(clean, cfg.snr_db, cfg.seed)
     objective = Objective(initial, sim, data, phys)
     vec = initial.coefficient_vector
     step = np.zeros_like(initial.coeffs)

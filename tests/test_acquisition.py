@@ -20,7 +20,13 @@ from cauchyfwi.acquisition import (
 )
 from cauchyfwi.errors import DataFormatError, GeometryError
 from cauchyfwi.geometry import Grid, NodalField
-from cauchyfwi.helmholtz import FORWARD_BLOCK, PhysicsConfig, assemble, traces_many
+from cauchyfwi.helmholtz import (
+    FORWARD_BLOCK,
+    HelmholtzSystem,
+    PhysicsConfig,
+    assemble,
+    traces_many,
+)
 
 PHYS = PhysicsConfig(freq_hz=25.0, water_speed=1500.0)
 
@@ -160,11 +166,46 @@ class TestSynthesize:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # numpy's arrays are traced, SuperLU's own memory is not
-        field_block = fine.n_nodes * obs.n_sources * np.dtype(complex).itemsize
-        assert peak < field_block
+        # numpy's arrays are traced, SuperLU's own memory is not.  A block
+        # is FORWARD_BLOCK fields on the fine grid: solving 8 sources at a
+        # time peaks at 3.29 of them, their right-hand side and result
+        # beside the operator and the traces; 2 at a time peaks at 2.04
+        field_block = fine.n_nodes * FORWARD_BLOCK * np.dtype(complex).itemsize
+        assert peak < 2.5 * field_block
         np.testing.assert_array_equal(data.g, g_ref)
         np.testing.assert_array_equal(data.dg, dg_ref)
+
+    @pytest.mark.parametrize("refine, width", [(1, FORWARD_BLOCK), (2, 2)])
+    def test_source_block_width_follows_the_grids(self, monkeypatch, refine, width):
+        # a block solved on the fine grid holds no more than FORWARD_BLOCK
+        # fields of the receiver grid, and its traces are bit-equal to
+        # those of one solve over every source
+        grid = make_grid()
+        obs = source_lattice(grid, depth_m=7.5, count=8, margin_m=30.0,
+                             depth_span_m=7.5, n_layers=2)
+        data, widths, reference = synthesize_recording_widths(monkeypatch, grid, refine, obs)
+        assert widths == [width] * (obs.n_sources // width)
+        g_ref, dg_ref = reference(obs.positions)
+        np.testing.assert_array_equal(data.g, g_ref)
+        np.testing.assert_array_equal(data.dg, dg_ref)
+
+    def test_source_blocks_of_one_in_3d(self, monkeypatch):
+        # the refined 3-D grid has 6.6 times the nodes: one source a block.
+        # At 1 BLAS thread the traces are bit-equal to one solve over every
+        # source; at 2, OpenBLAS threads the 8-column solve of that
+        # reference on this grid, which moves its last bits, so it is
+        # checked to rounding and each block against its source alone
+        grid = Grid((80.0, 60.0, 70.0), (9, 7, 8))
+        obs = source_lattice(grid, depth_m=10.0, count=3, margin_m=20.0)
+        data, widths, reference = synthesize_recording_widths(monkeypatch, grid, 2, obs)
+        assert widths == [1] * 9
+        g_ref, dg_ref = reference(obs.positions)
+        np.testing.assert_allclose(data.g, g_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(data.dg, dg_ref, rtol=1e-12, atol=0)
+        for i in range(obs.n_sources):
+            g_i, dg_i = reference(obs.positions[[i]])
+            assert data.g[i].tobytes() == g_i.tobytes()
+            assert data.dg[i].tobytes() == dg_i.tobytes()
 
     def test_receivers_must_align_with_fine_nodes(self):
         grid = make_grid()
@@ -172,6 +213,29 @@ class TestSynthesize:
         odd = Grid(grid.extent, (61, 31))  # not a node-compatible refinement
         with pytest.raises(GeometryError, match="not a refinement"):
             synthesize(homogeneous(odd), source_lattice(grid, 7.5, 2, 30.0), rec, PHYS)
+
+
+def synthesize_recording_widths(monkeypatch, grid, refine, obs):
+    """synthesize a 1550 m/s medium on grid refined refine times, with
+    receivers at 30 m; returns the data, the number of sources in each
+    green_many call, and a function giving the traces of one solve over
+    a position set."""
+    fine = grid.refine(refine)
+    field = homogeneous(fine, 1550.0)
+    rec = receiver_layer(grid, depth_m=30.0)
+    system = assemble(fine, field, PHYS)
+    widths = []
+    green_many = HelmholtzSystem.green_many
+
+    def recording(system, positions):
+        widths.append(len(positions))
+        return green_many(system, positions)
+
+    monkeypatch.setattr(HelmholtzSystem, "green_many", recording)
+    data = synthesize(field, obs, rec, PHYS)
+    monkeypatch.undo()
+    return data, widths, lambda positions: traces_many(system.green_many(positions), fine,
+                                                       rec.on_grid(fine))
 
 
 def small_dataset(seed=0, n_src=3, n_rcv=33):

@@ -150,6 +150,24 @@ class TestConfigParsing:
             parse_config(text)
         assert "wavelength" in str(err.value)
 
+    def test_inclusion_no_narrower_than_a_synthesis_cell(self):
+        # the refine grid of FAST_CONFIG is 5 m apart on both axes; a 1e-6 m
+        # radius would synthesize a one-node spike
+        for radius in ("5", "7.5"):
+            cfg = parse_config(FAST_CONFIG.replace("inclusion_radius_m = 30",
+                                                   f"inclusion_radius_m = {radius}"))
+            assert cfg.inclusion_radius_m == float(radius)
+        for radius, refine in (("1e-6", "2"), ("4.999", "2"), ("5", "1")):
+            text = FAST_CONFIG.replace("inclusion_radius_m = 30",
+                                       f"inclusion_radius_m = {radius}")
+            with pytest.raises(ConfigError) as err:
+                parse_config(text.replace("refine = 2", f"refine = {refine}"))
+            spacing = 10 / int(refine)
+            assert err.value.problems == [
+                f"phantom.inclusion_radius_m must be at least the synthesis grid spacing "
+                f"of {spacing:g} m, got {float(radius):g}"
+            ]
+
     def test_source_receiver_separation_enforced(self):
         cfg = parse_config(FAST_CONFIG.replace("obs_source_depth_m = 10",
                                                "obs_source_depth_m = 25"))
@@ -603,6 +621,7 @@ class TestCliFlow:
         ("gradcheck", "nodes_x = 25\nnodes_z = 13", "nodes_x = 161\nnodes_z = 121", "config"),
         ("synth", "source_margin_m = 30", "source_margin_m = -200", "geometry"),
         ("synth", "inclusion_radius_m = 30\n", "", "config"),
+        ("synth", "inclusion_radius_m = 30", "inclusion_radius_m = 1e-6", "config"),
         # the frozen water tiles sit at 1500 m/s, below c_min
         ("synth", "c_min_m_per_s = 1250", "c_min_m_per_s = 1520", "config"),
         ("synth", "initial_top_speed_m_per_s = 1550", "initial_top_speed_m_per_s = 1000",

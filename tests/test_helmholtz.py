@@ -228,6 +228,16 @@ class TestAssemble:
             with pytest.raises(ValueError):
                 shared[0] = 1
 
+    def test_cached_offdiagonals_are_real(self):
+        # the values 1/h^2 times the row scale are never complex: the cache
+        # keeps them as float64, half the bytes, and assemble's complex
+        # copy of them is checked bit for bit against COO assembly above
+        for grid in (Grid((40.0, 40.0), (5, 5)), GRID_3D):
+            for free_surface in (True, False):
+                offdiag = _pattern(grid, free_surface)[2]
+                assert offdiag.dtype == np.float64
+                assert not offdiag.flags.writeable
+
     def test_nonfinite_speed_rejected(self):
         grid = Grid((30.0, 30.0), (4, 4))
         vals = np.full(grid.n_nodes, 1500.0)
@@ -291,6 +301,18 @@ class TestSolve:
         lhs = system.solve(a * b1 + c * b2)
         rhs = a * system.solve(b1) + c * system.solve(b2)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+    def test_solve_rejects_other_shapes(self):
+        # flattened in C order and restored in F order, a (25, 2, 3) block
+        # came back off by 224 from its columns solved alone
+        grid = Grid((40.0, 40.0), (5, 5))
+        system = assemble(grid, constant_speed(grid), PHYS)
+        rng = np.random.default_rng(21)
+        for shape in ((25, 2, 3), (25, 1, 1), ()):
+            b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            with pytest.raises(ValueError, match="one vector or a"):
+                system.solve(b)
+        assert system.solve_count == 0
 
     def test_block_solve_matches_column_solves(self):
         grid = Grid((40.0, 40.0), (5, 5))

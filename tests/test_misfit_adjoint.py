@@ -288,9 +288,9 @@ class TestNodalGradient:
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one core")
     def test_results_independent_of_blas_thread_count(self):
         # the helper prints the thread count in effect, then digests of the
-        # nodal gradient of random 3321 x 32 blocks, a 32-column solve, two
-        # objective evaluations and four driver iterations on the default
-        # configuration
+        # nodal gradient of random 3321 x 32 blocks, a 32-column solve, the
+        # h/2 clean data, two objective evaluations and four inversion
+        # iterations on the default configuration
         helper = os.path.join(os.path.dirname(__file__), "blas_thread_digests.py")
         src = os.path.dirname(os.path.dirname(cauchyfwi.__file__))
         outputs = {}
@@ -303,7 +303,7 @@ class TestNodalGradient:
             first, rest = run.stdout.split("\n", 1)
             assert first == f"openblas_threads {threads}"
             outputs[threads] = rest
-        assert len(outputs[1].splitlines()) == 5
+        assert len(outputs[1].splitlines()) == 6
         assert outputs[1] == outputs[2]
 
 
