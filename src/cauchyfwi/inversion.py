@@ -3,12 +3,13 @@ discrepancy principle or on stagnation.
 
 Each iteration solves the forward problem for the current model, forms the
 reciprocity-gap misfit and its coefficient-space gradient, builds an L-BFGS
-direction from the last LBFGS_PAIRS steps, and backtracks along
-c - alpha * s until the Armijo condition holds and the trial model stays
-inside the speed bounds.  The recursion starts from gamma M, where M is the
-diagonal of squared coefficient scales (coefficient_scales): the intercepts
-a_j are speeds and the slopes A_j speeds per metre, so without M a step
-barely moves the slopes.  The line search's constants are module constants.
+direction from every step since the start or the last restart, and
+backtracks along c - alpha * s until the Armijo condition holds and the
+trial model stays inside the speed bounds.  The recursion starts from
+gamma M, where M is the diagonal of squared coefficient scales
+(coefficient_scales): the intercepts a_j are speeds and the slopes A_j
+speeds per metre, so without M a step barely moves the slopes.  The line
+search's constants are module constants.
 
 The run stops at the iteration cap; by the discrepancy principle, once an
 accepted misfit falls to DISCREPANCY_TAU times its noise floor (noisy data
@@ -22,7 +23,6 @@ drops the pairs; a search without pairs is already that and is not repeated.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,14 +33,12 @@ from .helmholtz import assemble
 from .misfit_adjoint import misfit_and_gradient, misfit_only
 from .textio import write_text_atomic
 
-# Stored L-BFGS pairs; the model has a few dozen free coefficients.
-LBFGS_PAIRS = 5
 # A pair is skipped unless s'y > CURVATURE_TOL |s| |y|.
 CURVATURE_TOL = 1e-12
 # Discrepancy principle: stop once an accepted misfit J <= DISCREPANCY_TAU
 # times its noise floor E[J_noise].  On the default configuration 1.5 is
 # reached on noise seeds 1-5, 7, 11 and 1234; on 12 and 2029 the runs stall
-# at J / E[J_noise] = 1.59-1.61 and stop by stagnation after 63-74 iterations.
+# at J / E[J_noise] = 1.56-1.57 and stop by stagnation after 57-60 iterations.
 DISCREPANCY_TAU = 1.5
 # Backtracking line search, at textbook values (Nocedal and Wright,
 # Numerical Optimization, 2nd ed., 3.1).
@@ -143,12 +141,12 @@ def coefficient_scales(model):
 def lbfgs_direction(grad, pairs, metric):
     """Preconditioned L-BFGS search direction H g by the two-loop recursion.
 
-    pairs holds (s, y) steps and gradient changes, oldest first; metric is
-    the diagonal of M.  The initial inverse Hessian is gamma M with
-    gamma = s'y / y'My of the newest pair, and no pairs give M g.  The
-    update convention is c - alpha * s, so the direction aligns with +g.
-    It is a descent direction whenever every pair has s'y > 0, which
-    update_pairs ensures, and M is positive.
+    pairs holds any number of (s, y) steps and gradient changes, oldest
+    first; metric is the diagonal of M.  The initial inverse Hessian is
+    gamma M with gamma = s'y / y'My of the newest pair, and no pairs give
+    M g.  The update convention is c - alpha * s, so the direction aligns
+    with +g.  It is a descent direction whenever every pair has s'y > 0,
+    which update_pairs ensures, and M is positive.
     """
     q = np.array(grad, dtype=float)
     if not pairs:
@@ -167,9 +165,9 @@ def lbfgs_direction(grad, pairs, metric):
 
 
 def update_pairs(pairs, s, y):
-    """Store (s, y) unless it fails the curvature test
-    s'y > CURVATURE_TOL |s| |y|; pairs is a deque that drops its oldest
-    pair beyond its maxlen."""
+    """Append (s, y) to the list pairs unless it fails the curvature test
+    s'y > CURVATURE_TOL |s| |y|.  The driver keeps every pair it stores
+    until a restart clears them, so n_iter_max bounds their number."""
     if float(s @ y) > CURVATURE_TOL * float(np.linalg.norm(s) * np.linalg.norm(y)):
         pairs.append((s, y))
 
@@ -336,7 +334,7 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
     objective = Objective(initial_model, sim_sources, data, phys)
     coefficients = initial_model.coefficient_vector.copy()
     metric = coefficient_scales(initial_model) ** 2
-    pairs = deque(maxlen=LBFGS_PAIRS)
+    pairs = []
     grad_prev = step = None
     records = []
     speed_range = initial_model.c_max - initial_model.c_min

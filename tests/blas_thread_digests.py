@@ -79,8 +79,9 @@ def main():
         floor = objective.gap.noise_floor
         print("objective", name, value.hex(), floor.hex(), digest(grad))
 
-    # four iterations: the last two take L-BFGS directions from stored pairs
-    optim = OptimConfig(n_iter_min=1, n_iter_max=4, n_eps=1)
+    # eight iterations: from the second on, each L-BFGS direction is built
+    # from every pair stored so far, up to seven
+    optim = OptimConfig(n_iter_min=1, n_iter_max=8, n_eps=1)
     result = run_inversion(data, sim, initial, optim, phys)
     print("run_inversion", len(result.records),
           digest(result.misfit_history, result.model.coefficient_vector))

@@ -1,6 +1,5 @@
 import gc
 import weakref
-from collections import deque
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from cauchyfwi.geometry import (
 from cauchyfwi.helmholtz import FORWARD_BLOCK, HelmholtzSystem, PhysicsConfig, assemble
 from cauchyfwi.inversion import (
     DISCREPANCY_TAU,
-    LBFGS_PAIRS,
     Objective,
     OptimConfig,
     RejectedTrials,
@@ -78,7 +76,7 @@ class TestLbfgsDirection:
         h0 = float(s @ y) / float(y @ m @ y) * m
         v = np.eye(6) - rho * np.outer(y, s)
         h = v.T @ h0 @ v + rho * np.outer(s, s)
-        assert np.allclose(lbfgs_direction(g, deque([(s, y)]), metric), h @ g,
+        assert np.allclose(lbfgs_direction(g, [(s, y)], metric), h @ g,
                            rtol=1e-12, atol=0)
 
     def test_one_pair_equals_dense_bfgs_product(self):
@@ -90,19 +88,21 @@ class TestLbfgsDirection:
     def test_no_pairs_give_the_scaled_gradient(self):
         rng = np.random.default_rng(20)
         g, metric = rng.normal(size=6), rng.uniform(0.1, 10.0, 6)
-        assert lbfgs_direction(g, deque(), metric).tobytes() == (metric * g).tobytes()
+        assert lbfgs_direction(g, [], metric).tobytes() == (metric * g).tobytes()
 
     def test_descent_whenever_every_pair_has_positive_curvature(self):
+        # up to 2n + 1 pairs in n dimensions: the driver keeps every pair
         rng = np.random.default_rng(18)
-        for m in range(LBFGS_PAIRS + 1):
-            pairs = deque(curved_pairs(rng, 8, m), maxlen=LBFGS_PAIRS)
-            metric = rng.uniform(1e-3, 1e3, 8)
-            for g in rng.normal(size=(20, 8)):
+        n = 8
+        for m in range(2 * n + 2):
+            pairs = curved_pairs(rng, n, m)
+            metric = rng.uniform(1e-3, 1e3, n)
+            for g in rng.normal(size=(20, n)):
                 assert float(g @ lbfgs_direction(g, pairs, metric)) > 0
 
     def test_pair_failing_the_curvature_test_leaves_the_direction(self):
         rng = np.random.default_rng(19)
-        pairs = deque(curved_pairs(rng, 5, 2), maxlen=LBFGS_PAIRS)
+        pairs = curved_pairs(rng, 5, 2)
         g = rng.normal(size=5)
         metric = np.ones(5)
         before = lbfgs_direction(g, pairs, metric).tobytes()
@@ -148,6 +148,22 @@ class TestLbfgsDirection:
         alphas, fraction_steps, on_gradient = zip(*searches)
         assert alphas == (fraction_steps[0], 1.0, 1.0, fraction_steps[3], 1.0)
         assert on_gradient == (True, False, False, True, False)
+
+    def test_driver_keeps_every_pair(self, monkeypatch):
+        # ten iterations without a restart store nine pairs, none dropped
+        truth, initial, data, sim = small_problem(seed=1)
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=10, n_eps=1, eps_j=1e-9)
+        stored = []
+        direction = inversion.lbfgs_direction
+
+        def recording_direction(grad, pairs, m):
+            stored.append(len(pairs))
+            return direction(grad, pairs, m)
+
+        monkeypatch.setattr(inversion, "lbfgs_direction", recording_direction)
+        result = run_inversion(data, sim, initial, cfg, PHYS)
+        assert len(result.records) == 10
+        assert stored == list(range(10))
 
     def test_failed_search_without_pairs_is_not_repeated(self, monkeypatch):
         # the first iteration has no pairs: a restart would search the same

@@ -289,7 +289,7 @@ class TestNodalGradient:
     def test_results_independent_of_blas_thread_count(self):
         # the helper prints the thread count in effect, then digests of the
         # nodal gradient of random 3321 x 32 blocks, a 32-column solve, the
-        # h/2 clean data, two objective evaluations and four inversion
+        # h/2 clean data, two objective evaluations and eight inversion
         # iterations on the default configuration
         helper = os.path.join(os.path.dirname(__file__), "blas_thread_digests.py")
         src = os.path.dirname(os.path.dirname(cauchyfwi.__file__))

@@ -1,0 +1,29 @@
+"""The README's library example runs as written."""
+
+import os
+import re
+import time
+
+from cauchyfwi import evaluate_model, relative_l2_error
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+def test_library_example_runs():
+    with open(README, encoding="utf-8") as f:
+        # the body of the one fenced python block
+        (block,) = re.findall(r"^```python\n(.*?)^```$", f.read(), flags=re.S | re.M)
+    namespace = {}
+    t0 = time.perf_counter()
+    # a name the block never defines raises NameError here
+    exec(compile(block, README, "exec"), namespace)
+    elapsed = time.perf_counter() - t0
+
+    result, truth = namespace["result"], namespace["true_field"]
+    e_init = relative_l2_error(truth, evaluate_model(namespace["initial"]))
+    e_final = relative_l2_error(truth, evaluate_model(result.model))
+    assert result.reason == "discrepancy"
+    # criterion 6's threshold: the example's simulation set is decoupled
+    assert 1 - e_final / e_init >= 0.40
+    assert elapsed <= 60.0
