@@ -285,10 +285,9 @@ def synthesize(true_field, obs_sources, receivers, phys):
     receiver grid's node count to true_field's, at least one, so its field
     takes no more memory than a FORWARD_BLOCK solve on the inversion grid:
     2 sources on the default h/2 grid, FORWARD_BLOCK with no refinement.
-    At 1 BLAS thread each column of a solve at most FORWARD_BLOCK wide is
-    bit-equal to that column solved alone, so the traces are those of one
-    solve over every source; at 2 threads this holds on the default
-    configuration, but not on every operator (see HelmholtzSystem).
+    The traces are those of one solve over every source wherever solves
+    of differing width agree (README.md, "Reproducibility and BLAS
+    threads").
     """
     fine = true_field.grid
     rec_fine = receivers.on_grid(fine)

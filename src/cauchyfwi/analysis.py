@@ -44,8 +44,8 @@ def gaussian_smooth(field, sigma):
         raise DataFormatError(f"sigma must be finite and nonnegative, got {sigma}")
     if sigma == 0:
         return field
-    # imported here: scipy.ndimage adds about 4 MB to a process's peak RSS,
-    # which a module-level import would charge to every importer of analysis
+    # imported here: scipy.ndimage raises a process's peak RSS, which a
+    # module-level import would charge to every importer of analysis
     from scipy.ndimage import gaussian_filter
 
     vals = field.reshape().astype(float)

@@ -6,8 +6,8 @@ export builds only the grid and partition that reading a model file needs.
 synth and gradcheck take their clean data from config.build_clean_data.
 synth and invert write a resolved-configuration snapshot next to their
 outputs; re-running from the snapshot with the same flags reproduces the
-outputs bit-exactly for a fixed seed; on the default configuration this holds
-at 1 and at 2 OpenBLAS threads alike.
+outputs bit-exactly for a fixed seed (README.md, "Reproducibility and BLAS
+threads", says across which thread counts).
 Outputs are written by the package writers, which replace their files
 atomically.  A failure exits with status 1 and prints
 ``error: <category>: <message>``: the category of a package error, ``io``

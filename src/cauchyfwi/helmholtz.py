@@ -10,28 +10,10 @@ including at edges and corners.  Symmetry gives discrete source-receiver
 reciprocity and lets one factorization serve both forward and adjoint
 solves.
 
-The LU factorization orders the columns by minimum degree on A^T + A
-(SuperLU's MMD_AT_PLUS_A), a fill-reducing ordering for a structurally
-symmetric matrix: on the default 81 x 41 grid it leaves about 93k nonzeros
-in L + U, against about 151k under the default COLAMD ordering.  Partial
-pivoting stays on, because A is complex symmetric but neither Hermitian
-nor definite, so no diagonal pivot is known to be safe.  SuperLU runs with
-no supernode relaxation and two-column panels (SUPERLU_RELAX and
-SUPERLU_PANEL_SIZE): its defaults suit far larger matrices, and these
-settings factorize our grids about a third faster with the same fill (see
-HelmholtzSystem).
-
-The column order, minimum degree followed by SuperLU's elimination-tree
-postorder, depends on the sparsity pattern alone, never on the values,
-and every operator on one grid and boundary choice has the same pattern.
-So the order is computed once per pattern, by one MMD_AT_PLUS_A
-factorization of a diagonally dominant stand-in, and cached with it.
-Assembly fills that cached pattern, already in column order: the
-off-diagonal values depend on the grid alone, so each call computes only
-the diagonal.  Each operator is then factorized in SuperLU's NATURAL
-order, which skips the ordering; its factors and solves are bit-equal to
-those of an ordering computed for that operator (HelmholtzSystem gives
-the timings).
+Assembly fills a structure cached per grid and boundary choice, with its
+columns already in a fill-reducing order (_pattern).  HelmholtzSystem
+factorizes it with SuperLU and solves FORWARD_BLOCK columns at a time
+(HelmholtzSystem.solve).
 """
 
 from __future__ import annotations
@@ -52,7 +34,7 @@ from .errors import (
 from .geometry import Grid, NodalField, read_only
 from .textio import write_text_atomic
 
-# Columns per triangular solve; see HelmholtzSystem.
+# Columns per triangular solve; see HelmholtzSystem.solve.
 FORWARD_BLOCK = 8
 
 # SuperLU's supernode relaxation and panel width; see HelmholtzSystem.
@@ -149,14 +131,19 @@ def _pattern(grid, free_surface):
     never complex, and half the size of the complex values assemble
     builds from it.
 
-    The order is q = argsort(perm_c), where perm_c is the column
-    permutation of an MMD_AT_PLUS_A factorization of a diagonally dominant
-    stand-in with the operator's structure.  Minimum degree and the
-    elimination-tree postorder that make up perm_c read the structure
-    alone, so every operator on the grid would get the same perm_c.  The
-    stand-in is complex, like the operators: with a real one the
-    benchmark's invert_coupled peaked at 90.0 MB of resident memory
-    instead of 86.4 MB.
+    The order is q = argsort(perm_c), where perm_c is SuperLU's column
+    permutation by minimum degree on A^T + A (MMD_AT_PLUS_A), the
+    fill-reducing ordering for a structurally symmetric matrix, followed
+    by its elimination-tree postorder.  Both read the structure alone, so
+    every operator on the grid gets the same perm_c, and it is computed
+    once here, from a complex, diagonally dominant stand-in with the
+    operator's structure.  SuperLU fixes perm_c before it factorizes, so
+    an incomplete factorization that keeps no off-diagonal entry gives
+    the complete one's perm_c for a fraction of its work; a test pins the
+    two equal.  Each operator is then factorized in SuperLU's NATURAL
+    order, which scipy runs in SuperLU's symmetric mode; tests pin its
+    factors and solves bit-equal to those of an ordering computed for
+    that operator.
     """
     m = grid.n_nodes
     matrix, dirichlet = _offdiagonal(grid, free_surface)
@@ -165,13 +152,15 @@ def _pattern(grid, free_surface):
 
     dominant = np.abs(matrix.data).astype(complex)
     dominant[diag_slot] = 1.0 + np.add.reduceat(dominant, matrix.indptr[:-1])
-    # perm_c is a view that keeps the stand-in's LU alive; argsort copies
-    # it, so the LU is freed before the arrays below are allocated
-    order = np.argsort(spla.splu(
+    # perm_c is a view that keeps the stand-in's factors alive; argsort
+    # copies it, so they are freed before the arrays below are allocated
+    order = np.argsort(spla.spilu(
         sp.csc_matrix((dominant, matrix.indices, matrix.indptr), shape=(m, m)),
         permc_spec="MMD_AT_PLUS_A",
         relax=SUPERLU_RELAX,
         panel_size=SUPERLU_PANEL_SIZE,
+        drop_tol=1e300,
+        fill_factor=1,
     ).perm_c)
 
     # slot s of A moves to position position[s] of A[:, order]
@@ -229,83 +218,21 @@ class HelmholtzSystem:
     """Assembled operator with a lazily cached sparse LU factorization.
 
     The operator A arrives with its columns already in the fill-reducing
-    order: ordered is A[:, order], in compressed columns.  The operator is
-    fixed at construction, but the object is not immutable: it caches the
-    factorization on first use, for every later solve, and solve_count
-    counts the right-hand sides solved, for cost accounting.  The
-    factorization is SuperLU's, with partial pivoting, of the columns in
-    the order they arrive (see the module docstring).
+    order: ordered is A[:, order], in compressed columns (see _pattern).
+    The operator is fixed at construction, but the object is not
+    immutable: it caches the factorization on first use, for every later
+    solve, and solve_count counts the right-hand sides solved, for cost
+    accounting.  The factorization is SuperLU's, of the columns in the
+    order they arrive, with partial pivoting: A is complex symmetric but
+    neither Hermitian nor definite, so no diagonal pivot is known to be
+    safe.
 
     SuperLU relaxes supernodes up to SUPERLU_RELAX columns and factorizes
     panels of SUPERLU_PANEL_SIZE columns, in place of its defaults (from
-    SuperLU's sp_ienv), which are tuned for much larger matrices.  Median
-    splu times at 1 BLAS thread on a shared 2-vCPU machine, interleaved
-    over every setting (scipy 1.17.1, OpenBLAS 0.3.30), for relax 1, 2, 4
-    (rows) by panel width 1, 2, 4 (columns):
-
-        41 x 21 (criterion 1), default 2.95 ms
-            relax 1:  1.73  1.83  1.88 ms
-            relax 2:  1.72  1.82  1.89 ms
-            relax 4:  1.76  1.86  1.93 ms
-        81 x 41 (default inversion grid), default 11.50 ms
-            relax 1:  7.91  8.26  8.54 ms
-            relax 2:  7.97  8.27  8.41 ms
-            relax 4:  7.90  8.27  8.58 ms
-        161 x 81 (h/2 synthesis grid), default 57.6 ms
-            relax 1:  39.0  41.7  43.4 ms
-            relax 2:  38.7  41.7  43.6 ms
-            relax 4:  40.0  40.9  44.1 ms
-
-    Every setting cuts 25-42 % off the default, and the nine are within
-    15 % of each other.  A second pass that also timed the 32-column block
-    solve put panel width 2 level with width 1 on the 2-D grids
-    (factorization plus solve 3.5 against 3.7 ms, 14.8 against 14.7 ms,
-    90.6 against 93.5 ms) and ahead on a 25 x 25 x 13 3-D grid (255
-    against 288 ms to factorize, 355 ms at the defaults).  L + U fill is
-    the same at every setting: 16,798, 93,263 and 478,098 nonzeros on the
-    three 2-D grids.  Large relax values were left untried: relax=64 has
-    been seen to crash the interpreter at exit in scipy 1.17.1.
-
-    Those times include an MMD_AT_PLUS_A ordering in every factorization.
-    The columns arrive in the order it chose, cached per grid, and SuperLU
-    factorizes them in its NATURAL order.  Median factorization times at 1
-    BLAS thread, the per-call ordering and the cached one interleaved over
-    40 runs each (same machine and versions):
-
-        41 x 21     1.66 ms -> 1.23 ms   (-26 %)
-        81 x 41     7.78 ms -> 6.36 ms   (-18 %)
-        161 x 81   43.9 ms  -> 38.6 ms   (-12 %)
-
-    The first operator on a grid in a process pays for the cached order
-    with one more factorization, of the stand-in, which costs about the
-    left-hand time; all of _pattern takes 2.5, 11 and 50 ms.  scipy runs
-    SuperLU in its symmetric mode when the ordering is NATURAL, so the
-    tests pin that factors and solves stay bit-equal to a per-call
-    ordering.
-
-    A block of right-hand sides is solved FORWARD_BLOCK columns at a time.
-    SuperLU returns each chunk as a fresh Fortran-ordered array in the
-    column order, and each of its columns is put back in node order on its
-    own: in place, inside that array, when the block is one chunk, and
-    into the result block otherwise.  So a solve of at most FORWARD_BLOCK
-    columns holds no node-sized block but SuperLU's result and the
-    caller's right-hand side, which it never writes.  Against a scatter of
-    each chunk into a second result block, this took about 4 % less time
-    for 32 columns on 81 x 41 and 3 % less for 8 (interleaved medians of
-    60 at 1 BLAS thread), and the benchmark's inversions peak at about
-    84.7 MB of resident memory instead of 86.4 MB (81.2 MB since the h/2
-    synthesis solves fewer sources at a time; see acquisition.synthesize).
-
-    In chunks this narrow every column came out bit-equal to that column
-    solved alone, at 1 and 2 BLAS threads; in one 32-column solve the
-    larger supernodes of this ordering let OpenBLAS's trsm/gemm take their
-    threaded path at 2 threads, which changed the last bits of up to 31 of
-    the 32 columns.  At 1 thread the chunks are no slower than one wide
-    solve.  The bit-equality at 2 threads holds on the operators the tests
-    cover, not on all: there, 8 random columns solved 1 or 2 at a time
-    differ in their last bits from 4 or 8 at a time on the 161 x 81 grid
-    with a random speed field, and 1, 4 and 8 at a time all differ on a
-    17 x 13 x 15 grid.  At 1 thread every width agrees on both.
+    SuperLU's sp_ienv), which are tuned for much larger matrices: on this
+    package's grids the small settings factorize faster, with the same
+    fill.  Large relax values are left untried, as relax=64 has been seen
+    to crash the interpreter at exit in scipy 1.17.1.
     """
 
     def __init__(self, grid, speed, phys, ordered, order, dirichlet_mask):
@@ -351,12 +278,20 @@ class HelmholtzSystem:
         other shape raises ValueError.
 
         Direct factorization; the residual satisfies |A u - b| <= 1e-10 |b|
-        for well-scaled inputs and output is deterministic.  The columns
-        are solved FORWARD_BLOCK at a time; each solved column is put back
-        from the column order to node order, in place inside SuperLU's
-        result when the block is one chunk and into a Fortran-ordered
-        result otherwise.  rhs is never written.  A non-finite result
-        raises SolverBreakdownError.
+        for well-scaled inputs and output is deterministic.  rhs is never
+        written.  A non-finite result raises SolverBreakdownError.
+
+        The columns are solved FORWARD_BLOCK at a time.  In chunks this
+        narrow each column comes out bit-equal to that column solved
+        alone; in a wider solve OpenBLAS's trsm/gemm can take their
+        threaded path and change the last bits (README.md, "Reproducibility
+        and BLAS threads", says at which thread counts each holds).
+        SuperLU returns each chunk as a fresh Fortran-ordered array in the
+        column order, and each column is put back in node order on its
+        own: in place, inside that array, when the block is one chunk, and
+        into a Fortran-ordered result otherwise.  So a solve of at most
+        FORWARD_BLOCK columns holds no node-sized block but SuperLU's
+        result and the caller's right-hand side.
         """
         b = np.asarray(rhs, dtype=complex)
         if b.ndim not in (1, 2):

@@ -433,18 +433,35 @@ class TestSolve:
 
     def test_one_ordering_per_grid(self, monkeypatch):
         orderings = []
-        splu = spla.splu
 
-        def counting_splu(matrix, permc_spec=None, **kwargs):
-            orderings.append(permc_spec)
-            return splu(matrix, permc_spec=permc_spec, **kwargs)
+        def counting(factorize):
+            def factorize_and_count(matrix, permc_spec=None, **kwargs):
+                orderings.append(permc_spec)
+                return factorize(matrix, permc_spec=permc_spec, **kwargs)
+            return factorize_and_count
 
-        monkeypatch.setattr(spla, "splu", counting_splu)
+        monkeypatch.setattr(spla, "splu", counting(spla.splu))
+        monkeypatch.setattr(spla, "spilu", counting(spla.spilu))
         _pattern.cache_clear()
         grid = Grid((100.0, 80.0), (21, 17))
         for seed in (18, 19):
             assemble(grid, random_speed(grid, seed), PHYS).factorization
         assert orderings == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+
+    @pytest.mark.parametrize("shape", [(41, 21), (81, 41), (161, 81), (17, 13, 15)],
+                             ids=["41x21", "81x41", "161x81", "17x13x15"])
+    def test_order_is_that_of_a_complete_factorization(self, shape):
+        # _pattern orders from an incomplete factorization of its stand-in;
+        # a complete MMD_AT_PLUS_A factorization of a diagonally dominant
+        # matrix with the operator's structure gives the same column order
+        grid = Grid(tuple(10.0 * (n - 1) for n in shape), shape)
+        for free_surface in (True, False):
+            a = abs(assemble(grid, constant_speed(grid), PHYS, free_surface=free_surface).matrix)
+            dominant = sp.csc_matrix(a + sp.diags(1.0 + np.asarray(a.sum(axis=0)).ravel()))
+            lu = spla.splu(dominant, permc_spec="MMD_AT_PLUS_A",
+                           relax=SUPERLU_RELAX, panel_size=SUPERLU_PANEL_SIZE)
+            order = _pattern(grid, free_surface)[4]
+            assert np.array_equal(order, np.argsort(lu.perm_c))
 
     def test_symmetric_ordering_keeps_fill_low(self):
         # MMD on A^T + A leaves 93,263 nonzeros in L + U here; the default

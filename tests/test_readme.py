@@ -1,13 +1,15 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and the benchmark
+records it and the package cite exist."""
 
+import glob
 import os
 import re
 import time
 
 from cauchyfwi import evaluate_model, relative_l2_error
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 def test_library_example_runs():
@@ -27,3 +29,14 @@ def test_library_example_runs():
     # criterion 6's threshold: the example's simulation set is decoupled
     assert 1 - e_final / e_init >= 0.40
     assert elapsed <= 60.0
+
+
+def test_cited_benchmark_records_exist():
+    sources = [README, *glob.glob(os.path.join(ROOT, "src", "cauchyfwi", "*.py"))]
+    cited = set()
+    for path in sources:
+        with open(path, encoding="utf-8") as f:
+            cited.update(re.findall(r"BENCH_\d+\.json", f.read()))
+    assert cited, "the README names no benchmark record"
+    missing = sorted(name for name in cited if not os.path.isfile(os.path.join(ROOT, name)))
+    assert not missing
