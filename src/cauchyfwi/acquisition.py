@@ -215,14 +215,14 @@ def source_lattice(grid, depth_m, count, margin_m=0.0, depth_span_m=0.0, n_layer
     return SourceSet(pos, np.full(pos.shape[0], cell))
 
 
-def validate_geometry(sources, receivers, grid):
+def validate_geometry(sources, receivers):
     """Sources must sit at least two layers above the receiver surface, and
-    no two of them may snap to the same node of grid."""
-    n_nodes = np.unique(grid.nearest_nodes(sources.positions)).size
+    no two of them may snap to the same node of the receivers' grid."""
+    n_nodes = np.unique(receivers.grid.nearest_nodes(sources.positions)).size
     if n_nodes < sources.n_sources:
         raise GeometryError(f"{sources.n_sources} sources snap to only {n_nodes} "
-                            f"distinct nodes of the {grid.shape} grid")
-    hz = grid.spacing[-1]
+                            f"distinct nodes of the {receivers.grid.shape} grid")
+    hz = receivers.grid.spacing[-1]
     sigma_depth = receivers.depth_index * hz
     gap = sigma_depth - sources.positions[:, -1].max()
     if gap < 2 * hz - 1e-9:
@@ -291,7 +291,7 @@ def synthesize(true_field, obs_sources, receivers, phys):
     """
     fine = true_field.grid
     rec_fine = receivers.on_grid(fine)
-    validate_geometry(obs_sources, rec_fine, fine)
+    validate_geometry(obs_sources, rec_fine)
     system = assemble(fine, true_field, phys)
     positions = obs_sources.positions
     step = max(1, helmholtz.FORWARD_BLOCK * receivers.grid.n_nodes // fine.n_nodes)
@@ -303,13 +303,16 @@ def synthesize(true_field, obs_sources, receivers, phys):
 
 
 def noise_factor(snr_db):
-    """Noise power per unit signal power, f = 10^(-snr/10), of any finite SNR
-    in dB; None for +inf, which means clean data.  nan and -inf raise ValueError."""
+    """Noise power per unit signal power, f = 10^(-snr/10), of an SNR in dB;
+    None for +inf (clean data).  nan, -inf and an f that overflows raise ValueError."""
     if snr_db == math.inf:
         return None
     if not math.isfinite(snr_db):
         raise ValueError(f"SNR must be finite or +inf dB, got {snr_db}")
-    return 10.0 ** (-snr_db / 10.0)
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"SNR of {snr_db} dB gives a noise factor that overflows") from None
 
 
 def add_noise(data, snr_db, seed):
@@ -429,7 +432,7 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
         return float(text)
 
     def snr_db(text):
-        noise_factor(float(text))  # nan and -inf raise ValueError
+        noise_factor(float(text))  # raises ValueError where noise_factor does
         return float(text)
 
     def point_row(text):

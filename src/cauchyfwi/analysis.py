@@ -34,14 +34,15 @@ from .misfit_adjoint import misfit_and_gradient, misfit_only  # noqa: F401
 def gaussian_smooth(field, sigma):
     """Truncated-gaussian smoothing with edge renormalization.
 
-    sigma is in node units; the kernel is cut at 4 sigma, or at the longest
-    axis when that is shorter.  scipy.ndimage filters the field and a field
-    of ones with zero padding, and their ratio renormalizes the weights over
-    the in-bounds support, so constants (and the mean of interior-supported
+    sigma is in node units, nonnegative with a finite 4 sigma (DataFormatError
+    otherwise); the kernel is cut at 4 sigma, or at the longest axis when
+    that is shorter.  scipy.ndimage filters the field and a field of ones
+    with zero padding, and their ratio renormalizes the weights over the
+    in-bounds support, so constants (and the mean of interior-supported
     fields) are preserved to rounding.
     """
-    if not 0 <= sigma < np.inf:
-        raise DataFormatError(f"sigma must be finite and nonnegative, got {sigma}")
+    if not 0 <= sigma <= np.finfo(float).max / 4.0:
+        raise DataFormatError(f"sigma must be nonnegative, 4 sigma finite, got {sigma}")
     if sigma == 0:
         return field
     # imported here: scipy.ndimage raises a process's peak RSS, which a
@@ -102,10 +103,12 @@ def gradcheck(cfg, n_probes=0, seed=7, tolerance=1e-4):
     differentiates the misfit of the depth-only starting model.  With
     n_probes = 0 every non-frozen coefficient is probed.  A probe whose
     misfit differences drown in rounding is retried once with 10x wider
-    steps, then reported inconclusive.
+    steps, then reported inconclusive.  A grid above 151 x 101 nodes, or a
+    3D grid above 15251 nodes, raises ConfigError before any solve.
     """
-    if cfg.dim == 2 and (cfg.nodes_x > 151 or cfg.nodes_z > 101):
-        raise ConfigError("gradient check expects a small grid (<= 151 x 101)")
+    if (cfg.nodes_x * cfg.nodes_y * cfg.nodes_z > 151 * 101 if cfg.dim == 3
+            else cfg.nodes_x > 151 or cfg.nodes_z > 101):
+        raise ConfigError("gradient check expects a small grid (<= 151 x 101 nodes)")
     if n_probes < 0:
         raise ConfigError(f"the number of probes must be >= 0, got {n_probes}")
     if seed < 0:

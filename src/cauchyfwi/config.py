@@ -205,7 +205,8 @@ def validate(cfg):
         problems.append(f"noise.seed must be >= 0, got {cfg.seed}")
     built = {}
     for section, build in (("optimizer", build_optimizer), ("grid", build_grid),
-                           ("physics", build_physics)):
+                           ("physics", build_physics),
+                           ("noise", lambda cfg: acquisition.noise_factor(cfg.snr_db))):
         try:
             built[section] = build(cfg)
         except ValueError as exc:
@@ -324,7 +325,7 @@ def build_initial_model(cfg, partition):
 def check_acquisition(cfg, grid):
     receivers = build_receivers(cfg, grid)
     obs = build_obs_sources(cfg, grid)
-    acquisition.validate_geometry(obs, receivers, grid)
+    acquisition.validate_geometry(obs, receivers)
     return receivers, obs
 
 
@@ -356,7 +357,7 @@ def build_problem(cfg, decoupled=False):
     partition = build_partition_for(cfg, grid)
     receivers, obs = check_acquisition(cfg, grid)
     sim = build_sim_sources(cfg, grid, decoupled=decoupled)
-    acquisition.validate_geometry(sim, receivers, grid)
+    acquisition.validate_geometry(sim, receivers)
     initial = build_initial_model(cfg, partition)
     try:
         evaluate_model(initial)

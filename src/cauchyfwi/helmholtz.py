@@ -97,7 +97,7 @@ def assemble(grid, speed, phys, free_surface=True):
     shape = grid.shape
     h = grid.spacing
     idx = grid.multi_indices()
-    indptr, indices, offdiag, diag_slot, order, dirichlet = _pattern(grid, free_surface)
+    indptr, indices, offdiag, diag_slot, perm, dirichlet = _pattern(grid, free_surface)
 
     k2 = phys.k ** 2
     ik0 = 1j * phys.absorbing_k0
@@ -113,7 +113,7 @@ def assemble(grid, speed, phys, free_surface=True):
     data[diag_slot] = diag
     m = grid.n_nodes
     ordered = sp.csc_matrix((data, indices, indptr), shape=(m, m))
-    return HelmholtzSystem(grid, speed, phys, ordered, order, dirichlet)
+    return HelmholtzSystem(speed, phys, ordered, perm, dirichlet)
 
 
 @functools.lru_cache(maxsize=64)
@@ -122,17 +122,17 @@ def _pattern(grid, free_surface):
     columns in a fill-reducing order, and its off-diagonal values, which
     depend on the grid alone.
 
-    Returns (indptr, indices, offdiag, diag_slot, order, dirichlet), all
-    read-only.  The first three describe A[:, order], with zeros in the
-    diagonal entries; diag_slot[j] is the position in offdiag of entry
+    Returns (indptr, indices, offdiag, diag_slot, perm, dirichlet), all
+    read-only.  The first three describe A[:, argsort(perm)], with zeros in
+    the diagonal entries; diag_slot[j] is the position in offdiag of entry
     (j, j) of A, and dirichlet masks the rows of the pressure-free face
     (none when free_surface is False).  offdiag is float64: each value is
     1/h^2, or 2/h^2 beside a ghost node, times the row scale, so it is
     never complex, and half the size of the complex values assemble
     builds from it.
 
-    The order is q = argsort(perm_c), where perm_c is SuperLU's column
-    permutation by minimum degree on A^T + A (MMD_AT_PLUS_A), the
+    perm is SuperLU's perm_c, which puts column i of A at column perm[i]
+    of the ordered operator: minimum degree on A^T + A (MMD_AT_PLUS_A), the
     fill-reducing ordering for a structurally symmetric matrix, followed
     by its elimination-tree postorder.  Both read the structure alone, so
     every operator on the grid gets the same perm_c, and it is computed
@@ -152,23 +152,23 @@ def _pattern(grid, free_surface):
 
     dominant = np.abs(matrix.data).astype(complex)
     dominant[diag_slot] = 1.0 + np.add.reduceat(dominant, matrix.indptr[:-1])
-    # perm_c is a view that keeps the stand-in's factors alive; argsort
+    # perm_c is a view that keeps the stand-in's factors alive; astype
     # copies it, so they are freed before the arrays below are allocated
-    order = np.argsort(spla.spilu(
+    perm = spla.spilu(
         sp.csc_matrix((dominant, matrix.indices, matrix.indptr), shape=(m, m)),
         permc_spec="MMD_AT_PLUS_A",
         relax=SUPERLU_RELAX,
         panel_size=SUPERLU_PANEL_SIZE,
         drop_tol=1e300,
         fill_factor=1,
-    ).perm_c)
+    ).perm_c.astype(np.intp)
 
-    # slot s of A moves to position position[s] of A[:, order]
+    # slot s of A moves to position position[s] of A[:, argsort(perm)]
     slots = sp.csc_matrix((np.arange(matrix.nnz), matrix.indices, matrix.indptr),
-                          shape=(m, m))[:, order]
+                          shape=(m, m))[:, np.argsort(perm)]
     position = np.argsort(slots.data)
     return tuple(read_only(a) for a in (slots.indptr, slots.indices, matrix.data[slots.data],
-                                        position[diag_slot], order, dirichlet))
+                                        position[diag_slot], perm, dirichlet))
 
 
 def _offdiagonal(grid, free_surface):
@@ -217,15 +217,16 @@ def _offdiagonal(grid, free_surface):
 class HelmholtzSystem:
     """Assembled operator with a lazily cached sparse LU factorization.
 
-    The operator A arrives with its columns already in the fill-reducing
-    order: ordered is A[:, order], in compressed columns (see _pattern).
-    The operator is fixed at construction, but the object is not
-    immutable: it caches the factorization on first use, for every later
-    solve, and solve_count counts the right-hand sides solved, for cost
-    accounting.  The factorization is SuperLU's, of the columns in the
-    order they arrive, with partial pivoting: A is complex symmetric but
-    neither Hermitian nor definite, so no diagonal pivot is known to be
-    safe.
+    The operator A on speed's grid arrives with its columns already in the
+    fill-reducing order: ordered is A[:, argsort(perm)], in compressed
+    columns, so node i is column perm[i] of ordered and entry perm[i] of a
+    solution (see _pattern).  The operator is fixed at construction, but
+    the object is not immutable: it caches the factorization on first use,
+    for every later solve, and solve_count counts the right-hand sides
+    solved, for cost accounting.  The factorization is SuperLU's, of the
+    columns in the order they arrive, with partial pivoting: A is complex
+    symmetric but neither Hermitian nor definite, so no diagonal pivot is
+    known to be safe.
 
     SuperLU relaxes supernodes up to SUPERLU_RELAX columns and factorizes
     panels of SUPERLU_PANEL_SIZE columns, in place of its defaults (from
@@ -235,29 +236,20 @@ class HelmholtzSystem:
     to crash the interpreter at exit in scipy 1.17.1.
     """
 
-    def __init__(self, grid, speed, phys, ordered, order, dirichlet_mask):
-        self.grid = grid
+    def __init__(self, speed, phys, ordered, perm, dirichlet_mask):
+        self.grid = speed.grid
         self.speed = speed
         self.phys = phys
         self.dirichlet_mask = dirichlet_mask
         self.solve_count = 0
         self._ordered = ordered
-        self._order = order
+        self._perm = perm
         self._factor = None
-
-    @functools.cached_property
-    def _node_order(self):
-        """The inverse of the column order: column _node_order[i] of the
-        ordered operator, and entry _node_order[i] of a solution in the
-        column order, belong to node i."""
-        inverse = np.empty_like(self._order)
-        inverse[self._order] = np.arange(self._order.size)
-        return read_only(inverse)
 
     @property
     def matrix(self):
         """The operator A, put back in node order anew on each access."""
-        return self._ordered[:, self._node_order]
+        return self._ordered[:, self._perm]
 
     @property
     def factorization(self):
@@ -326,7 +318,7 @@ class HelmholtzSystem:
         "clip" mode, which clips nothing here as the indices are a
         permutation, spares the buffer "raise" makes of every output."""
         for j in range(solved.shape[1]):
-            np.take(solved[:, j], self._node_order, out=out[:, j], mode="clip")
+            np.take(solved[:, j], self._perm, out=out[:, j], mode="clip")
 
     def green_many(self, positions):
         """(n_nodes, n) responses to unit point sources at (n, dim)

@@ -300,8 +300,7 @@ class Objective:
         self._kept = None
         before = system.solve_count
         try:
-            value, nodal_grad = misfit_and_gradient(system, self.sim_sources, self.data,
-                                                    fields, gap)
+            value, nodal_grad = misfit_and_gradient(system, self.data, fields, gap)
         finally:
             self.solves += system.solve_count - before
         return value, coefficient_gradient(nodal_grad, self.model.partition)

@@ -116,9 +116,9 @@ def misfit(gap):
     return float(gap.sim_weights @ power @ gap.obs_weights)
 
 
-def _aggregated_adjoint_rhs(gap, data, receivers, grid):
-    """(n_nodes, n_sim) column-major block of the right-hand sides the
-    adjoint fields are solved for, one column per simulation source.
+def _aggregated_adjoint_rhs(gap, data):
+    """(n_nodes, n_sim) column-major block of the adjoint right-hand sides on
+    data.receivers and their grid, one column per simulation source.
 
     Monopole part: 2 w_z conj(S) w_i dG_obs placed on the receiver nodes.
     Dipole part: -2 w_z conj(S) w_i G_obs pushed through the transpose of
@@ -128,6 +128,7 @@ def _aggregated_adjoint_rhs(gap, data, receivers, grid):
     three receiver layers, the only rows written: x / -v is -(x / v)
     exactly, so the block is bit-equal to negating the scaled one.
     """
+    receivers, grid = data.receivers, data.receivers.grid
     coef = 2.0 * np.conj(gap.values) * gap.obs_weights[None, :]
     wr = receivers.weights
     cell = grid.cell_volume
@@ -140,15 +141,15 @@ def _aggregated_adjoint_rhs(gap, data, receivers, grid):
     return rhs
 
 
-def solve_adjoint_fields(system, gap, data, receivers):
-    """(n_nodes, n_sim) adjoint fields solved as one block.
+def solve_adjoint_fields(system, gap, data):
+    """(n_nodes, n_sim) adjoint fields of gap on data.receivers, solved as one block.
 
     The right-hand sides are built in the column-major block that
     HelmholtzSystem.solve takes, so no second (n_nodes, n_sim) block is
     made before the solve.  Their Dirichlet rows, which only a receiver
     layer one node below the surface reaches, are zeroed.
     """
-    rhs = _aggregated_adjoint_rhs(gap, data, receivers, system.grid)
+    rhs = _aggregated_adjoint_rhs(gap, data)
     rhs[system.dirichlet_mask] = 0.0
     return system.solve(rhs)
 
@@ -189,13 +190,13 @@ def misfit_only(system, sim_sources, data):
     return misfit(gap), gap, fields
 
 
-def misfit_and_gradient(system, sim_sources, data, fields, gap):
+def misfit_and_gradient(system, data, fields, gap):
     """Misfit value and nodal gradient from the forward fields and gap matrix
-    that misfit_only returned for this system.
+    that misfit_only returned for this system, weighted by gap.sim_weights.
 
     Exactly n_sim adjoint solves on the shared factorization, no forward
     solves; accumulations run in fixed source order.
     """
-    adj = solve_adjoint_fields(system, gap, data, data.receivers)
-    grad = nodal_gradient(fields, adj, system.speed, system.phys, sim_sources.weights)
+    adj = solve_adjoint_fields(system, gap, data)
+    grad = nodal_gradient(fields, adj, system.speed, system.phys, gap.sim_weights)
     return misfit(gap), grad

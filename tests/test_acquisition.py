@@ -111,7 +111,7 @@ class TestSourceLattice:
         rec = receiver_layer(grid, depth_m=15.0)
         src = source_lattice(grid, depth_m=7.5, count=4, margin_m=30.0)
         with pytest.raises(GeometryError):
-            validate_geometry(src, rec, grid)
+            validate_geometry(src, rec)
 
 
 class TestSynthesize:

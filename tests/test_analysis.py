@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cauchyfwi
+from cauchyfwi import config
 from cauchyfwi.acquisition import receiver_layer, source_lattice
 from cauchyfwi.analysis import (
     evaluate_pair,
@@ -224,6 +225,21 @@ class TestGradcheck:
         text = text.replace("extent_x_m = 160", "extent_x_m = 2000")
         cfg = parse_config(text)
         with pytest.raises(ConfigError):
+            gradcheck(cfg)
+
+    def test_rejects_large_3d_grid_before_building(self, monkeypatch):
+        # 26^3 = 17,576 nodes, more than the 151 x 101 = 15,251 of the 2D bound
+        text = SMALL_CONFIG.replace("dim = 2", "dim = 3")
+        text = text.replace("extent_x_m = 160", "extent_x_m = 160\nextent_y_m = 160")
+        text = text.replace("nodes_x = 17\nnodes_z = 13", "nodes_x = 26\nnodes_y = 26\nnodes_z = 26")
+        text = text.replace("tile_x_m = 80", "tile_x_m = 80\ntile_y_m = 80")
+        cfg = parse_config(text)
+
+        def build_problem(*args, **kwargs):
+            raise AssertionError("gradcheck built the problem of an oversized grid")
+
+        monkeypatch.setattr(config, "build_problem", build_problem)
+        with pytest.raises(ConfigError, match="151 x 101"):
             gradcheck(cfg)
 
 

@@ -430,6 +430,16 @@ class TestCliFlow:
         cfg = self.write_config(tmp_path, text)
         assert cli_main(["gradcheck", "--config", cfg, "--probes", "6"]) == 0
 
+    def test_gradcheck_writes_one_row_per_probed_coefficient(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "gradcheck.csv"
+        assert cli_main(["gradcheck", "--config", cfg, "--probes", "3", "--out", str(out)]) == 0
+        n_total = int(capsys.readouterr().out.split(" coefficients")[0].split("/")[-1])
+        header, *rows = out.read_text().splitlines()
+        assert header == "coefficient, adjoint, finite_difference, rel_error, step, conclusive"
+        assert n_total == len(rows) == 3
+        assert len({row.split(",")[0] for row in rows}) == n_total
+
     def test_probe_subcommand(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out = str(tmp_path / "probe.csv")
@@ -464,6 +474,19 @@ class TestCliFlow:
         assert code == 0
         values = read_field_structured_points(str(out)).values
         assert np.ptp(values) <= 1e-12 * values.mean()
+
+    def test_export_sigma_whose_cut_overflows_is_an_io_error(self, tmp_path, capsys,
+                                                              run_outputs):
+        # 4 sigma is finite at 1e300 and overflows at 1e308
+        args = ["export", "--config", str(run_outputs / "run.cfg"),
+                "--model", str(run_outputs / "result.model.txt"), "--out"]
+        assert cli_main(args + [str(tmp_path / "wide.txt"), "--sigma", "1e300"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "smooth.txt"
+        assert cli_main(args + [str(out), "--sigma", "1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: io: sigma"), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
     def test_export_bad_sigma_is_an_io_error(self, tmp_path, capsys, run_outputs, sigma):
@@ -560,6 +583,28 @@ class TestCliFlow:
         offset = sum(len(ln) for ln in lines[:row])
         assert err.startswith("error: io:") and f"(byte offset {offset})" in err, err
         assert not list(tmp_path.glob("result.*"))
+
+    def test_data_snr_whose_noise_factor_overflows_is_an_io_error(self, tmp_path, capsys,
+                                                                   run_outputs):
+        lines = (run_outputs / "run.cauchy.txt").read_text().splitlines(keepends=True)
+        row = next(i for i, ln in enumerate(lines) if ln.startswith("snr "))
+        lines[row] = "snr -4000\n"
+        (tmp_path / "bad.cauchy.txt").write_text("".join(lines))
+        code = cli_main(["invert", "--config", str(run_outputs / "run.cfg"),
+                         "--data-prefix", str(tmp_path / "bad"),
+                         "--out-prefix", str(tmp_path / "result")])
+        assert code == 1
+        err = capsys.readouterr().err
+        offset = sum(len(ln) for ln in lines[:row])
+        assert err.startswith("error: io:") and f"(byte offset {offset})" in err, err
+        assert not list(tmp_path.glob("result.*"))
+
+    def test_snr_whose_noise_factor_overflows_is_a_config_error(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, FAST_CONFIG.replace("snr_db = 15", "snr_db = -4000"))
+        assert cli_main(["synth", "--config", cfg, "--out-prefix", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "noise: SNR of -4000.0 dB" in err, err
+        assert not list(tmp_path.glob("x.*"))
 
     def test_zero_truth_field_fails_before_writing(self, tmp_path, capsys, run_outputs):
         truth = read_field_structured_points(str(run_outputs / "run.true_speed.txt"))

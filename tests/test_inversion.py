@@ -327,6 +327,16 @@ class TestStagnation:
         assert not stop
 
 
+    def test_clean_run_stops_by_stagnation(self):
+        truth, initial, data, sim = small_problem(seed=1)
+        cfg = OptimConfig(n_iter_min=4, n_iter_max=30, n_eps=2, eps_j=0.5)
+        result = run_inversion(data, sim, initial, cfg, PHYS)
+        assert result.reason == "stagnation"
+        history = [r.misfit for r in result.records]
+        fired = [stagnation(history[:j], cfg)[0] for j in range(1, len(history) + 1)]
+        assert fired == [False] * (len(history) - 1) + [True]
+
+
 class TestDiscrepancy:
     def test_stops_at_tau_times_a_positive_floor(self):
         assert DISCREPANCY_TAU == 1.5

@@ -206,7 +206,7 @@ class TestAdjointSolve:
         s = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
         gap = ReciprocityGapMatrix(s, np.array([1.0, 1.0]), src.weights)
 
-        got = _aggregated_adjoint_rhs(gap, data, rec, grid)
+        got = _aggregated_adjoint_rhs(gap, data)
 
         hz = grid.spacing[-1]
         cell = grid.cell_volume
@@ -231,7 +231,7 @@ class TestAdjointSolve:
         gap = ReciprocityGapMatrix(
             np.zeros((sim.n_sources, obs.n_sources), complex),
             sim.weights, obs.weights)
-        field = solve_adjoint_fields(system, gap, data, receivers)[:, 0]
+        field = solve_adjoint_fields(system, gap, data)[:, 0]
         assert np.all(field == 0.0)
 
     def test_linear_in_gap(self):
@@ -241,9 +241,9 @@ class TestAdjointSolve:
         s = rng.normal(size=(sim.n_sources, obs.n_sources)) \
             + 1j * rng.normal(size=(sim.n_sources, obs.n_sources))
         one = solve_adjoint_fields(
-            system, ReciprocityGapMatrix(s, sim.weights, obs.weights), data, receivers)[:, 1]
+            system, ReciprocityGapMatrix(s, sim.weights, obs.weights), data)[:, 1]
         two = solve_adjoint_fields(
-            system, ReciprocityGapMatrix(2 * s, sim.weights, obs.weights), data, receivers)[:, 1]
+            system, ReciprocityGapMatrix(2 * s, sim.weights, obs.weights), data)[:, 1]
         assert np.allclose(two, 2 * one, rtol=1e-12, atol=0)
 
 
@@ -261,7 +261,7 @@ class TestNodalGradient:
         grid, _, receivers, obs, sim, truth, _, data = crime_scenario()
         system = assemble(grid, evaluate_model(truth), PHYS)
         _, gap, fields = misfit_only(system, sim, data)
-        _, grad = misfit_and_gradient(system, sim, data, fields, gap)
+        _, grad = misfit_and_gradient(system, data, fields, gap)
         assert np.all(grad.values[grid.free_surface_mask()] == 0.0)
 
     def test_descent_raises_speed_in_slow_inclusion(self):
@@ -280,7 +280,7 @@ class TestNodalGradient:
         data = synthesize(truth, obs, receivers, PHYS)
         system = assemble(grid, background, PHYS)
         _, gap, fields = misfit_only(system, sim, data)
-        _, grad = misfit_and_gradient(system, sim, data, fields, gap)
+        _, grad = misfit_and_gradient(system, data, fields, gap)
         r = np.linalg.norm(grid.node_positions() - np.array(center), axis=1)
         inside = r <= 40.0
         assert grad.values[inside].mean() < 0.0
@@ -342,13 +342,13 @@ class TestGradientAgainstFiniteDifferences:
         _, vals, dnu = simulate_traces(system, sim, receivers)
         n_forward = system.solve_count
         gap = reciprocity_gap(vals, dnu, data, sim.weights)
-        solve_adjoint_fields(system, gap, data, receivers)
+        solve_adjoint_fields(system, gap, data)
         n_adjoint = system.solve_count - n_forward
         assert n_forward == sim.n_sources
         assert n_adjoint == sim.n_sources
         before = system.solve_count
         _, gap, fields = misfit_only(system, sim, data)
-        misfit_and_gradient(system, sim, data, fields, gap)
+        misfit_and_gradient(system, data, fields, gap)
         assert system.solve_count - before == 2 * sim.n_sources
 
     def test_kept_forward_fields_cost_only_the_adjoints(self):
@@ -356,12 +356,11 @@ class TestGradientAgainstFiniteDifferences:
         system = assemble(grid, evaluate_model(initial), PHYS)
         value, gap, fields = misfit_only(system, sim, data)
         before = system.solve_count
-        kept_value, kept_grad = misfit_and_gradient(system, sim, data, fields, gap)
+        kept_value, kept_grad = misfit_and_gradient(system, data, fields, gap)
         assert system.solve_count - before == sim.n_sources
         fresh = assemble(grid, evaluate_model(initial), PHYS)
         _, fresh_gap, fresh_fields = misfit_only(fresh, sim, data)
-        fresh_value, fresh_grad = misfit_and_gradient(fresh, sim, data,
-                                                      fresh_fields, fresh_gap)
+        fresh_value, fresh_grad = misfit_and_gradient(fresh, data, fresh_fields, fresh_gap)
         assert kept_value == fresh_value == value
         assert kept_grad.values.tobytes() == fresh_grad.values.tobytes()
 
