@@ -391,6 +391,13 @@ def write_data(data, path):
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
+def check_frequency(freq_hz, expect_hz, what, byte_offset=None):
+    """DataFormatError unless freq_hz matches expect_hz to a relative 1e-9."""
+    if abs(freq_hz - expect_hz) > 1e-9 * max(1.0, expect_hz):
+        raise DataFormatError(f"{what} frequency {freq_hz} Hz does not match expected "
+                              f"{expect_hz} Hz", byte_offset)
+
+
 def read_data(path, receivers, obs_sources, expect_freq=None):
     """Read a data file recorded with exactly these receivers and sources.
 
@@ -445,11 +452,8 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
     if version != "v2":
         raise DataFormatError(f"{path}: unsupported version {version!r}", lines[0][0])
     off, freq = take(1, "freq", frequency)
-    if expect_freq is not None and abs(freq - expect_freq) > 1e-9 * max(1.0, expect_freq):
-        raise DataFormatError(
-            f"{path}: file frequency {freq} Hz does not match expected {expect_freq} Hz",
-            off,
-        )
+    if expect_freq is not None:
+        check_frequency(freq, expect_freq, f"{path}: file", off)
     _, nsrc = take(2, "nsrc", int)
     _, nrcv = take(3, "nrcv", int)
     _, snr = take(4, "snr", snr_db)

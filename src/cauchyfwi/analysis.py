@@ -83,6 +83,10 @@ class CoefficientCheck:
     step: float
     conclusive: bool
 
+    def within(self, tolerance):
+        """The pass rule: conclusive, with rel_error at most tolerance."""
+        return self.conclusive and self.rel_error <= tolerance
+
 
 @dataclass
 class GradCheckReport:
@@ -148,14 +152,10 @@ def gradcheck(cfg, n_probes=0, seed=7, tolerance=1e-4):
                     best = (err, fd, delta)
             if best is not None:
                 break
-        if best is None:
-            checks.append(CoefficientCheck(int(k), float(adjoint[k]),
-                                           float("nan"), float("nan"), 0.0, False))
-        else:
-            err, fd, delta = best
-            checks.append(CoefficientCheck(int(k), float(adjoint[k]),
-                                           float(fd), float(err), float(delta), True))
-    passed = all(c.conclusive and c.rel_error <= tolerance for c in checks)
+        err, fd, delta = best or (float("nan"), float("nan"), 0.0)
+        checks.append(CoefficientCheck(int(k), float(adjoint[k]), float(fd), float(err),
+                                       float(delta), best is not None))
+    passed = all(c.within(tolerance) for c in checks)
     return GradCheckReport(checks, passed, tolerance)
 
 
@@ -226,10 +226,11 @@ def probe_stability(model, phys, receivers, obs_sources, sim_sources, n_pairs, s
     """Ratio table ||c1 - c2||_inf / sqrt(J(c1, c2)) over random pairs.
 
     model supplies the partition, the speed bounds and the frozen
-    coefficients that both models of a pair keep.  Pairs with zero distance
-    are excluded from the statistics; pairs whose misfit vanishes (or whose
-    ratio explodes) while the models differ are flagged as findings rather
-    than dropped.  Fewer than two pairs or a negative seed is a ConfigError.
+    coefficients that both models of a pair keep.  A pair's ratio is nan at
+    zero distance (excluded), inf at zero misfit (flagged, not dropped),
+    else linf / sqrt(J), flagged above 1e6 times the median finite ratio.
+    ratio_min and ratio_max range over the rest.  Fewer than two pairs or a
+    negative seed is a ConfigError.
     """
     if n_pairs < 2:
         raise ConfigError(f"need at least two pairs, got {n_pairs}")
@@ -237,26 +238,19 @@ def probe_stability(model, phys, receivers, obs_sources, sim_sources, n_pairs, s
         raise ConfigError(f"the seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     pairs = []
-    ratios = []
     for _ in range(n_pairs):
         ma = _random_admissible_model(model, rng)
         mb = _random_admissible_model(model, rng)
         linf, value = evaluate_pair(ma, mb, sim_sources, obs_sources, receivers, phys)
-        excluded = linf == 0.0
-        if excluded:
-            pairs.append(StabilityPair(linf, value, float("nan"), False, True))
-            continue
-        if value <= 0.0:
-            pairs.append(StabilityPair(linf, value, float("inf"), True, False))
-            continue
-        ratio = linf / np.sqrt(value)
-        pairs.append(StabilityPair(linf, value, float(ratio), False, False))
-        ratios.append(ratio)
-    ratios = np.array(ratios)
-    if ratios.size:
-        median = np.median(ratios)
+        ratio = (float("nan") if linf == 0.0 else float("inf") if value <= 0.0
+                 else float(linf / np.sqrt(value)))
+        pairs.append(StabilityPair(linf, value, ratio, flagged=ratio == float("inf"),
+                                   excluded=linf == 0.0))
+    finite = [p.ratio for p in pairs if np.isfinite(p.ratio)]
+    if finite:
+        median = np.median(finite)
         for p in pairs:
-            if not p.excluded and np.isfinite(p.ratio) and p.ratio > 1e6 * median:
+            if p.ratio > 1e6 * median:  # false at nan, true at inf
                 p.flagged = True
     kept = [p.ratio for p in pairs if not p.excluded and not p.flagged]
     return StabilityProbeReport(

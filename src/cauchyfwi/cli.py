@@ -130,11 +130,9 @@ def cmd_gradcheck(args):
     report = gradcheck(cfg, n_probes=args.probes, seed=args.seed)
     if args.out:
         write_gradcheck_csv(report, args.out)
-    n_total = len(report.checks)
-    n_bad = sum(1 for c in report.checks
-                if not c.conclusive or c.rel_error > report.tolerance)
+    n_good = sum(c.within(report.tolerance) for c in report.checks)
     verdict = "PASS" if report.passed else "FAIL"
-    print(f"gradcheck {verdict}: {n_total - n_bad}/{n_total} coefficients within "
+    print(f"gradcheck {verdict}: {n_good}/{len(report.checks)} coefficients within "
           f"{report.tolerance:g} (worst {report.worst():.3g})")
     return 0 if report.passed else 1
 

@@ -190,6 +190,8 @@ def validate(cfg):
         )
     if cfg.water_depth_m < cfg.receiver_depth_m:
         problems.append("the receiver layer must lie inside the known water layer")
+    if cfg.receiver_count == 0 and cfg.receiver_margin_m != 0:
+        problems.append("acquisition.receiver_margin_m needs a receiver_count > 0")
     if cfg.refine < 1:
         problems.append("synthesis.refine must be >= 1")
     if cfg.sim_source_count < 0:

@@ -1,23 +1,23 @@
 """Preconditioned L-BFGS driver with backtracking, stopped by the
 discrepancy principle or on stagnation.
 
-Each iteration solves the forward problem for the current model, forms the
-reciprocity-gap misfit and its coefficient-space gradient, builds an L-BFGS
-direction from every step since the start or the last restart, and
-backtracks along c - alpha * s until the Armijo condition holds and the
-trial model stays inside the speed bounds.  The recursion starts from
-gamma M, where M is the diagonal of squared coefficient scales
-(coefficient_scales): the intercepts a_j are speeds and the slopes A_j
-speeds per metre, so without M a step barely moves the slopes.  The line
-search's constants are module constants.
+Each iteration forms the reciprocity-gap misfit of the current model and
+its coefficient-space gradient, then backtracks along c - alpha * s, with
+s the L-BFGS direction built from every step since the start or the last
+restart, until the Armijo condition holds and the trial stays inside the
+speed bounds.  When that search fails, or s is not a descent direction,
+the pairs are cleared and one more search runs along M g, which s without
+pairs already is; a zero gradient searches nothing.  M, the diagonal of
+squared coefficient_scales, starts the recursion as gamma M: the
+intercepts a_j are speeds and the slopes A_j speeds per metre, so without
+M a step barely moves the slopes.
 
-The run stops at the iteration cap; by the discrepancy principle, once an
-accepted misfit falls to DISCREPANCY_TAU times its noise floor (noisy data
-only); on stagnation of the misfit over a trailing window; or when a
-steepest-descent line search fails; OptimConfig holds the cap and the
-stagnation window.  A failed search along an L-BFGS direction built from
-stored pairs is retried once as a steepest-descent restart along M g, which
-drops the pairs; a search without pairs is already that and is not repeated.
+The run stops as "stationary" at a zero gradient, "line_search_failure"
+when no search succeeded, "discrepancy" once an accepted misfit falls to
+DISCREPANCY_TAU times its noise floor (noisy data only), "stagnation"
+when the misfit stalls over a trailing window, or "max_iterations" at the
+cap (OptimConfig).  A misfit, noise floor, gradient norm or <g, s> that
+is not finite raises CauchyFwiError.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundsViolationError, SolverBreakdownError
+from .acquisition import check_frequency
+from .errors import BoundsViolationError, CauchyFwiError, SolverBreakdownError
 from .geometry import coefficient_gradient, evaluate_model
 from .helmholtz import assemble
 from .misfit_adjoint import misfit_and_gradient, misfit_only
@@ -65,8 +66,8 @@ class OptimConfig:
     eps_j: float = 0.01
 
     def __post_init__(self):
-        if not self.n_iter_min <= self.n_iter_max:
-            raise ValueError("n_iter_min must not exceed n_iter_max")
+        if not 0 <= self.n_iter_min <= self.n_iter_max:
+            raise ValueError("n_iter_min must lie in [0, n_iter_max]")
         if self.n_iter_max < 1:
             raise ValueError("n_iter_max must be positive")
         if not 0 < self.eps_j < 1:
@@ -192,7 +193,7 @@ def line_search(coefficients, misfit_0, grad, direction, misfit_fn, alpha, rejec
     Each rejected trial is counted by cause into the caller's RejectedTrials
     `rejected`.
     Requires <grad, direction> > 0 (a descent direction for the subtractive
-    update); the caller resets the direction otherwise.
+    update), and raises ValueError otherwise.
     """
     gs = float(np.asarray(grad) @ np.asarray(direction))
     if gs <= 0:
@@ -249,6 +250,13 @@ def relative_l2_error(reference, reconstruction):
     return float(np.sqrt(w @ (ref - rec) ** 2) / denom)
 
 
+def _finite(name, value):
+    """value, or CauchyFwiError if an overflow made it infinite or nan."""
+    if not np.isfinite(value):
+        raise CauchyFwiError(f"the {name} is {value}: the data overflow float arithmetic")
+    return value
+
+
 class Objective:
     """Misfit of a coefficient vector, alone or with its coefficient gradient.
 
@@ -262,10 +270,13 @@ class Objective:
     The last value call keeps its vector's bytes, system (with its
     factorization), forward fields and gap matrix; a value_and_gradient
     call at the same bytes reuses them and solves only the adjoints.  Every
-    call drops the kept entry first, so at most one system is alive.
+    call drops the kept entry first, so at most one system is alive.  Data
+    at another frequency than phys's raise DataFormatError, as in read_data;
+    a misfit or noise floor that overflows raises CauchyFwiError, unwarned.
     """
 
     def __init__(self, model, sim_sources, data, phys):
+        check_frequency(data.freq_hz, phys.freq_hz, "data")
         self.model = model
         self.sim_sources = sim_sources
         self.data = data
@@ -283,9 +294,12 @@ class Objective:
         self._kept = None
         system = self._system(vec)
         try:
-            value, gap, fields = misfit_only(system, self.sim_sources, self.data)
+            with np.errstate(over="ignore", invalid="ignore"):
+                value, gap, fields = misfit_only(system, self.sim_sources, self.data)
         finally:
             self.solves += system.solve_count
+        _finite("misfit", value)
+        _finite("misfit's noise floor", gap.noise_floor)
         self.gap = gap
         self._kept = (_key(vec), system, fields, gap)
         return value
@@ -316,10 +330,10 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
     Per iteration: n_sim aggregated adjoint solves on the factorization and
     forward fields of the model the previous line search accepted (the
     first iteration assembles and solves its n_sim forward fields), nodal
-    gradient, projection onto the partition coefficients, L-BFGS
-    direction preconditioned by coefficient_scales, backtracking update.
-    Each trial of the update assembles, factorizes and runs n_sim forward
-    solves.  After an accepted update the run stops with reason
+    gradient, projection onto the partition coefficients, and the search
+    loop of the module docstring, whose trials each assemble, factorize and
+    run n_sim forward solves.  Every record, the stationary one included,
+    reaches callback.  After an accepted update the run stops with reason
     "discrepancy" when the accepted misfit and its noise floor pass
     discrepancy(), then with "stagnation" when the misfit history does; so
     every solve belongs to a record, and no gradient is computed for a
@@ -339,45 +353,32 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
     speed_range = initial_model.c_max - initial_model.c_min
     reason = "max_iterations"
 
-    def first_trial(direction):
-        # the unit step of an L-BFGS direction; without pairs, the step that
-        # moves the largest coefficient by INITIAL_STEP_FRACTION of the range
-        if pairs:
-            return 1.0
-        return INITIAL_STEP_FRACTION * speed_range / float(np.max(np.abs(direction)))
-
     for j in range(1, cfg.n_iter_max + 1):
         t0 = time.perf_counter()
         solves_0 = objective.solves
         value, grad = objective.value_and_gradient(coefficients)
-        misfit, gap = value, objective.gap
-        floor = gap.noise_floor
-        grad_norm = float(np.linalg.norm(grad))
-
-        if grad_norm == 0.0:
-            reason = "stationary"
-            records.append(IterationRecord(j, value, floor, grad_norm, 0.0,
-                                           time.perf_counter() - t0,
-                                           objective.solves - solves_0, value, floor))
-            break
-
+        misfit, gap, floor = value, objective.gap, objective.gap.noise_floor
+        with np.errstate(over="ignore"):
+            grad_norm = _finite("gradient norm", float(np.linalg.norm(grad)))
         if step is not None:
             update_pairs(pairs, step, grad - grad_prev)
-        direction = lbfgs_direction(grad, pairs, metric)
-        if float(grad @ direction) <= 0:
-            pairs.clear()
-            direction = lbfgs_direction(grad, pairs, metric)
 
         rejected = RejectedTrials()
-        result = line_search(coefficients, value, grad, direction, objective.value,
-                             first_trial(direction), rejected)
-        if not result.ok and pairs:
-            # one automatic restart along M g, which forgets the pairs;
-            # without pairs it would repeat the failed search
+        result = LineSearchResult(False, 0.0, value, coefficients)
+        while True:
+            with np.errstate(over="ignore", invalid="ignore"):
+                direction = lbfgs_direction(grad, pairs, metric)
+                gs = _finite("<g, s>", float(grad @ direction))
+            if gs > 0:
+                # the unit step with pairs; without, the step that moves the
+                # largest coefficient by INITIAL_STEP_FRACTION of the range
+                alpha = (1.0 if pairs else INITIAL_STEP_FRACTION * speed_range
+                         / float(np.max(np.abs(direction))))
+                result = line_search(coefficients, value, grad, direction,
+                                     objective.value, alpha, rejected)
+            if result.ok or not pairs:
+                break
             pairs.clear()
-            direction = lbfgs_direction(grad, pairs, metric)
-            result = line_search(coefficients, value, grad, direction, objective.value,
-                                 first_trial(direction), rejected)
         if result.ok:
             # the search stops at the accepted trial, the objective's last value call
             misfit, gap = result.misfit, objective.gap
@@ -389,7 +390,7 @@ def run_inversion(data, sim_sources, initial_model, cfg, phys, callback=None):
         if callback is not None:
             callback(records[-1])
         if not result.ok:
-            reason = "line_search_failure"
+            reason = "stationary" if grad_norm == 0.0 else "line_search_failure"
             break
 
         step = result.coefficients - coefficients

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cauchyfwi
-from cauchyfwi import config
+from cauchyfwi import analysis, config
 from cauchyfwi.acquisition import receiver_layer, source_lattice
 from cauchyfwi.analysis import (
     evaluate_pair,
@@ -17,6 +17,7 @@ from cauchyfwi.analysis import (
     write_gradcheck_csv,
     write_stability_csv,
 )
+from cauchyfwi.cli import cli_main
 from cauchyfwi.config import parse_config
 from cauchyfwi.errors import ConfigError, DataFormatError
 from cauchyfwi.geometry import (
@@ -26,6 +27,7 @@ from cauchyfwi.geometry import (
     build_partition,
 )
 from cauchyfwi.helmholtz import PhysicsConfig, read_field_structured_points
+from cauchyfwi.inversion import Objective
 
 PHYS = PhysicsConfig(freq_hz=25.0, water_speed=1500.0)
 
@@ -220,6 +222,29 @@ class TestGradcheck:
         write_gradcheck_csv(report, path)
         assert len(path.read_text().strip().splitlines()) == 6
 
+    def test_probes_drowned_in_rounding_are_inconclusive_and_fail(self, tmp_path,
+                                                                  monkeypatch, capsys):
+        # every finite-difference misfit is the same number: no step survives
+        value = Objective.value
+
+        def flat_value(objective, vec):
+            value(objective, vec)
+            return 1.0
+
+        monkeypatch.setattr(Objective, "value", flat_value)
+        report = gradcheck(parse_config(SMALL_CONFIG), n_probes=3, seed=3)
+        assert not report.passed
+        assert len(report.checks) == 3
+        for c in report.checks:
+            assert not c.conclusive and not c.within(report.tolerance)
+            assert np.isnan(c.finite_difference) and np.isnan(c.rel_error)
+            assert c.step == 0.0
+        assert np.isnan(report.worst())
+        path = tmp_path / "small.cfg"
+        path.write_text(SMALL_CONFIG)
+        assert cli_main(["gradcheck", "--config", str(path), "--probes", "3"]) == 1
+        assert capsys.readouterr().out.startswith("gradcheck FAIL: 0/3 coefficients within")
+
     def test_rejects_large_grid(self):
         text = SMALL_CONFIG.replace("nodes_x = 17", "nodes_x = 201")
         text = text.replace("extent_x_m = 160", "extent_x_m = 2000")
@@ -294,6 +319,22 @@ class TestStabilityProbe:
         path = tmp_path / "probe.csv"
         write_stability_csv(report, path)
         assert len(path.read_text().strip().splitlines()) == 7
+
+    def test_excluded_zero_misfit_and_outlier_pairs_are_marked(self, monkeypatch):
+        grid, partition, receivers, obs, sim = self.build()
+        # (distance, misfit) per pair: coinciding models, a vanishing misfit,
+        # ratios 1, 2, 2 and 3, and one ratio above 1e6 times their median 2
+        script = iter([(0.0, 1.0), (2.0, 0.0), (1.0, 1.0), (2.0, 1.0), (4.0, 4.0),
+                       (3e7, 1.0), (3.0, 1.0)])
+        monkeypatch.setattr(analysis, "evaluate_pair", lambda *args: next(script))
+        report = probe_stability(self.model(partition), PHYS, receivers, obs, sim,
+                                 n_pairs=7, seed=0)
+        assert [p.excluded for p in report.pairs] == [True] + [False] * 6
+        assert [p.flagged for p in report.pairs] == [False, True, False, False, False,
+                                                     True, False]
+        ratios = [p.ratio for p in report.pairs]
+        assert np.isnan(ratios[0]) and ratios[1:] == [np.inf, 1.0, 2.0, 2.0, 3e7, 3.0]
+        assert (report.ratio_min, report.ratio_max, report.n_flagged) == (1.0, 3.0, 2)
 
     def test_doubling_difference_doubles_distance(self):
         grid, partition, receivers, obs, sim = self.build()

@@ -1,10 +1,11 @@
 import dataclasses
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
-from cauchyfwi import cli, errors
+from cauchyfwi import cli, config, errors
 from cauchyfwi.acquisition import read_data
 from cauchyfwi.cli import cli_main
 from cauchyfwi.config import (
@@ -19,6 +20,7 @@ from cauchyfwi.config import (
     build_problem,
     build_receivers,
     build_sim_sources,
+    build_true_field,
     check_acquisition,
     parse_config,
     render_config,
@@ -226,6 +228,44 @@ class TestConfigParsing:
             build_problem(cfg)
         assert type(raised.value) is type(expected.value)
         assert str(raised.value) == str(expected.value)
+
+
+class TestConfigurationSweep:
+    # each schema key of the starter configuration, one at a time, at each
+    # value of its type
+    VALUES = {int: ("-1", "0", "1", "2", "400"), float: ("-1", "0", "1e-6", "1e6"),
+              str: ("bogus",)}
+    # cases that built without a word, each now a config error
+    FORMERLY_SILENT = {
+        # the margin of a full receiver layer (receiver_count = 0) is unused
+        ("receiver_margin_m", "-1"), ("receiver_margin_m", "1e-6"),
+        ("receiver_margin_m", "1e6"), ("n_iter_min", "-1"),
+    }
+
+    def outcome(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                cfg = parse_config(text)
+                build_true_field(cfg, build_problem(cfg).grid)
+            except CauchyFwiError as exc:
+                return exc.category
+        return "built"
+
+    def test_every_value_builds_or_raises_a_package_error(self):
+        lines = render_config(parse_config(DEFAULT_CONFIG)).splitlines()
+        outcomes = {}
+        for (_, key), (typ, _) in config._SCHEMA.items():
+            row = next(i for i, ln in enumerate(lines) if ln.startswith(key + " = "))
+            for value in self.VALUES[typ]:
+                text = "\n".join(lines[:row] + [f"{key} = {value}"] + lines[row + 1:])
+                outcomes[key, value] = self.outcome(text)
+        assert len(outcomes) == 178
+        assert {outcomes[case] for case in self.FORMERLY_SILENT} == {"config"}
+        # with receivers placed by count, the margin is used
+        text = DEFAULT_CONFIG.replace("receiver_count = 0",
+                                      "receiver_count = 9\nreceiver_margin_m = 60")
+        assert self.outcome(text) == "built"
 
 
 class TestCliFlow:
@@ -605,6 +645,21 @@ class TestCliFlow:
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and "noise: SNR of -4000.0 dB" in err, err
         assert not list(tmp_path.glob("x.*"))
+
+    def test_data_whose_gradient_overflows_are_a_runtime_error(self, tmp_path, capsys):
+        # noise about 1e150 times the signal: the misfit is finite, the
+        # gradient norm overflows
+        cfg = self.write_config(tmp_path, FAST_CONFIG.replace("snr_db = 15",
+                                                              "snr_db = -3000"))
+        prefix = str(tmp_path / "run")
+        assert cli_main(["synth", "--config", cfg, "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        code = cli_main(["invert", "--config", cfg, "--data-prefix", prefix,
+                         "--out-prefix", str(tmp_path / "result")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: runtime: the gradient norm is inf"), err
+        assert not list(tmp_path.glob("result.*"))
 
     def test_zero_truth_field_fails_before_writing(self, tmp_path, capsys, run_outputs):
         truth = read_field_structured_points(str(run_outputs / "run.true_speed.txt"))

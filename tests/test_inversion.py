@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -7,7 +8,12 @@ import pytest
 from cauchyfwi import inversion
 
 from cauchyfwi.acquisition import add_noise, receiver_layer, source_lattice, synthesize
-from cauchyfwi.errors import BoundsViolationError, SolverBreakdownError
+from cauchyfwi.errors import (
+    BoundsViolationError,
+    CauchyFwiError,
+    DataFormatError,
+    SolverBreakdownError,
+)
 from cauchyfwi.geometry import (
     Grid,
     NodalField,
@@ -176,6 +182,30 @@ class TestLbfgsDirection:
         assert result.reason == "line_search_failure"
         assert len(result.records) == 1
         assert result.records[0].rejected == RejectedTrials(bounds=3)
+
+    def test_direction_without_descent_is_followed_by_the_search_along_m_g(self,
+                                                                          monkeypatch):
+        # every direction built from pairs points uphill: each iteration
+        # clears its pair and searches once, along M g
+        truth, initial, data, sim = small_problem(seed=1)
+        metric = coefficient_scales(initial) ** 2
+        direction = inversion.lbfgs_direction
+        on_scaled_gradient = []
+
+        def uphill_with_pairs(grad, pairs, m):
+            return -direction(grad, pairs, m) if pairs else direction(grad, pairs, m)
+
+        def recording_search(coefficients, misfit_0, grad, d, misfit_fn, alpha, rejected):
+            on_scaled_gradient.append(d.tobytes() == (metric * grad).tobytes())
+            return line_search(coefficients, misfit_0, grad, d, misfit_fn, alpha, rejected)
+
+        monkeypatch.setattr(inversion, "lbfgs_direction", uphill_with_pairs)
+        monkeypatch.setattr(inversion, "line_search", recording_search)
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=3, n_eps=1, eps_j=1e-9)
+        result = run_inversion(data, sim, initial, cfg, PHYS)
+        assert result.reason == "max_iterations"
+        assert on_scaled_gradient == [True, True, True]
+        assert all(r.alpha > 0 for r in result.records)
 
 
 class TestLineSearch:
@@ -632,6 +662,51 @@ class TestRunInversion:
             assert result.misfit < result.records[-1].misfit
         else:
             assert result.misfit == result.records[-1].misfit
+
+    def test_all_zero_traces_stop_stationary_through_the_callback(self):
+        truth, initial, data, sim = small_problem(seed=1)
+        zero = dataclasses.replace(data, g=np.zeros_like(data.g), dg=np.zeros_like(data.dg))
+        seen = []
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=3, n_eps=1, eps_j=1e-9)
+        result = run_inversion(zero, sim, initial, cfg, PHYS, callback=seen.append)
+        assert result.reason == "stationary"
+        assert seen == result.records and len(seen) == 1
+        (record,) = seen
+        assert record.misfit == record.accepted_misfit == result.misfit == 0.0
+        assert (record.grad_norm, record.alpha) == (0.0, 0.0)
+        assert record.rejected == RejectedTrials()
+        assert record.n_solves == 2 * sim.n_sources
+        assert np.array_equal(result.model.coefficient_vector, initial.coefficient_vector)
+
+    @pytest.mark.parametrize("snr_db, overflowing", [(-3000.0, "gradient norm"),
+                                                     (-3070.0, "misfit")])
+    def test_data_whose_arithmetic_overflows_raise_without_warning(self, snr_db,
+                                                                   overflowing):
+        # warnings are errors in this suite, so any overflow warning fails
+        truth, initial, data, sim = small_problem(seed=2)
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=3, n_eps=1)
+        with pytest.raises(CauchyFwiError, match=f"the {overflowing} is inf"):
+            run_inversion(add_noise(data, snr_db, 3), sim, initial, cfg, PHYS)
+
+    def test_very_noisy_data_still_stop_at_their_floor(self):
+        truth, initial, data, sim = small_problem(seed=2)
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=3, n_eps=1)
+        result = run_inversion(add_noise(data, -1000.0, 3), sim, initial, cfg, PHYS)
+        assert result.reason == "discrepancy"
+        assert len(result.records) == 1
+
+    def test_data_at_another_frequency_are_refused(self):
+        truth, initial, data, sim = small_problem(seed=1)
+        cfg = OptimConfig(n_iter_min=1, n_iter_max=3, n_eps=1)
+        other = PhysicsConfig(freq_hz=26.0, water_speed=1500.0)
+        with pytest.raises(DataFormatError, match="25.0 Hz does not match expected 26.0 Hz"):
+            run_inversion(data, sim, initial, cfg, other)
+        # the rule of read_data: equal to a relative 1e-9
+        Objective(initial, sim, data, PhysicsConfig(freq_hz=25.0 * (1 + 5e-10),
+                                                    water_speed=1500.0))
+        with pytest.raises(DataFormatError):
+            Objective(initial, sim, data, PhysicsConfig(freq_hz=25.0 * (1 + 2e-9),
+                                                        water_speed=1500.0))
 
     def test_iteration_log_csv(self, tmp_path):
         truth, initial, data, sim = small_problem(seed=7)
