@@ -24,7 +24,8 @@ from .errors import BoundsViolationError, ConfigError
 from .geometry import Grid, Partition, PiecewiseLinearModel, build_partition, evaluate_model
 from .helmholtz import PhysicsConfig, points_per_wavelength
 from .inversion import OptimConfig
-from .phantom import INCLUSION_PROFILES, layered_inclusion_phantom, initial_depth_model
+from .phantom import (INCLUSION_PROFILES, inclusion_weight, initial_depth_model,
+                      layered_inclusion_phantom)
 from .textio import write_text_atomic
 
 # (section, key) -> (type, default); None default means required.  The y keys
@@ -299,12 +300,19 @@ def build_optimizer(cfg):
 
 
 def build_true_field(cfg, grid):
-    """The phantom on grid; ConfigError if any speed leaves [c_min, c_max]."""
+    """The phantom on grid; ConfigError if any speed leaves [c_min, c_max],
+    or if the inclusion has weight 0 at every node of grid below the water."""
+    center = _axes(cfg, "inclusion_center_{}_m")
+    if not inclusion_weight(grid, cfg.water_depth_m, center, cfg.inclusion_radius_m,
+                            cfg.inclusion_profile).any():
+        raise ConfigError(
+            f"the inclusion centred at ({', '.join(f'{v:g}' for v in center)}) m with radius "
+            f"{cfg.inclusion_radius_m:g} m has weight 0 at every node below the water"
+        )
     truth = layered_inclusion_phantom(
         grid, cfg.water_depth_m, cfg.water_speed_m_per_s,
         cfg.background_surface_m_per_s, cfg.background_gradient_per_s,
-        _axes(cfg, "inclusion_center_{}_m"), cfg.inclusion_radius_m,
-        cfg.inclusion_speed_m_per_s,
+        center, cfg.inclusion_radius_m, cfg.inclusion_speed_m_per_s,
         profile=cfg.inclusion_profile,
     )
     low, high = truth.values.min(), truth.values.max()

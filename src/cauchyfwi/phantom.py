@@ -24,20 +24,25 @@ def layered_inclusion_phantom(grid, water_depth_m, water_speed,
     inclusion_speed with one of INCLUSION_PROFILES at the given radius.
     The water layer itself is constant water_speed.
     """
-    pos = grid.node_positions()
-    depth = pos[:, -1]
+    depth = grid.node_positions()[:, -1]
     vals = np.full(grid.n_nodes, float(water_speed))
     below = depth > water_depth_m
     background = surface_speed + gradient_per_s * (depth - water_depth_m)
     vals[below] = background[below]
-
-    center = np.asarray(inclusion_center, dtype=float)
-    r = np.linalg.norm(pos - center, axis=1)
-    if profile not in INCLUSION_PROFILES:
-        raise ValueError(f"unknown inclusion profile {profile!r}")
-    blend = INCLUSION_PROFILES[profile](r, inclusion_radius_m) * below
+    blend = inclusion_weight(grid, water_depth_m, inclusion_center, inclusion_radius_m,
+                             profile)
     vals = vals + blend * (inclusion_speed - vals)
     return NodalField(grid, vals)
+
+
+def inclusion_weight(grid, water_depth_m, inclusion_center, inclusion_radius_m, profile):
+    """Per-node weight of the inclusion in layered_inclusion_phantom: the
+    profile's weight below the water bottom, 0 in the water."""
+    pos = grid.node_positions()
+    r = np.linalg.norm(pos - np.asarray(inclusion_center, dtype=float), axis=1)
+    if profile not in INCLUSION_PROFILES:
+        raise ValueError(f"unknown inclusion profile {profile!r}")
+    return INCLUSION_PROFILES[profile](r, inclusion_radius_m) * (pos[:, -1] > water_depth_m)
 
 
 def initial_depth_model(partition, water_depth_m, water_speed,

@@ -9,6 +9,7 @@ import cauchyfwi
 from cauchyfwi import analysis, config
 from cauchyfwi.acquisition import receiver_layer, source_lattice
 from cauchyfwi.analysis import (
+    GRADCHECK_STEPS,
     evaluate_pair,
     export_field,
     gaussian_smooth,
@@ -27,7 +28,7 @@ from cauchyfwi.geometry import (
     build_partition,
 )
 from cauchyfwi.helmholtz import PhysicsConfig, read_field_structured_points
-from cauchyfwi.inversion import Objective
+from cauchyfwi.inversion import Objective, coefficient_scales
 
 PHYS = PhysicsConfig(freq_hz=25.0, water_speed=1500.0)
 
@@ -221,6 +222,81 @@ class TestGradcheck:
         path = tmp_path / "report.csv"
         write_gradcheck_csv(report, path)
         assert len(path.read_text().strip().splitlines()) == 6
+
+    def small_objective(self):
+        """SMALL_CONFIG's config, objective, starting vector and step scales."""
+        cfg = parse_config(SMALL_CONFIG)
+        problem = config.build_problem(cfg)
+        model = problem.initial
+        objective = Objective(model, problem.sim, config.build_clean_data(cfg, problem),
+                              problem.phys)
+        return cfg, objective, model.coefficient_vector.copy(), coefficient_scales(model)
+
+    def test_passing_probe_ends_at_the_smallest_step(self, monkeypatch):
+        cfg, _, _, scales = self.small_objective()
+        value = Objective.value
+        calls = []
+
+        def counted_value(objective, vec):
+            calls.append(vec)
+            return value(objective, vec)
+
+        monkeypatch.setattr(Objective, "value", counted_value)
+        report = gradcheck(cfg)
+        assert report.passed
+        # the adjoint's own evaluation, then one pair of misfits per probe
+        assert len(calls) == 1 + 2 * len(report.checks)
+        for c in report.checks:
+            assert c.step == min(GRADCHECK_STEPS) * scales[c.index]
+
+    def test_probe_passes_when_only_the_largest_step_agrees(self, monkeypatch):
+        cfg, objective, base, scales = self.small_objective()
+        j0, adjoint = objective.value_and_gradient(base)
+        value = Objective.value
+
+        def agreeing_at_the_largest_step(objective, vec):
+            # linear in the probed coefficient, with the plus side off by
+            # 1e-3 j0 at every step but the largest
+            d = vec - base
+            if not d.any():
+                return value(objective, vec)
+            k = np.argmax(np.abs(d))
+            linear = j0 + adjoint[k] * d[k]
+            if abs(d[k]) > 0.5 * max(GRADCHECK_STEPS) * scales[k] or d[k] < 0:
+                return linear
+            return linear + 1e-3 * j0
+
+        monkeypatch.setattr(Objective, "value", agreeing_at_the_largest_step)
+        report = gradcheck(cfg)
+        assert report.passed
+        for c in report.checks:
+            assert c.within(report.tolerance)
+            assert c.step == max(GRADCHECK_STEPS) * scales[c.index]
+
+    def test_failing_probe_reports_the_closest_step_of_the_sweep(self, monkeypatch):
+        cfg, objective, base, scales = self.small_objective()
+        value_and_gradient = Objective.value_and_gradient
+
+        def off_adjoint(objective, vec):
+            j, grad = value_and_gradient(objective, vec)
+            return j, grad * (1 + 1e-3)
+
+        monkeypatch.setattr(Objective, "value_and_gradient", off_adjoint)
+        report = gradcheck(cfg, n_probes=4, seed=3)
+        assert not report.passed
+        _, adjoint = objective.value_and_gradient(base)
+        eps_floor = 1e-10 * np.max(np.abs(adjoint))
+        for c in report.checks:
+            assert c.conclusive and not c.within(report.tolerance)
+            sweep = []
+            for rel in GRADCHECK_STEPS:
+                delta = rel * scales[c.index]
+                plus, minus = base.copy(), base.copy()
+                plus[c.index] += delta
+                minus[c.index] -= delta
+                fd = (objective.value(plus) - objective.value(minus)) / (2 * delta)
+                sweep.append((abs(adjoint[c.index] - fd) / max(abs(fd), eps_floor), fd, delta))
+            assert (c.rel_error, c.finite_difference, c.step) == min(sweep)
 
     def test_probes_drowned_in_rounding_are_inconclusive_and_fail(self, tmp_path,
                                                                   monkeypatch, capsys):

@@ -240,6 +240,8 @@ class TestConfigurationSweep:
         # the margin of a full receiver layer (receiver_count = 0) is unused
         ("receiver_margin_m", "-1"), ("receiver_margin_m", "1e-6"),
         ("receiver_margin_m", "1e6"), ("n_iter_min", "-1"),
+        # an inclusion with weight 0 at every node below the water
+        ("inclusion_center_x_m", "1e6"), ("inclusion_center_z_m", "1e6"),
     }
 
     def outcome(self, text):
