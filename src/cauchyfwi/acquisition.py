@@ -295,7 +295,7 @@ def synthesize(true_field, obs_sources, receivers, phys):
     system = assemble(fine, true_field, phys)
     positions = obs_sources.positions
     step = max(1, helmholtz.FORWARD_BLOCK * receivers.grid.n_nodes // fine.n_nodes)
-    blocks = [helmholtz.traces_many(system.green_many(positions[i:i + step]), fine, rec_fine)
+    blocks = [helmholtz.traces_many(system.green_many(positions[i:i + step]), rec_fine)
               for i in range(0, len(positions), step)]
     g, dg = (np.concatenate(parts) for parts in zip(*blocks))
     prov = Provenance(fine.shape, fine.extent, math.inf, 0)

@@ -354,16 +354,14 @@ def _point_sources(grid, shape, coordinates):
     return read_only(nodes), read_only(impulses)
 
 
-def traces_many(block, grid, receivers):
+def traces_many(block, receivers):
     """Traces of a (n_nodes, n_fields) block on a receiver layer; returns
     (n_fields, n_rcv) values and normal derivatives.
 
-    The derivative is the centered difference across the layer along the
-    upward normal, toward the sources.
+    The block lives on receivers.grid.  The derivative is the centered
+    difference across the layer along the upward normal, toward the sources.
     """
-    if receivers.grid != grid:
-        raise GeometryError("receiver layer was built for a different grid")
-    hz = grid.spacing[-1]
+    hz = receivers.grid.spacing[-1]
     vals = block[receivers.value_nodes].T
     dnu = (block[receivers.above_nodes] - block[receivers.below_nodes]).T / (2 * hz)
     return vals, dnu

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import check_frequency
-from .errors import BoundsViolationError, CauchyFwiError, SolverBreakdownError
+from .errors import BoundsViolationError, CauchyFwiError, GeometryError, SolverBreakdownError
 from .geometry import coefficient_gradient, evaluate_model
 from .helmholtz import assemble
 from .misfit_adjoint import misfit_and_gradient, misfit_only
@@ -271,12 +271,17 @@ class Objective:
     factorization), forward fields and gap matrix; a value_and_gradient
     call at the same bytes reuses them and solves only the adjoints.  Every
     call drops the kept entry first, so at most one system is alive.  Data
-    at another frequency than phys's raise DataFormatError, as in read_data;
-    a misfit or noise floor that overflows raises CauchyFwiError, unwarned.
+    at another frequency than phys's raise DataFormatError, as in read_data,
+    and data whose receivers were built for another grid than the model's
+    raise GeometryError; a misfit or noise floor that overflows raises
+    CauchyFwiError, unwarned.
     """
 
     def __init__(self, model, sim_sources, data, phys):
         check_frequency(data.freq_hz, phys.freq_hz, "data")
+        if data.receivers.grid != model.partition.grid:
+            raise GeometryError("data's receiver layer was built for another grid "
+                                "than the model's")
         self.model = model
         self.sim_sources = sim_sources
         self.data = data

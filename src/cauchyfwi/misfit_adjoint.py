@@ -178,7 +178,7 @@ def nodal_gradient(forward_fields, adjoint_fields, speed, phys, sim_weights):
 def simulate_traces(system, sim_sources, receivers):
     """Forward solves for every simulation source plus their traces."""
     fields = system.green_many(sim_sources.positions)
-    vals, dnu = helmholtz.traces_many(fields, system.grid, receivers)
+    vals, dnu = helmholtz.traces_many(fields, receivers)
     return fields, vals, dnu
 
 

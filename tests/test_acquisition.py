@@ -126,7 +126,7 @@ class TestSynthesize:
         system = assemble(grid, field, PHYS)
         for s, pos in enumerate(obs.positions):
             g_field = system.green_many([pos])
-            vals, dnu = traces_many(g_field, grid, rec)
+            vals, dnu = traces_many(g_field, rec)
             assert np.allclose(vals[0], data.g[s], rtol=1e-12, atol=0)
             assert np.allclose(dnu[0], data.dg[s], rtol=1e-12, atol=0)
 
@@ -158,7 +158,7 @@ class TestSynthesize:
         assert obs.n_sources >= 8 * FORWARD_BLOCK
         rec_fine = rec.on_grid(fine)
         system = assemble(fine, field, PHYS)  # also caches the grid's pattern
-        g_ref, dg_ref = traces_many(system.green_many(obs.positions), fine, rec_fine)
+        g_ref, dg_ref = traces_many(system.green_many(obs.positions), rec_fine)
 
         tracemalloc.start()
         try:
@@ -234,7 +234,7 @@ def synthesize_recording_widths(monkeypatch, grid, refine, obs):
     monkeypatch.setattr(HelmholtzSystem, "green_many", recording)
     data = synthesize(field, obs, rec, PHYS)
     monkeypatch.undo()
-    return data, widths, lambda positions: traces_many(system.green_many(positions), fine,
+    return data, widths, lambda positions: traces_many(system.green_many(positions),
                                                        rec.on_grid(fine))
 
 

@@ -215,13 +215,15 @@ class TestGradcheck:
         assert report.worst() <= 1e-4
         assert all(c.conclusive for c in report.checks)
 
-    def test_probe_subset_and_csv(self, tmp_path):
+    def test_every_free_coefficient_and_csv(self, tmp_path):
         cfg = parse_config(SMALL_CONFIG)
-        report = gradcheck(cfg, n_probes=5, seed=3)
-        assert len(report.checks) == 5
+        report = gradcheck(cfg)
+        # 4 free tiles x 3 coefficients, in index order
+        indices = [c.index for c in report.checks]
+        assert len(indices) == 12 and indices == sorted(set(indices))
         path = tmp_path / "report.csv"
         write_gradcheck_csv(report, path)
-        assert len(path.read_text().strip().splitlines()) == 6
+        assert len(path.read_text().strip().splitlines()) == 13
 
     def small_objective(self):
         """SMALL_CONFIG's config, objective, starting vector and step scales."""
@@ -282,8 +284,9 @@ class TestGradcheck:
             return j, grad * (1 + 1e-3)
 
         monkeypatch.setattr(Objective, "value_and_gradient", off_adjoint)
-        report = gradcheck(cfg, n_probes=4, seed=3)
+        report = gradcheck(cfg)
         assert not report.passed
+        assert len(report.checks) == 12
         _, adjoint = objective.value_and_gradient(base)
         eps_floor = 1e-10 * np.max(np.abs(adjoint))
         for c in report.checks:
@@ -308,9 +311,9 @@ class TestGradcheck:
             return 1.0
 
         monkeypatch.setattr(Objective, "value", flat_value)
-        report = gradcheck(parse_config(SMALL_CONFIG), n_probes=3, seed=3)
+        report = gradcheck(parse_config(SMALL_CONFIG))
         assert not report.passed
-        assert len(report.checks) == 3
+        assert len(report.checks) == 12
         for c in report.checks:
             assert not c.conclusive and not c.within(report.tolerance)
             assert np.isnan(c.finite_difference) and np.isnan(c.rel_error)
@@ -318,8 +321,8 @@ class TestGradcheck:
         assert np.isnan(report.worst())
         path = tmp_path / "small.cfg"
         path.write_text(SMALL_CONFIG)
-        assert cli_main(["gradcheck", "--config", str(path), "--probes", "3"]) == 1
-        assert capsys.readouterr().out.startswith("gradcheck FAIL: 0/3 coefficients within")
+        assert cli_main(["gradcheck", "--config", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("gradcheck FAIL: 0/12 coefficients within")
 
     def test_rejects_large_grid(self):
         text = SMALL_CONFIG.replace("nodes_x = 17", "nodes_x = 201")

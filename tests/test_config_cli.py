@@ -470,16 +470,16 @@ class TestCliFlow:
     def test_gradcheck_subcommand_passes(self, tmp_path):
         text = FAST_CONFIG.replace("snr_db = 15", "snr_db = inf")
         cfg = self.write_config(tmp_path, text)
-        assert cli_main(["gradcheck", "--config", cfg, "--probes", "6"]) == 0
+        assert cli_main(["gradcheck", "--config", cfg]) == 0
 
     def test_gradcheck_writes_one_row_per_probed_coefficient(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "gradcheck.csv"
-        assert cli_main(["gradcheck", "--config", cfg, "--probes", "3", "--out", str(out)]) == 0
+        assert cli_main(["gradcheck", "--config", cfg, "--out", str(out)]) == 0
         n_total = int(capsys.readouterr().out.split(" coefficients")[0].split("/")[-1])
         header, *rows = out.read_text().splitlines()
         assert header == "coefficient, adjoint, finite_difference, rel_error, step, conclusive"
-        assert n_total == len(rows) == 3
+        assert n_total == len(rows) == 18
         assert len({row.split(",")[0] for row in rows}) == n_total
 
     def test_probe_subcommand(self, tmp_path):
@@ -765,14 +765,18 @@ class TestCliFlow:
     @pytest.mark.parametrize("args", [
         ["probe", "--pairs", "1"],
         ["probe", "--pairs", "0"],
-        ["gradcheck", "--probes", "-1"],
         ["probe", "--seed", "-1"],
-        ["gradcheck", "--probes", "2", "--seed", "-1"],
     ])
     def test_count_argument_is_a_config_error(self, tmp_path, capsys, args):
         assert cli_main(args + ["--config", self.write_config(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config:"), err
+
+    @pytest.mark.parametrize("flag", ["--probes", "--seed"])
+    def test_gradcheck_has_no_subset_flags(self, tmp_path, capsys, flag):
+        # gradcheck checks every free coefficient: no flag picks a subset
+        assert cli_main(["gradcheck", flag, "3", "--config", self.write_config(tmp_path)]) == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
     def test_memory_error_is_reported_as_memory(self, tmp_path, capsys, monkeypatch):
         # the builder raises without allocating anything

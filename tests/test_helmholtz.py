@@ -526,7 +526,7 @@ class TestTraces:
         grid = Grid((100.0, 80.0), (11, 9))
         receivers = receiver_layer(grid, depth_m=40.0)
         field = NodalField(grid, grid.node_positions()[:, -1])
-        vals, dnu = traces_many(field.values[:, None], grid, receivers)
+        vals, dnu = traces_many(field.values[:, None], receivers)
         assert np.allclose(vals, 40.0)
         assert np.allclose(dnu, -1.0, atol=1e-13)
 
@@ -534,7 +534,7 @@ class TestTraces:
         grid = Grid((100.0, 80.0), (11, 9))
         receivers = receiver_layer(grid, depth_m=40.0)
         field = NodalField(grid, np.full(grid.n_nodes, 3.3))
-        _, dnu = traces_many(field.values[:, None], grid, receivers)
+        _, dnu = traces_many(field.values[:, None], receivers)
         assert np.all(dnu == 0.0)
 
     def test_centered_difference_converges_second_order(self):
@@ -546,7 +546,7 @@ class TestTraces:
         for shape in ((11, 9), (21, 17)):
             grid = Grid((100.0, 80.0), shape)
             receivers = receiver_layer(grid, depth_m=40.0, count=5, margin_m=10.0)
-            _, dnu = traces_many(smooth(grid).values[:, None], grid, receivers)
+            _, dnu = traces_many(smooth(grid).values[:, None], receivers)
             x = receivers.positions[:, 0]
             exact = 0.02 * np.sin(0.05 * x) * np.exp(-0.02 * 40.0)
             errors.append(np.max(np.abs(dnu[0] - exact)))

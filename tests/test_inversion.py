@@ -12,6 +12,7 @@ from cauchyfwi.errors import (
     BoundsViolationError,
     CauchyFwiError,
     DataFormatError,
+    GeometryError,
     SolverBreakdownError,
 )
 from cauchyfwi.geometry import (
@@ -485,6 +486,17 @@ class TestObjective:
         assert objective.solves - solves_0 == sim.n_sources
         assert value == fresh_value
         assert grad.tobytes() == fresh_grad.tobytes()
+
+    def test_data_on_another_grid_are_refused(self):
+        truth, initial, data, sim = small_problem(seed=1)
+        # the same extent and tiles at twice the nodes: every receiver node
+        # index is valid on the finer grid, but names another point
+        grid = Grid((160.0, 120.0), (33, 25))
+        partition = build_partition(grid, (80.0, 60.0), water_depth=40.0)
+        model = PiecewiseLinearModel(partition, initial.coefficient_vector.reshape(-1, 3),
+                                     1250.0, 3400.0, water_speed=1500.0)
+        with pytest.raises(GeometryError, match="built for another grid than the model's"):
+            Objective(model, sim, data, PHYS)
 
     def test_other_vector_misses_the_kept_solves(self):
         initial, data, sim = many_source_problem()

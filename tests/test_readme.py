@@ -1,12 +1,14 @@
-"""The README's library example runs as written, and the benchmark
-records it and the package cite exist."""
+"""The README's library example runs as written, its command lines parse,
+and the benchmark records it and the package cite exist."""
 
 import glob
 import os
 import re
+import shlex
 import time
 
 from cauchyfwi import evaluate_model, relative_l2_error
+from cauchyfwi.cli import build_parser
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(ROOT, "README.md")
@@ -29,6 +31,21 @@ def test_library_example_runs():
     # criterion 6's threshold: the example's simulation set is decoupled
     assert 1 - e_final / e_init >= 0.40
     assert elapsed <= 60.0
+
+
+def test_command_line_block_parses():
+    with open(README, encoding="utf-8") as f:
+        # the fenced block under the "Command line" heading
+        (block,) = re.findall(r"^## Command line\n\n```\n(.*?)^```$", f.read(),
+                              flags=re.S | re.M)
+    parser = build_parser()
+    named = set()
+    for line in block.replace("\\\n", " ").splitlines():
+        prog, *argv = shlex.split(line)
+        assert prog == "cauchyfwi"
+        # a flag the parser does not know exits with status 2
+        named.add(parser.parse_args(argv).command)
+    assert named == {"init", "synth", "invert", "gradcheck", "probe", "export"}
 
 
 def test_cited_benchmark_records_exist():
