@@ -765,6 +765,7 @@ class TestCliFlow:
     @pytest.mark.parametrize("args", [
         ["probe", "--pairs", "1"],
         ["probe", "--pairs", "0"],
+        ["probe", "--pairs", "-1"],
         ["probe", "--seed", "-1"],
     ])
     def test_count_argument_is_a_config_error(self, tmp_path, capsys, args):
