@@ -398,13 +398,15 @@ def check_frequency(freq_hz, expect_hz, what, byte_offset=None):
                               f"{expect_hz} Hz", byte_offset)
 
 
-def read_data(path, receivers, obs_sources, expect_freq=None):
-    """Read a data file recorded with exactly these receivers and sources.
+def read_data(path, receivers, obs_sources, expect_freq):
+    """Read a data file recorded with exactly these receivers and sources at
+    expect_freq Hz.
 
     Raises DataFormatError naming the byte offset of the first problem, and
     GeometryError naming the file when its sources or receivers differ from
     the given ones or its synthesis grid does not refine the receiver grid.
-    The frequency must be finite and positive, the SNR one noise_factor takes.
+    The frequency must match expect_freq, the SNR be one noise_factor takes,
+    and the trace rows come in the source-major order write_data writes.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -452,8 +454,7 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
     if version != "v2":
         raise DataFormatError(f"{path}: unsupported version {version!r}", lines[0][0])
     off, freq = take(1, "freq", frequency)
-    if expect_freq is not None:
-        check_frequency(freq, expect_freq, f"{path}: file", off)
+    check_frequency(freq, expect_freq, f"{path}: file", off)
     _, nsrc = take(2, "nsrc", int)
     _, nrcv = take(3, "nrcv", int)
     _, snr = take(4, "snr", snr_db)
@@ -485,14 +486,13 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
 
     g = np.zeros((nsrc, nrcv), dtype=complex)
     dg = np.zeros((nsrc, nrcv), dtype=complex)
-    seen = np.zeros((nsrc, nrcv), dtype=bool)
     body = lines[row:]
     if len(body) != nsrc * nrcv:
         off = body[-1][0] if body else len(raw)
         raise DataFormatError(
             f"{path}: expected {nsrc * nrcv} trace rows, found {len(body)}", off
         )
-    for off, ln in body:
+    for k, (off, ln) in enumerate(body):
         parts = [p.strip() for p in ln.split(",")]
         if len(parts) != 6:
             raise DataFormatError(f"{path}: malformed trace row {ln!r}", off)
@@ -503,11 +503,9 @@ def read_data(path, receivers, obs_sources, expect_freq=None):
             raise DataFormatError(f"{path}: {exc}", off) from exc
         if not all(map(math.isfinite, nums)):
             raise DataFormatError(f"{path}: non-finite trace value in row {ln!r}", off)
-        if not (0 <= s < nsrc and 0 <= r < nrcv):
-            raise DataFormatError(f"{path}: trace index ({s}, {r}) out of range", off)
-        if seen[s, r]:
-            raise DataFormatError(f"{path}: repeated trace row ({s}, {r})", off)
-        seen[s, r] = True
+        if (s, r) != divmod(k, nrcv):
+            raise DataFormatError(f"{path}: trace row ({s}, {r}) where "
+                                  f"{divmod(k, nrcv)} belongs", off)
         g[s, r] = complex(nums[0], nums[1])
         dg[s, r] = complex(nums[2], nums[3])
     prov = Provenance(fine.shape, fine.extent, snr, seed)

@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the package; each class names the
 category the command line reports it under, and subclasses inherit it.
-There is one class per category, plus the ones the line search tells apart."""
+There is one class per category, plus BoundsViolationError, which the line
+search tells apart.  Arguments that no command can produce, such as a
+non-finite speed handed to helmholtz.assemble, raise ValueError instead."""
 
 
 class CauchyFwiError(Exception):
@@ -12,13 +14,6 @@ class CauchyFwiError(Exception):
 class BoundsViolationError(CauchyFwiError):
     """An evaluated wave speed left the admissible interval; the message
     names the first offending node and its value."""
-
-
-class AssemblyError(CauchyFwiError):
-    """Operator assembly rejected its inputs; apart from SolverBreakdownError
-    so that the line search never counts it as a breakdown."""
-
-    category = "solver"
 
 
 class SolverBreakdownError(CauchyFwiError):

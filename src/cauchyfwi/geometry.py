@@ -228,13 +228,10 @@ def _axis_tiling(extent, n_nodes, max_extent):
 def build_partition(grid, max_extent, water_depth=0.0):
     """Tile the grid into axis-aligned subdomains capped at max_extent.
 
-    max_extent is a per-axis length in meters (a scalar applies to every
-    axis).  Tiles straddling the water bottom are split at the nearest node
-    layer and the upper parts are marked frozen.  water_depth = 0 freezes
-    nothing.
+    max_extent holds one length in meters per axis.  Tiles straddling the
+    water bottom are split at the nearest node layer and the upper parts are
+    marked frozen.  water_depth = 0 freezes nothing.
     """
-    if np.isscalar(max_extent):
-        max_extent = (float(max_extent),) * grid.dim
     max_extent = tuple(float(m) for m in max_extent)
     if len(max_extent) != grid.dim:
         raise GeometryError("need one tile cap per grid axis")
@@ -282,7 +279,7 @@ class PiecewiseLinearModel:
 
     coeffs has shape (N, 1 + dim) holding (a_j, A_j) per subdomain; the
     flattened row-major view is the coefficient vector used by the
-    optimizer.  Frozen subdomains are pinned to water_speed when given.
+    optimizer.  Frozen subdomains are pinned to water_speed.
     Admissibility (all evaluated nodes in [c_min, c_max]) is enforced by
     evaluate_model(), not at construction, so that trial steps can be
     rejected.
@@ -292,7 +289,7 @@ class PiecewiseLinearModel:
     coeffs: np.ndarray
     c_min: float
     c_max: float
-    water_speed: float = None
+    water_speed: float
 
     def __post_init__(self):
         n = self.partition.n_subdomains
@@ -302,9 +299,8 @@ class PiecewiseLinearModel:
             raise ValueError("model coefficients must be finite")
         if not (0 < self.c_min < self.c_max):
             raise ValueError(f"need 0 < c_min < c_max, got {self.c_min}, {self.c_max}")
-        if self.water_speed is not None:
-            coeffs[self.partition.frozen, 0] = float(self.water_speed)
-            coeffs[self.partition.frozen, 1:] = 0.0
+        coeffs[self.partition.frozen, 0] = float(self.water_speed)
+        coeffs[self.partition.frozen, 1:] = 0.0
         object.__setattr__(self, "coeffs", read_only(coeffs))
 
     @property
@@ -318,35 +314,34 @@ class PiecewiseLinearModel:
         )
 
 
-def evaluate_model(model, check_bounds=True):
+def evaluate_model(model):
     """Evaluate the piecewise-affine speed at every grid node.
 
     Raises BoundsViolationError naming the first offending node when the
-    value leaves [c_min, c_max] and check_bounds is set.
+    value leaves [c_min, c_max] or is not a number (finite coefficients can
+    still overflow to inf - inf).
     """
     part = model.partition
     grid = part.grid
     j = part.node_map
     pos = grid.node_positions()
     vals = model.coeffs[j, 0] + np.einsum("nd,nd->n", model.coeffs[j, 1:], pos)
-    if check_bounds:
-        bad = (vals < model.c_min) | (vals > model.c_max)
-        if bad.any():
-            node = int(np.nonzero(bad)[0][0])
-            raise BoundsViolationError(
-                f"speed {vals[node]:.6g} m/s at node {node} outside "
-                f"[{model.c_min}, {model.c_max}]"
-            )
+    bad = ~((vals >= model.c_min) & (vals <= model.c_max))
+    if bad.any():
+        node = int(np.nonzero(bad)[0][0])
+        raise BoundsViolationError(
+            f"speed {vals[node]:.6g} m/s at node {node} outside "
+            f"[{model.c_min}, {model.c_max}]"
+        )
     return NodalField(grid, vals)
 
 
-def fit_coefficients(field, partition, c_min, c_max, water_speed=None):
+def fit_coefficients(field, partition, c_min, c_max, water_speed):
     """Least-squares affine fit of a nodal field on each subdomain.
 
     Exact on fields that are already affine per subdomain.  Frozen
-    subdomains are pinned to water_speed when it is given; otherwise they
-    are fitted like any other.  Raises GeometryError when a subdomain
-    has fewer than dim+1 non-collinear nodes.
+    subdomains are pinned to water_speed, not fitted.  Raises GeometryError
+    when a subdomain has fewer than dim+1 non-collinear nodes.
     """
     if np.iscomplexobj(field.values):
         raise ValueError("can only fit real fields")
@@ -358,8 +353,7 @@ def fit_coefficients(field, partition, c_min, c_max, water_speed=None):
     pos = grid.node_positions()
     coeffs = np.zeros((partition.n_subdomains, 1 + dim))
     for j in range(partition.n_subdomains):
-        if water_speed is not None and partition.frozen[j]:
-            coeffs[j, 0] = water_speed
+        if partition.frozen[j]:
             continue
         nodes = partition.nodes_of(j)
         x = pos[nodes]
@@ -410,10 +404,11 @@ def write_model(model, path):
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def read_model(path, partition, c_min, c_max, water_speed=None):
+def read_model(path, partition, c_min, c_max, water_speed):
     """Read a model file back against a known partition; a malformed or
-    non-finite entry raises DataFormatError naming the file, and so does a
-    frozen row other than (water_speed, 0, ...) when water_speed is given."""
+    non-finite entry raises DataFormatError naming the file, and so do a row
+    out of the subdomain order write_model writes and a frozen row other
+    than (water_speed, 0, ...)."""
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines:
@@ -431,8 +426,7 @@ def read_model(path, partition, c_min, c_max, water_speed=None):
     if len(lines) - 1 != n:
         raise DataFormatError(f"{path}: expected {n} coefficient rows")
     coeffs = np.zeros((n, 1 + dim))
-    seen = np.zeros(n, dtype=bool)
-    for ln in lines[1:]:
+    for k, ln in enumerate(lines[1:]):
         parts = ln.split()
         if len(parts) != 3 + dim:
             raise DataFormatError(f"{path}: malformed row {ln!r}")
@@ -443,17 +437,14 @@ def read_model(path, partition, c_min, c_max, water_speed=None):
             raise DataFormatError(f"{path}: non-numeric field in row {ln!r}") from None
         if not all(map(math.isfinite, values)):
             raise DataFormatError(f"{path}: non-finite coefficient in row {ln!r}")
-        if not 0 <= j < n:
-            raise DataFormatError(f"{path}: subdomain index {j} out of range")
-        if seen[j]:
-            raise DataFormatError(f"{path}: repeated subdomain index {j}")
-        seen[j] = True
+        if j != k:
+            raise DataFormatError(f"{path}: row {ln!r} has subdomain index {j}, expected {k}")
         coeffs[j] = values
         if frozen != bool(partition.frozen[j]):
             raise DataFormatError(
                 f"{path}: frozen flag of subdomain {j} disagrees with the partition"
             )
-        if frozen and water_speed is not None and values != [water_speed] + [0.0] * dim:
+        if frozen and values != [water_speed] + [0.0] * dim:
             raise DataFormatError(
                 f"{path}: frozen row {ln!r} does not carry the water speed {water_speed} m/s"
             )

@@ -25,12 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    AssemblyError,
-    DataFormatError,
-    GeometryError,
-    SolverBreakdownError,
-)
+from .errors import DataFormatError, GeometryError, SolverBreakdownError
 from .geometry import Grid, NodalField, read_only
 from .textio import write_text_atomic
 
@@ -87,12 +82,12 @@ def assemble(grid, speed, phys, free_surface=True):
     other system on the same grid.
     """
     if speed.grid != grid:
-        raise AssemblyError("speed field lives on a different grid")
+        raise ValueError("speed field lives on a different grid")
     c = np.asarray(speed.values, dtype=float)
     if not np.isfinite(c).all():
-        raise AssemblyError("speed field contains non-finite values")
+        raise ValueError("speed field contains non-finite values")
     if (c <= 0).any():
-        raise AssemblyError("speed field must be strictly positive")
+        raise ValueError("speed field must be strictly positive")
 
     shape = grid.shape
     h = grid.spacing

@@ -182,9 +182,17 @@ def simulate_traces(system, sim_sources, receivers):
     return fields, vals, dnu
 
 
+def _check_grid(system, data):
+    if system.grid != data.receivers.grid:
+        raise GeometryError("data's receiver layer was built for another grid "
+                            "than the system's")
+
+
 def misfit_only(system, sim_sources, data):
     """Misfit value, gap matrix and forward fields: n_sim forward solves,
-    no adjoints."""
+    no adjoints.  Data whose receivers were built for another grid than the
+    system's raise GeometryError before any solve."""
+    _check_grid(system, data)
     fields, vals, dnu = simulate_traces(system, sim_sources, data.receivers)
     gap = reciprocity_gap(vals, dnu, data, sim_sources.weights)
     return misfit(gap), gap, fields
@@ -195,8 +203,10 @@ def misfit_and_gradient(system, data, fields, gap):
     that misfit_only returned for this system, weighted by gap.sim_weights.
 
     Exactly n_sim adjoint solves on the shared factorization, no forward
-    solves; accumulations run in fixed source order.
+    solves; accumulations run in fixed source order.  Data on another grid
+    raise GeometryError, as in misfit_only.
     """
+    _check_grid(system, data)
     adj = solve_adjoint_fields(system, gap, data)
     grad = nodal_gradient(fields, adj, system.speed, system.phys, gap.sim_weights)
     return misfit(gap), grad

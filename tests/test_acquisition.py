@@ -318,7 +318,7 @@ class TestDataFiles:
         noisy = add_noise(data, 12.5, seed=3)
         path = tmp_path / "data.txt"
         write_data(noisy, path)
-        back = read_data(path, noisy.receivers, noisy.obs_sources)
+        back = read_data(path, noisy.receivers, noisy.obs_sources, noisy.freq_hz)
         assert np.array_equal(back.g, noisy.g)
         assert np.array_equal(back.dg, noisy.dg)
         assert back.freq_hz == noisy.freq_hz
@@ -347,7 +347,7 @@ class TestDataFiles:
         full = path.read_bytes()
         path.write_bytes(full[: int(len(full) * 0.6)])
         with pytest.raises(DataFormatError) as err:
-            read_data(path, data.receivers, data.obs_sources)
+            read_data(path, data.receivers, data.obs_sources, data.freq_hz)
         assert err.value.byte_offset is not None
         assert "byte offset" in str(err.value)
 
@@ -362,9 +362,25 @@ class TestDataFiles:
         assert lines[first + 1].startswith(b"0, 1,")
         lines[first + 1] = lines[first]
         path.write_bytes(b"\n".join(lines))
-        with pytest.raises(DataFormatError, match=r"repeated trace row \(0, 0\)") as err:
-            read_data(path, data.receivers, data.obs_sources)
+        with pytest.raises(DataFormatError,
+                           match=r"trace row \(0, 0\) where \(0, 1\) belongs") as err:
+            read_data(path, data.receivers, data.obs_sources, data.freq_hz)
         assert err.value.byte_offset == sum(len(ln) + 1 for ln in lines[:first + 1])
+
+    def test_swapped_rows_name_byte_offset(self, tmp_path):
+        # rows (0, 0) and (0, 1) swapped: every pair is present once, but
+        # only write_data's source-major order is read
+        data = small_dataset()
+        path = tmp_path / "data.txt"
+        write_data(data, path)
+        lines = path.read_bytes().split(b"\n")
+        first = next(i for i, ln in enumerate(lines) if ln.startswith(b"0, 0,"))
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataFormatError,
+                           match=r"trace row \(0, 1\) where \(0, 0\) belongs") as err:
+            read_data(path, data.receivers, data.obs_sources, data.freq_hz)
+        assert err.value.byte_offset == sum(len(ln) + 1 for ln in lines[:first])
 
     def test_header_records_the_acquisition(self, tmp_path):
         data = small_dataset(n_src=2, n_rcv=3)
@@ -389,7 +405,7 @@ class TestDataFiles:
         lines[8] = lines[8].replace(b"source ", b"source ten", 1)
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(DataFormatError, match="malformed 'source' line") as err:
-            read_data(path, data.receivers, data.obs_sources)
+            read_data(path, data.receivers, data.obs_sources, data.freq_hz)
         assert err.value.byte_offset == sum(len(ln) + 1 for ln in lines[:8])
 
     def test_other_acquisition_rejected(self, tmp_path):
@@ -398,16 +414,16 @@ class TestDataFiles:
         write_data(data, path)
         moved = SourceSet(data.obs_sources.positions + [0.0, 7.5], data.obs_sources.weights)
         with pytest.raises(GeometryError, match="data.txt: source positions"):
-            read_data(path, data.receivers, moved)
+            read_data(path, data.receivers, moved, data.freq_hz)
         n = data.n_sources
         fewer = SourceSet(data.obs_sources.positions[1:], data.obs_sources.weights[1:])
         with pytest.raises(GeometryError,
                            match=f"data.txt: {n} sources in file, geometry has {n - 1}$"):
-            read_data(path, data.receivers, fewer)
+            read_data(path, data.receivers, fewer, data.freq_hz)
         heavier = ReceiverArray(data.receivers.grid, data.receivers.depth_index,
                                 data.receivers.lateral_indices, 2 * data.receivers.weights)
         with pytest.raises(GeometryError, match="data.txt: receiver positions"):
-            read_data(path, heavier, data.obs_sources)
+            read_data(path, heavier, data.obs_sources, data.freq_hz)
 
     @pytest.mark.parametrize("shape, extent, reason", [
         ((81, 21), (600.0, 150.0), "different extents"),  # same spacing
@@ -421,7 +437,7 @@ class TestDataFiles:
         write_data(CauchyDataSet(data.receivers, data.obs_sources, data.g, data.dg,
                                  data.freq_hz, prov), path)
         with pytest.raises(GeometryError, match=f"data.txt: synthesis grid .*{reason}"):
-            read_data(path, data.receivers, data.obs_sources)
+            read_data(path, data.receivers, data.obs_sources, data.freq_hz)
 
     @pytest.mark.parametrize("header, bad", [("snr", "nan"), ("snr", "-inf"),
                                              ("freq", "nan"), ("freq", "inf"),
@@ -435,14 +451,14 @@ class TestDataFiles:
         lines[row] = f"{header} {bad}".encode()
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(DataFormatError, match=f"malformed '{header}' line") as err:
-            read_data(path, data.receivers, data.obs_sources)
+            read_data(path, data.receivers, data.obs_sources, data.freq_hz)
         assert err.value.byte_offset == sum(len(ln) + 1 for ln in lines[:row])
 
     def test_negative_snr_round_trips(self, tmp_path):
         noisy = add_noise(small_dataset(), -3.0, seed=2)
         path = tmp_path / "data.txt"
         write_data(noisy, path)
-        back = read_data(path, noisy.receivers, noisy.obs_sources)
+        back = read_data(path, noisy.receivers, noisy.obs_sources, noisy.freq_hz)
         assert back.provenance.snr_db == -3.0
         assert np.array_equal(back.g, noisy.g)
 
@@ -451,4 +467,4 @@ class TestDataFiles:
         path.write_text("cauchy v2\nfreq 10\n")
         data = small_dataset()
         with pytest.raises(DataFormatError):
-            read_data(path, data.receivers, data.obs_sources)
+            read_data(path, data.receivers, data.obs_sources, data.freq_hz)

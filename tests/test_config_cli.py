@@ -319,7 +319,7 @@ class TestCliFlow:
         cfg = parse_config(text)
         problem = build_problem(cfg)
         clean = build_clean_data(cfg, problem)
-        data = read_data(prefix + ".cauchy.txt", problem.receivers, problem.obs)
+        data = read_data(prefix + ".cauchy.txt", problem.receivers, problem.obs, cfg.freq_hz)
         assert np.array_equal(data.g, clean.g) and np.array_equal(data.dg, clean.dg)
         assert (tmp_path / "run.cauchy.txt").read_text().splitlines()[4:6] == [
             "snr inf", "seed 5"]
@@ -541,6 +541,22 @@ class TestCliFlow:
         assert err.startswith("error: io: sigma"), err
         assert not out.exists()
         assert not list(tmp_path.iterdir())
+
+    def test_export_refuses_a_model_whose_speed_is_nan(self, tmp_path, capsys, run_outputs):
+        # finite slopes whose products overflow to inf - inf on the last tile
+        lines = (run_outputs / "result.model.txt").read_text().splitlines()
+        parts = lines[-1].split()
+        parts[2:4] = ["1e308", "-1e308"]
+        lines[-1] = " ".join(parts)
+        model = tmp_path / "nan.model.txt"
+        model.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "speed.txt"
+        code = cli_main(["export", "--config", str(run_outputs / "run.cfg"),
+                         "--model", str(model), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: runtime: speed nan m/s"), err
+        assert not out.exists()
 
     def test_truth_field_on_another_grid_fails_before_inverting(self, tmp_path, capsys,
                                                                  run_outputs):
@@ -847,7 +863,6 @@ class TestCliFlow:
             "DataFormatError": "io",
             "GeometryError": "geometry",
             "SolverBreakdownError": "solver",
-            "AssemblyError": "solver",
             "CauchyFwiError": "runtime",
             "BoundsViolationError": "runtime",
         }

@@ -97,7 +97,7 @@ class TestGrid:
 class TestBuildPartition:
     def test_four_equal_tiles_no_water(self):
         grid = Grid((100.0, 100.0), (11, 11))
-        part = build_partition(grid, 50.0, water_depth=0.0)
+        part = build_partition(grid, (50.0, 50.0), water_depth=0.0)
         assert part.n_subdomains == 4
         assert not part.frozen.any()
         counts = np.bincount(part.node_map)
@@ -142,11 +142,11 @@ class TestBuildPartition:
 
     def test_cap_below_spacing_rejected(self, grid2d):
         with pytest.raises(GeometryError, match="below the cell spacing"):
-            build_partition(grid2d, 5.0)
+            build_partition(grid2d, (5.0, 5.0))
 
     def test_water_depth_outside_grid_rejected(self, grid2d):
         with pytest.raises(GeometryError, match="water depth 150.0 m outside grid extent"):
-            build_partition(grid2d, 50.0, water_depth=150.0)
+            build_partition(grid2d, (50.0, 50.0), water_depth=150.0)
 
     def test_3d_tiling_covers_all_nodes(self, grid3d):
         part = build_partition(grid3d, (30.0, 20.0, 20.0), water_depth=10.0)
@@ -171,14 +171,14 @@ class TestEvaluateModel:
         n = partition2d.n_subdomains
         coeffs = np.zeros((n, 3))
         coeffs[:, 0] = 1500.0
-        model = PiecewiseLinearModel(partition2d, coeffs, 1000.0, 2000.0)
+        model = PiecewiseLinearModel(partition2d, coeffs, 1000.0, 2000.0, 1500.0)
         field = evaluate_model(model)
         assert np.all(field.values == 1500.0)
 
     def test_affine_arithmetic(self):
         grid = Grid((100.0, 1000.0), (2, 3))
         part = Partition(grid, np.zeros(grid.n_nodes, dtype=int), [False])
-        model = PiecewiseLinearModel(part, [[1000.0, 0.0, 0.5]], 500.0, 2000.0)
+        model = PiecewiseLinearModel(part, [[1000.0, 0.0, 0.5]], 500.0, 2000.0, 1500.0)
         field = evaluate_model(model)
         node = np.ravel_multi_index((0, 2), grid.shape)  # x = (0, 1000)
         assert field.values[node] == pytest.approx(1500.0, abs=1e-12)
@@ -191,21 +191,21 @@ class TestEvaluateModel:
             rng.uniform(-0.5, 0.5, n),
             rng.uniform(-0.5, 0.5, n),
         ])
-        model = PiecewiseLinearModel(partition2d, coeffs, 100.0, 5000.0)
+        model = PiecewiseLinearModel(partition2d, coeffs, 100.0, 5000.0, 1500.0)
         field = evaluate_model(model)
         pos = partition2d.grid.node_positions()
         for flat in range(partition2d.grid.n_nodes):
             j = partition2d.node_map[flat]
-            expected = coeffs[j, 0] + coeffs[j, 1:] @ pos[flat]
+            expected = model.coeffs[j, 0] + model.coeffs[j, 1:] @ pos[flat]
             assert field.values[flat] == pytest.approx(expected, rel=1e-14)
 
     def test_frozen_pinned_to_water_speed(self, partition2d):
         n = partition2d.n_subdomains
-        coeffs = np.full((n, 3), 7.0)
+        coeffs = np.full((n, 3), 0.5)
         coeffs[:, 0] = 1800.0
         model = PiecewiseLinearModel(partition2d, coeffs, 1000.0, 3000.0,
                                      water_speed=1500.0)
-        field = evaluate_model(model, check_bounds=False)
+        field = evaluate_model(model)
         frozen_nodes = partition2d.frozen[partition2d.node_map]
         assert np.all(field.values[frozen_nodes] == 1500.0)
 
@@ -213,24 +213,34 @@ class TestEvaluateModel:
         n = partition2d.n_subdomains
         coeffs = np.zeros((n, 3))
         coeffs[:, 0] = 1500.0
-        coeffs[0, 0] = 900.0
-        model = PiecewiseLinearModel(partition2d, coeffs, 1000.0, 2000.0)
-        node = int(np.flatnonzero(partition2d.node_map == 0)[0])
+        j = int(np.flatnonzero(~partition2d.frozen)[0])
+        coeffs[j, 0] = 900.0
+        model = PiecewiseLinearModel(partition2d, coeffs, 1000.0, 2000.0, 1500.0)
+        node = int(np.flatnonzero(partition2d.node_map == j)[0])
         with pytest.raises(BoundsViolationError, match=f"speed 900 m/s at node {node} "):
             evaluate_model(model)
 
-    def test_linearity_in_coefficients(self, partition2d):
-        rng = np.random.default_rng(3)
+    def test_nan_speed_is_a_bounds_violation(self, partition2d):
+        # finite slopes whose products overflow to inf - inf on the last tile
         n = partition2d.n_subdomains
-        c1 = rng.normal(size=(n, 3))
-        c2 = rng.normal(size=(n, 3))
-        a, b = 0.3, -1.7
-        m1 = PiecewiseLinearModel(partition2d, c1, 1.0, 2.0)
-        m2 = PiecewiseLinearModel(partition2d, c2, 1.0, 2.0)
-        m12 = PiecewiseLinearModel(partition2d, a * c1 + b * c2, 1.0, 2.0)
-        f1 = evaluate_model(m1, check_bounds=False).values
-        f2 = evaluate_model(m2, check_bounds=False).values
-        f12 = evaluate_model(m12, check_bounds=False).values
+        coeffs = np.zeros((n, 3))
+        coeffs[:, 0] = 1500.0
+        coeffs[-1, 1:] = (1e308, -1e308)
+        model = PiecewiseLinearModel(partition2d, coeffs, 1000.0, 2000.0, 1500.0)
+        node = int(np.flatnonzero(partition2d.node_map == n - 1)[0])
+        with pytest.raises(BoundsViolationError, match=f"speed nan m/s at node {node} "):
+            evaluate_model(model)
+
+    def test_linearity_in_coefficients(self, partition2d):
+        # no frozen tile, so no coefficient is pinned to the water speed
+        n = partition2d.n_subdomains
+        free = Partition(partition2d.grid, partition2d.node_map, np.zeros(n, dtype=bool))
+        rng = np.random.default_rng(3)
+        c1, c2 = (np.column_stack([rng.uniform(1400, 1600, n), rng.uniform(-0.3, 0.3, n),
+                                   rng.uniform(-0.3, 0.3, n)]) for _ in range(2))
+        a, b = 0.3, 1.7
+        f1, f2, f12 = (evaluate_model(PiecewiseLinearModel(free, c, 100.0, 5000.0, 1500.0))
+                       .values for c in (c1, c2, a * c1 + b * c2))
         scale = np.max(np.abs(f12)) or 1.0
         assert np.max(np.abs(f12 - (a * f1 + b * f2))) <= 1e-13 * scale
 
@@ -247,15 +257,15 @@ class TestFitCoefficients:
             rng.uniform(-0.3, 0.3, n),
             rng.uniform(-0.3, 0.3, n),
         ])
-        model = PiecewiseLinearModel(partition2d, coeffs, 100.0, 5000.0)
-        field = evaluate_model(model, check_bounds=False)
-        refit = fit_coefficients(field, partition2d, 100.0, 5000.0)
-        back = evaluate_model(refit, check_bounds=False)
+        model = PiecewiseLinearModel(partition2d, coeffs, 100.0, 5000.0, 1500.0)
+        field = evaluate_model(model)
+        refit = fit_coefficients(field, partition2d, 100.0, 5000.0, 1500.0)
+        back = evaluate_model(refit)
         assert np.max(np.abs(back.values - field.values)) <= 1e-12 * np.max(field.values)
 
     def test_constant_field_gives_constant_coeffs(self, partition2d):
         field = NodalField(partition2d.grid, np.full(partition2d.grid.n_nodes, 2000.0))
-        model = fit_coefficients(field, partition2d, 100.0, 5000.0)
+        model = fit_coefficients(field, partition2d, 100.0, 5000.0, water_speed=2000.0)
         assert np.allclose(model.coeffs[:, 0], 2000.0, atol=1e-9)
         assert np.allclose(model.coeffs[:, 1:], 0.0, atol=1e-12)
 
@@ -266,7 +276,7 @@ class TestFitCoefficients:
         rng = np.random.default_rng(11)
         vals = rng.normal(size=grid.n_nodes)
         field = NodalField(grid, vals)
-        model = fit_coefficients(field, part, 0.001, 1e6)
+        model = fit_coefficients(field, part, 0.001, 1e6, 1500.0)
         x = grid.node_positions()
         design = np.column_stack([np.ones(grid.n_nodes), x])
         sol = np.linalg.solve(design.T @ design, design.T @ vals)
@@ -279,7 +289,7 @@ class TestFitCoefficients:
         part = Partition(grid, node_map, [False, False])
         field = NodalField(grid, np.ones(grid.n_nodes))
         with pytest.raises(GeometryError, match="subdomain 0 has fewer"):
-            fit_coefficients(field, part, 0.5, 2.0)
+            fit_coefficients(field, part, 0.5, 2.0, 1.0)
 
     def test_frozen_pinned_instead_of_fitted(self, partition2d):
         field = NodalField(partition2d.grid,
@@ -318,14 +328,19 @@ class TestCoefficientGradient:
         grad = coefficient_gradient(g, partition2d)
         w = grid.node_weights()
         n_coeff = partition2d.n_subdomains * 3
-        template = PiecewiseLinearModel(partition2d, np.zeros((partition2d.n_subdomains, 3)),
-                                        1.0, 2.0)
+        # a constant 1500 m/s model plus one unit coefficient: every speed
+        # is an integer below 2^53, so the difference is the basis exactly
+        base = np.zeros((partition2d.n_subdomains, 3))
+        base[:, 0] = 1500.0
+        template = PiecewiseLinearModel(partition2d, base, 100.0, 5000.0, 1500.0)
+        constant = evaluate_model(template).values
         for k in range(n_coeff):
             e = np.zeros(n_coeff)
             e[k] = 1.0
-            basis = evaluate_model(template.with_coefficient_vector(e),
-                                   check_bounds=False)
-            expected = float(w @ (basis.values * g_vals))
+            basis = evaluate_model(
+                template.with_coefficient_vector(template.coefficient_vector + e)
+            ).values - constant
+            expected = float(w @ (basis * g_vals))
             j = k // 3
             if partition2d.frozen[j]:
                 assert grad[k] == 0.0
@@ -343,11 +358,11 @@ class TestCoefficientGradient:
         n = partition2d.n_subdomains
 
         def functional(vec):
-            m = PiecewiseLinearModel(partition2d, vec.reshape(n, 3), 1.0, 2.0)
-            # frozen rows contribute their pinned values; keep them moving here
-            return float(w @ (evaluate_model(m, check_bounds=False).values * g_vals))
+            m = PiecewiseLinearModel(partition2d, vec.reshape(n, 3), 100.0, 5000.0, 1500.0)
+            return float(w @ (evaluate_model(m).values * g_vals))
 
-        base = rng.normal(size=3 * n)
+        base = np.column_stack([rng.uniform(1400, 1600, n), rng.uniform(-0.3, 0.3, n),
+                                rng.uniform(-0.3, 0.3, n)]).ravel()
         for k in rng.choice(3 * n, size=10, replace=False):
             if partition2d.frozen[k // 3]:
                 continue
@@ -367,10 +382,10 @@ class TestCoefficientGradient:
             rng.uniform(-0.2, 0.2, n),
             rng.uniform(-0.2, 0.2, n),
         ])
-        m = PiecewiseLinearModel(partition2d, coeffs, 100.0, 5000.0)
-        f = evaluate_model(m, check_bounds=False)
-        m2 = fit_coefficients(f, partition2d, 100.0, 5000.0)
-        f2 = evaluate_model(m2, check_bounds=False)
+        m = PiecewiseLinearModel(partition2d, coeffs, 100.0, 5000.0, 1500.0)
+        f = evaluate_model(m)
+        m2 = fit_coefficients(f, partition2d, 100.0, 5000.0, 1500.0)
+        f2 = evaluate_model(m2)
         assert np.max(np.abs(f2.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
 
 
@@ -406,24 +421,26 @@ class TestModelFiles:
         path = tmp_path / "bad.txt"
         path.write_text("plmodel 2 999\n")
         with pytest.raises(DataFormatError, match="999 subdomains in file"):
-            read_model(path, partition2d, 1000.0, 2000.0)
+            read_model(path, partition2d, 1000.0, 2000.0, 1500.0)
 
     def test_repeated_subdomain_rejected(self, partition2d, tmp_path):
         # row 0 written twice in place of row 1: subdomain 1 would read as
         # all-zero coefficients
         n = partition2d.n_subdomains
-        model = PiecewiseLinearModel(partition2d, np.full((n, 3), 1500.0), 1000.0, 2000.0)
+        model = PiecewiseLinearModel(partition2d, np.full((n, 3), 1500.0), 1000.0, 2000.0,
+                                     1500.0)
         path = tmp_path / "model.txt"
         write_model(model, path)
         lines = path.read_text().splitlines()
         lines[2] = lines[1]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataFormatError, match="repeated subdomain index 0"):
-            read_model(path, partition2d, 1000.0, 2000.0)
+        with pytest.raises(DataFormatError, match="has subdomain index 0, expected 1"):
+            read_model(path, partition2d, 1000.0, 2000.0, 1500.0)
 
     def test_failed_write_keeps_the_old_file(self, partition2d, tmp_path, disk_full):
         n = partition2d.n_subdomains
-        model = PiecewiseLinearModel(partition2d, np.full((n, 3), 1500.0), 1000.0, 2000.0)
+        model = PiecewiseLinearModel(partition2d, np.full((n, 3), 1500.0), 1000.0, 2000.0,
+                                     1500.0)
         path = tmp_path / "model.txt"
         path.write_text("previous model\n")
         disk_full("model.txt")

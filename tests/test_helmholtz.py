@@ -9,7 +9,7 @@ from scipy.special import hankel1
 from cauchyfwi import config as C
 from cauchyfwi.acquisition import receiver_layer
 from cauchyfwi.config import DEFAULT_CONFIG, parse_config
-from cauchyfwi.errors import AssemblyError, GeometryError, SolverBreakdownError
+from cauchyfwi.errors import GeometryError, SolverBreakdownError
 from cauchyfwi.geometry import Grid, NodalField, evaluate_model
 from cauchyfwi.helmholtz import (
     FORWARD_BLOCK,
@@ -242,7 +242,7 @@ class TestAssemble:
         grid = Grid((30.0, 30.0), (4, 4))
         vals = np.full(grid.n_nodes, 1500.0)
         vals[5] = np.nan
-        with pytest.raises(AssemblyError):
+        with pytest.raises(ValueError, match="speed field contains non-finite values"):
             assemble(grid, NodalField(grid, vals), PHYS)
 
     def test_points_per_wavelength(self):

@@ -38,6 +38,7 @@ from cauchyfwi.inversion import (
     update_pairs,
     write_iteration_log,
 )
+from cauchyfwi.misfit_adjoint import misfit_and_gradient, misfit_only
 
 PHYS = PhysicsConfig(freq_hz=25.0, water_speed=1500.0)
 
@@ -487,16 +488,31 @@ class TestObjective:
         assert value == fresh_value
         assert grad.tobytes() == fresh_grad.tobytes()
 
-    def test_data_on_another_grid_are_refused(self):
-        truth, initial, data, sim = small_problem(seed=1)
+    @staticmethod
+    def finer_model(initial):
         # the same extent and tiles at twice the nodes: every receiver node
         # index is valid on the finer grid, but names another point
         grid = Grid((160.0, 120.0), (33, 25))
         partition = build_partition(grid, (80.0, 60.0), water_depth=40.0)
-        model = PiecewiseLinearModel(partition, initial.coefficient_vector.reshape(-1, 3),
-                                     1250.0, 3400.0, water_speed=1500.0)
+        return PiecewiseLinearModel(partition, initial.coefficient_vector.reshape(-1, 3),
+                                    1250.0, 3400.0, water_speed=1500.0)
+
+    def test_data_on_another_grid_are_refused(self):
+        truth, initial, data, sim = small_problem(seed=1)
         with pytest.raises(GeometryError, match="built for another grid than the model's"):
-            Objective(model, sim, data, PHYS)
+            Objective(self.finer_model(initial), sim, data, PHYS)
+
+    def test_misfit_functions_refuse_a_system_on_another_grid(self):
+        truth, initial, data, sim = small_problem(seed=1)
+        _, gap, fields = misfit_only(assemble(data.receivers.grid, evaluate_model(initial),
+                                              PHYS), sim, data)
+        model = self.finer_model(initial)
+        system = assemble(model.partition.grid, evaluate_model(model), PHYS)
+        with pytest.raises(GeometryError, match="built for another grid than the system's"):
+            misfit_only(system, sim, data)
+        with pytest.raises(GeometryError, match="built for another grid than the system's"):
+            misfit_and_gradient(system, data, fields, gap)
+        assert system.solve_count == 0
 
     def test_other_vector_misses_the_kept_solves(self):
         initial, data, sim = many_source_problem()
