@@ -320,8 +320,11 @@ def add_noise(data, snr_db, seed):
 
     Noise is drawn independently for every source, receiver, and component;
     the per-trace variance is the trace's mean power scaled by
-    noise_factor(snr_db), and a +inf SNR adds none.  Deterministic per seed.
+    noise_factor(snr_db), and a +inf SNR adds none.  Deterministic per seed,
+    which must be a non-negative integer at every SNR.
     """
+    if seed < 0:
+        raise ValueError(f"noise seed {seed} is negative")
     factor = noise_factor(snr_db)
     prov = replace(data.provenance, snr_db=float(snr_db), seed=int(seed))
     if factor is None:
@@ -406,7 +409,8 @@ def read_data(path, receivers, obs_sources, expect_freq):
     GeometryError naming the file when its sources or receivers differ from
     the given ones or its synthesis grid does not refine the receiver grid.
     The frequency must match expect_freq, the SNR be one noise_factor takes,
-    and the trace rows come in the source-major order write_data writes.
+    the seed be a non-negative integer, and the trace rows come in the
+    source-major order write_data writes.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -444,6 +448,11 @@ def read_data(path, receivers, obs_sources, expect_freq):
         noise_factor(float(text))  # raises ValueError where noise_factor does
         return float(text)
 
+    def noise_seed(text):
+        if int(text) < 0:
+            raise ValueError
+        return int(text)
+
     def point_row(text):
         row = [float(t) for t in text.split(",")]
         if len(row) != receivers.grid.dim + 1:
@@ -458,7 +467,7 @@ def read_data(path, receivers, obs_sources, expect_freq):
     _, nsrc = take(2, "nsrc", int)
     _, nrcv = take(3, "nrcv", int)
     _, snr = take(4, "snr", snr_db)
-    _, seed = take(5, "seed", int)
+    _, seed = take(5, "seed", noise_seed)
     _, fine = take(6, "grid", grid_provenance)
 
     if nsrc != obs_sources.n_sources:

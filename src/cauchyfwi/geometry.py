@@ -407,8 +407,8 @@ def write_model(model, path):
 def read_model(path, partition, c_min, c_max, water_speed):
     """Read a model file back against a known partition; a malformed or
     non-finite entry raises DataFormatError naming the file, and so do a row
-    out of the subdomain order write_model writes and a frozen row other
-    than (water_speed, 0, ...)."""
+    out of the subdomain order write_model writes, a frozen flag other than
+    0 or 1 and a frozen row other than (water_speed, 0, ...)."""
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines:
@@ -431,10 +431,13 @@ def read_model(path, partition, c_min, c_max, water_speed):
         if len(parts) != 3 + dim:
             raise DataFormatError(f"{path}: malformed row {ln!r}")
         try:
-            j, frozen = int(parts[0]), bool(int(parts[-1]))
+            j = int(parts[0])
             values = [float(v) for v in parts[1 : 2 + dim]]
         except ValueError:
             raise DataFormatError(f"{path}: non-numeric field in row {ln!r}") from None
+        if parts[-1] not in ("0", "1"):
+            raise DataFormatError(f"{path}: frozen flag of row {ln!r} is not 0 or 1")
+        frozen = parts[-1] == "1"
         if not all(map(math.isfinite, values)):
             raise DataFormatError(f"{path}: non-finite coefficient in row {ln!r}")
         if j != k:

@@ -280,6 +280,12 @@ class TestAddNoise:
         assert np.array_equal(out.g, data.g)
         assert np.array_equal(out.dg, data.dg)
 
+    @pytest.mark.parametrize("snr_db", [math.inf, 15.0])
+    def test_negative_seed_rejected(self, snr_db):
+        # at infinite SNR no generator is seeded, yet the seed is recorded
+        with pytest.raises(ValueError, match="noise seed -1 is negative"):
+            add_noise(small_dataset(), snr_db, seed=-1)
+
     def test_noise_factor_decides_what_an_snr_means(self):
         assert noise_factor(math.inf) is None
         assert noise_factor(10.0) == 0.1
@@ -441,7 +447,7 @@ class TestDataFiles:
 
     @pytest.mark.parametrize("header, bad", [("snr", "nan"), ("snr", "-inf"),
                                              ("freq", "nan"), ("freq", "inf"),
-                                             ("freq", "0")])
+                                             ("freq", "0"), ("seed", "-1")])
     def test_unusable_header_value_names_its_byte_offset(self, tmp_path, header, bad):
         data = small_dataset()
         path = tmp_path / "data.txt"

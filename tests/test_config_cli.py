@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import shutil
 import warnings
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from cauchyfwi import cli, config, errors
-from cauchyfwi.acquisition import read_data
+from cauchyfwi.acquisition import add_noise, read_data, write_data
 from cauchyfwi.cli import cli_main
 from cauchyfwi.config import (
     DEFAULT_CONFIG,
@@ -26,7 +27,7 @@ from cauchyfwi.config import (
     render_config,
 )
 from cauchyfwi.errors import CauchyFwiError, ConfigError, GeometryError
-from cauchyfwi.geometry import NodalField, read_model
+from cauchyfwi.geometry import NodalField, read_model, write_model
 from cauchyfwi.helmholtz import read_field_structured_points, write_field_structured_points
 from cauchyfwi.inversion import DISCREPANCY_TAU, Objective, OptimConfig
 
@@ -268,6 +269,92 @@ class TestConfigurationSweep:
         text = DEFAULT_CONFIG.replace("receiver_count = 0",
                                       "receiver_count = 9\nreceiver_margin_m = 60")
         assert self.outcome(text) == "built"
+
+
+class TestFileSweep:
+    # single-line mutations of each file the package reads back: delete,
+    # duplicate, halve, or set one token to each of these
+    TOKENS = ("abc", "nan", "inf", "-inf", "1e999", "-1", "0", "")
+
+    def readers(self, tmp_path):
+        """(name, path, reader, rows to mutate) of each file of FAST_CONFIG;
+        a reader returns what it read in a form == compares."""
+        cfg = parse_config(FAST_CONFIG)
+        problem = build_problem(cfg)
+        paths = {name: str(tmp_path / name) for name in ("data", "model", "field")}
+        write_data(add_noise(build_clean_data(cfg, problem), cfg.snr_db, cfg.seed),
+                   paths["data"])
+        write_model(problem.initial, paths["model"])
+        write_field_structured_points(build_true_field(cfg, problem.grid), paths["field"])
+
+        def data(path):
+            d = read_data(path, problem.receivers, problem.obs, cfg.freq_hz)
+            return d.freq_hz, d.provenance, d.g.tobytes(), d.dg.tobytes()
+
+        def model(path):
+            return read_model(path, problem.partition, cfg.c_min_m_per_s, cfg.c_max_m_per_s,
+                              cfg.water_speed_m_per_s).coeffs.tobytes()
+
+        def field(path):
+            f = read_field_structured_points(path)
+            return f.grid.shape, f.grid.extent, f.values.tobytes()
+
+        # header lines, first and last point rows, first, middle and last body rows
+        body = 7 + problem.obs.n_sources + problem.receivers.n_receivers
+        n_data = body + problem.obs.n_sources * problem.receivers.n_receivers
+        n_model = 1 + problem.partition.n_subdomains
+        n_field = 4 + problem.grid.n_nodes
+        return [
+            ("data", paths["data"], data,
+             [*range(7), 7, body - 1, body, (body + n_data - 1) // 2, n_data - 1]),
+            ("model", paths["model"], model, [0, 1, n_model // 2, n_model - 1]),
+            ("field", paths["field"], field, [0, 1, 2, 3, 4, (3 + n_field) // 2, n_field - 1]),
+        ]
+
+    def mutations(self, lines, rows):
+        for row in rows:
+            line = lines[row]
+            yield (row, "delete"), lines[:row] + lines[row + 1:]
+            yield (row, "duplicate"), lines[:row + 1] + lines[row:]
+            yield (row, "halve"), lines[:row] + [line[:len(line) // 2]] + lines[row + 1:]
+            parts = re.split(r"(,\s*|\s+)", line)  # tokens at the even indices
+            for t in range(0, len(parts), 2):
+                for token in self.TOKENS:
+                    edited = "".join(parts[:t] + [token] + parts[t + 1:])
+                    yield (row, t // 2, token), lines[:row] + [edited] + lines[row + 1:]
+
+    def test_every_mutation_reads_or_raises_a_package_error(self, tmp_path):
+        outcomes = {}
+        for name, path, read, rows in self.readers(tmp_path):
+            with open(path) as f:
+                lines = f.read().splitlines()
+            original = read(path)
+            for case, edited in self.mutations(lines, rows):
+                with open(path, "w") as f:
+                    f.write("\n".join(edited) + "\n")
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        value = read(path)
+                    except CauchyFwiError as exc:
+                        outcomes[name, case] = exc.category
+                        continue
+                outcomes[name, case] = "same" if value == original else "changed"
+        assert len(outcomes) == 661
+        # both read without a word before: a negative seed, and a frozen
+        # flag other than 0 or 1 on subdomain 0, which is frozen
+        assert outcomes["data", (5, 1, "-1")] == "io"
+        assert outcomes["model", (1, 4, "-1")] == "io"
+        # every change read back is one the writer could have written: an snr
+        # noise_factor takes, seed 0, a trace, coefficient or field value of
+        # -1 or 0, or a field value cut to fewer digits
+        for name, case in (key for key, outcome in outcomes.items() if outcome == "changed"):
+            if name == "data" and case[0] == 4:
+                assert case[2] in ("inf", "1e999", "-1", "0")
+            elif name == "data" and case[0] == 5:
+                assert case[2] == "0"
+            else:
+                assert case[-1] in ("-1", "0") or (name, case[1]) == ("field", "halve")
 
 
 class TestCliFlow:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -416,6 +417,24 @@ class TestModelFiles:
             read_model(path, partition2d, 1000.0, 2000.0, water_speed=1500.0)
         back = read_model(path, partition2d, 1000.0, 2000.0, water_speed=1600.0)
         assert np.array_equal(back.coeffs, model.coeffs)
+
+    @pytest.mark.parametrize("flag", ["-1", "2", "00", "+1", "true"])
+    def test_frozen_flag_is_0_or_1(self, partition2d, tmp_path, flag):
+        # write_model writes only 0 and 1; int() reads the first four
+        n = partition2d.n_subdomains
+        model = PiecewiseLinearModel(partition2d, np.full((n, 3), 1500.0), 1000.0, 2000.0,
+                                     1500.0)
+        path = tmp_path / "model.txt"
+        write_model(model, path)
+        lines = path.read_text().splitlines()
+        for j in (int(np.flatnonzero(partition2d.frozen)[0]),
+                  int(np.flatnonzero(~partition2d.frozen)[0])):
+            edited = list(lines)
+            edited[1 + j] = edited[1 + j].rsplit(" ", 1)[0] + " " + flag
+            path.write_text("\n".join(edited) + "\n")
+            match = f"frozen flag of row '{j} .* {re.escape(flag)}'"
+            with pytest.raises(DataFormatError, match=match):
+                read_model(path, partition2d, 1000.0, 2000.0, 1500.0)
 
     def test_model_header_validation(self, partition2d, tmp_path):
         path = tmp_path / "bad.txt"

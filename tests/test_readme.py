@@ -1,12 +1,16 @@
-"""The README's library example runs as written, its command lines parse,
-and the benchmark records it and the package cite exist."""
+"""The README's library example runs as written and imports the package
+root's whole surface, its command lines parse, and the benchmark records it
+and the package cite exist."""
 
+import ast
 import glob
 import os
 import re
 import shlex
 import time
+import types
 
+import cauchyfwi
 from cauchyfwi import evaluate_model, relative_l2_error
 from cauchyfwi.cli import build_parser
 
@@ -14,10 +18,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(ROOT, "README.md")
 
 
-def test_library_example_runs():
+def library_example():
     with open(README, encoding="utf-8") as f:
         # the body of the one fenced python block
         (block,) = re.findall(r"^```python\n(.*?)^```$", f.read(), flags=re.S | re.M)
+    return block
+
+
+def test_library_example_runs():
+    block = library_example()
     namespace = {}
     t0 = time.perf_counter()
     # a name the block never defines raises NameError here
@@ -31,6 +40,18 @@ def test_library_example_runs():
     # criterion 6's threshold: the example's simulation set is decoupled
     assert 1 - e_final / e_init >= 0.40
     assert elapsed <= 60.0
+
+
+def test_library_example_imports_the_whole_package_root():
+    (imported,) = [[alias.name for alias in node.names]
+                   for node in ast.walk(ast.parse(library_example()))
+                   if isinstance(node, ast.ImportFrom) and node.module == "cauchyfwi"]
+    assert imported == cauchyfwi.__all__
+    # apart from its submodules, the root binds no public name the example
+    # does not import
+    public = {name for name, value in vars(cauchyfwi).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(imported)
 
 
 def test_command_line_block_parses():
