@@ -18,7 +18,7 @@ from . import helmholtz
 from .errors import DataFormatError, GeometryError
 from .geometry import Grid, read_only
 from .helmholtz import assemble
-from .textio import write_text_atomic
+from .textio import TextLines, write_text_atomic
 
 
 def _trapezoid_weights(coords):
@@ -412,25 +412,7 @@ def read_data(path, receivers, obs_sources, expect_freq):
     the seed be a non-negative integer, and the trace rows come in the
     source-major order write_data writes.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
-    offset = 0
-    lines = []
-    for chunk in raw.split(b"\n"):
-        lines.append((offset, chunk.decode("utf-8", errors="replace")))
-        offset += len(chunk) + 1
-    lines = [(off, ln.strip()) for off, ln in lines if ln.strip()]
-
-    def take(i, prefix, parse=str):
-        if i >= len(lines):
-            raise DataFormatError(f"{path}: truncated before {prefix!r}", len(raw))
-        off, ln = lines[i]
-        if not ln.startswith(prefix):
-            raise DataFormatError(f"{path}: expected {prefix!r}, got {ln!r}", off)
-        try:
-            return off, parse(ln[len(prefix):].strip())
-        except ValueError:
-            raise DataFormatError(f"{path}: malformed {prefix!r} line {ln!r}", off) from None
+    lines = TextLines(path)
 
     def grid_provenance(text):
         gdim, *toks = text.split()
@@ -459,16 +441,16 @@ def read_data(path, receivers, obs_sources, expect_freq):
             raise ValueError
         return row
 
-    _, version = take(0, "cauchy")
+    version = lines.take(0, "cauchy")
     if version != "v2":
-        raise DataFormatError(f"{path}: unsupported version {version!r}", lines[0][0])
-    off, freq = take(1, "freq", frequency)
-    check_frequency(freq, expect_freq, f"{path}: file", off)
-    _, nsrc = take(2, "nsrc", int)
-    _, nrcv = take(3, "nrcv", int)
-    _, snr = take(4, "snr", snr_db)
-    _, seed = take(5, "seed", noise_seed)
-    _, fine = take(6, "grid", grid_provenance)
+        raise lines.error(0, f"unsupported version {version!r}")
+    freq = lines.take(1, "freq", frequency)
+    check_frequency(freq, expect_freq, f"{path}: file", lines.offsets[1])
+    nsrc = lines.take(2, "nsrc", int)
+    nrcv = lines.take(3, "nrcv", int)
+    snr = lines.take(4, "snr", snr_db)
+    seed = lines.take(5, "seed", noise_seed)
+    fine = lines.take(6, "grid", grid_provenance)
 
     if nsrc != obs_sources.n_sources:
         raise GeometryError(
@@ -481,7 +463,7 @@ def read_data(path, receivers, obs_sources, expect_freq):
     row = 7
     for name, points in (("source", obs_sources), ("receiver", receivers)):
         expected = np.column_stack([points.positions, points.weights])
-        recorded = [take(row + i, name, point_row)[1] for i in range(len(expected))]
+        recorded = [lines.take(row + i, name, point_row) for i in range(len(expected))]
         row += len(expected)
         if not np.array_equal(recorded, expected):
             raise GeometryError(
@@ -495,26 +477,24 @@ def read_data(path, receivers, obs_sources, expect_freq):
 
     g = np.zeros((nsrc, nrcv), dtype=complex)
     dg = np.zeros((nsrc, nrcv), dtype=complex)
-    body = lines[row:]
-    if len(body) != nsrc * nrcv:
-        off = body[-1][0] if body else len(raw)
-        raise DataFormatError(
-            f"{path}: expected {nsrc * nrcv} trace rows, found {len(body)}", off
-        )
-    for k, (off, ln) in enumerate(body):
+    n_rows = nsrc * nrcv
+    if len(lines) - row != n_rows:
+        raise lines.error(row + n_rows,
+                          f"expected {n_rows} trace rows, found {len(lines) - row}")
+    for k, ln in enumerate(lines[row:]):
         parts = [p.strip() for p in ln.split(",")]
         if len(parts) != 6:
-            raise DataFormatError(f"{path}: malformed trace row {ln!r}", off)
+            raise lines.error(row + k, f"malformed trace row {ln!r}")
         try:
             s, r = int(parts[0]), int(parts[1])
             nums = [float(p) for p in parts[2:]]
         except ValueError as exc:
-            raise DataFormatError(f"{path}: {exc}", off) from exc
+            raise lines.error(row + k, str(exc)) from exc
         if not all(map(math.isfinite, nums)):
-            raise DataFormatError(f"{path}: non-finite trace value in row {ln!r}", off)
+            raise lines.error(row + k, f"non-finite trace value in row {ln!r}")
         if (s, r) != divmod(k, nrcv):
-            raise DataFormatError(f"{path}: trace row ({s}, {r}) where "
-                                  f"{divmod(k, nrcv)} belongs", off)
+            raise lines.error(row + k, f"trace row ({s}, {r}) where "
+                                       f"{divmod(k, nrcv)} belongs")
         g[s, r] = complex(nums[0], nums[1])
         dg[s, r] = complex(nums[2], nums[3])
     prov = Provenance(fine.shape, fine.extent, snr, seed)

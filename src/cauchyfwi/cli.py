@@ -40,12 +40,11 @@ from .errors import CauchyFwiError, DataFormatError, GeometryError
 from .geometry import NodalField, evaluate_model, read_model, write_model, write_partition
 from .helmholtz import read_field_structured_points, write_field_structured_points
 from .inversion import relative_l2_error, run_inversion, write_iteration_log
-from .textio import write_text_atomic
+from .textio import read_text, write_text_atomic
 
 
 def _load_config(path):
-    with open(path) as f:
-        return config_mod.parse_config(f.read())
+    return config_mod.parse_config(read_text(path))
 
 
 def cmd_init(args):

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 from . import acquisition
 from .errors import BoundsViolationError, ConfigError
@@ -73,23 +74,7 @@ _SCHEMA = {
     ("phantom", "initial_bottom_speed_m_per_s"): (float, 2200.0),
 }
 
-_SECTIONS = []
-for sec, _ in _SCHEMA:
-    if sec not in _SECTIONS:
-        _SECTIONS.append(sec)
-
-
-@dataclass
-class RunConfig:
-    """Resolved configuration: one attribute per schema key."""
-
-    values: dict = field(default_factory=dict)
-
-    def __getattr__(self, name):
-        try:
-            return self.__dict__["values"][name]
-        except KeyError:
-            raise AttributeError(name) from None
+_SECTIONS = list(dict.fromkeys(sec for sec, _ in _SCHEMA))
 
 
 def _coerce(text, typ, where):
@@ -108,7 +93,7 @@ def _coerce(text, typ, where):
 
 
 def parse_config(text):
-    """Parse sectioned key = value text into a RunConfig.
+    """Parse sectioned key = value text into a namespace, one attribute per key.
 
     Raises ConfigError listing every unknown key and every missing required
     key in one message.
@@ -149,15 +134,12 @@ def parse_config(text):
             problems.append(str(exc))
 
     for (section, key), (typ, default) in _SCHEMA.items():
-        if key in values:
-            continue
-        if default is None:
+        if default is None and (section, key) not in seen:
             problems.append(f"missing required key {section}.{key}")
-        else:
-            values[key] = default
+        values.setdefault(key, default)
     if problems:
         raise ConfigError("configuration rejected", problems)
-    cfg = RunConfig(values)
+    cfg = SimpleNamespace(**values)
     validate(cfg)
     return cfg
 
@@ -175,9 +157,9 @@ def validate(cfg):
         if cfg.tile_y_m <= 0:
             problems.append("partition.tile_y_m required for a 3D grid")
     elif cfg.dim == 2:
-        problems += [f"{sec}.{key} applies only to a 3D grid, got {cfg.values[key]}"
+        problems += [f"{sec}.{key} applies only to a 3D grid, got {vars(cfg)[key]}"
                      for (sec, key), (_, default) in _SCHEMA.items()
-                     if key.endswith(("_y", "_y_m")) and cfg.values[key] != default]
+                     if key.endswith(("_y", "_y_m")) and vars(cfg)[key] != default]
     if not 0 < cfg.c_min_m_per_s < cfg.c_max_m_per_s:
         problems.append("physics speeds need 0 < c_min < c_max")
     if cfg.inclusion_profile not in INCLUSION_PROFILES:
@@ -243,7 +225,7 @@ def render_config(cfg):
         for (sec, key), (typ, _) in _SCHEMA.items():
             if sec != section:
                 continue
-            val = cfg.values[key]
+            val = vars(cfg)[key]
             lines.append(f"{key} = {val:.17g}" if typ is float else f"{key} = {val}")
         lines.append("")
     return "\n".join(lines)
@@ -251,7 +233,7 @@ def render_config(cfg):
 
 def _axes(cfg, key):
     """cfg's x, [y,] z values of key, whose {} stands for the axis letter."""
-    return tuple(cfg.values[key.format(a)] for a in ("xz" if cfg.dim == 2 else "xyz"))
+    return tuple(vars(cfg)[key.format(a)] for a in ("xz" if cfg.dim == 2 else "xyz"))
 
 
 def build_grid(cfg, refine=1):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsViolationError, DataFormatError, GeometryError
-from .textio import write_text_atomic
+from .errors import BoundsViolationError, GeometryError
+from .textio import TextLines, write_text_atomic
 
 
 def read_only(values, dtype=None):
@@ -406,51 +406,44 @@ def write_model(model, path):
 
 def read_model(path, partition, c_min, c_max, water_speed):
     """Read a model file back against a known partition; a malformed or
-    non-finite entry raises DataFormatError naming the file, and so do a row
-    out of the subdomain order write_model writes, a frozen flag other than
-    0 or 1 and a frozen row other than (water_speed, 0, ...)."""
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines:
-        raise DataFormatError(f"{path}: empty model file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "plmodel" or not all(t.isdecimal() for t in head[1:]):
-        raise DataFormatError(f"{path}: bad header {lines[0]!r}")
-    dim, n = int(head[1]), int(head[2])
+    non-finite entry raises DataFormatError at its line's byte offset, and so
+    do a row out of the subdomain order write_model writes, a frozen flag
+    other than 0 or 1 and a frozen row other than (water_speed, 0, ...)."""
+    lines = TextLines(path)
+    head = lines.take(0, "plmodel").split()
+    if len(head) != 2 or not all(t.isdecimal() for t in head):
+        raise lines.error(0, f"bad header {lines[0]!r}")
+    dim, n = int(head[0]), int(head[1])
     if dim != partition.grid.dim:
-        raise DataFormatError(f"{path}: dimension {dim} does not match the grid")
+        raise lines.error(0, f"dimension {dim} does not match the grid")
     if n != partition.n_subdomains:
-        raise DataFormatError(
-            f"{path}: {n} subdomains in file, partition has {partition.n_subdomains}"
-        )
+        raise lines.error(0, f"{n} subdomains in file, partition has {partition.n_subdomains}")
     if len(lines) - 1 != n:
-        raise DataFormatError(f"{path}: expected {n} coefficient rows")
+        raise lines.error(1 + n, f"expected {n} coefficient rows, found {len(lines) - 1}")
     coeffs = np.zeros((n, 1 + dim))
     for k, ln in enumerate(lines[1:]):
         parts = ln.split()
         if len(parts) != 3 + dim:
-            raise DataFormatError(f"{path}: malformed row {ln!r}")
+            raise lines.error(1 + k, f"malformed row {ln!r}")
         try:
             j = int(parts[0])
             values = [float(v) for v in parts[1 : 2 + dim]]
         except ValueError:
-            raise DataFormatError(f"{path}: non-numeric field in row {ln!r}") from None
+            raise lines.error(1 + k, f"non-numeric field in row {ln!r}") from None
         if parts[-1] not in ("0", "1"):
-            raise DataFormatError(f"{path}: frozen flag of row {ln!r} is not 0 or 1")
+            raise lines.error(1 + k, f"frozen flag of row {ln!r} is not 0 or 1")
         frozen = parts[-1] == "1"
         if not all(map(math.isfinite, values)):
-            raise DataFormatError(f"{path}: non-finite coefficient in row {ln!r}")
+            raise lines.error(1 + k, f"non-finite coefficient in row {ln!r}")
         if j != k:
-            raise DataFormatError(f"{path}: row {ln!r} has subdomain index {j}, expected {k}")
+            raise lines.error(1 + k, f"row {ln!r} has subdomain index {j}, expected {k}")
         coeffs[j] = values
         if frozen != bool(partition.frozen[j]):
-            raise DataFormatError(
-                f"{path}: frozen flag of subdomain {j} disagrees with the partition"
-            )
+            raise lines.error(1 + k, f"frozen flag of subdomain {j} disagrees with the "
+                                     "partition")
         if frozen and values != [water_speed] + [0.0] * dim:
-            raise DataFormatError(
-                f"{path}: frozen row {ln!r} does not carry the water speed {water_speed} m/s"
-            )
+            raise lines.error(1 + k, f"frozen row {ln!r} does not carry the water speed "
+                                     f"{water_speed} m/s")
     return PiecewiseLinearModel(partition, coeffs, c_min, c_max, water_speed)
 
 

@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import DataFormatError, GeometryError, SolverBreakdownError
 from .geometry import Grid, NodalField, read_only
-from .textio import write_text_atomic
+from .textio import TextLines, write_text_atomic
 
 # Columns per triangular solve; see HelmholtzSystem.solve.
 FORWARD_BLOCK = 8
@@ -379,27 +379,31 @@ def write_field_structured_points(field, path):
 
 
 def read_field_structured_points(path):
-    """Read a field back; a malformed header or a malformed or non-finite
-    value raises DataFormatError."""
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if len(lines) < 4 or lines[0] != "structured_points":
-        raise DataFormatError(f"{path}: not a structured-points file")
+    """Read a field back; a missing label, a malformed header or a malformed
+    or non-finite value raises DataFormatError at its line's byte offset."""
+    lines = TextLines(path)
+    if lines.take(0, "structured_points"):
+        raise lines.error(0, "not a structured-points file")
+    dim = lines.take(1, "dim", int)
+    shape = lines.take(2, "shape", lambda text: tuple(map(int, text.split())))
+    spacing = lines.take(3, "spacing", lambda text: tuple(map(float, text.split())))
     try:
-        dim = int(lines[1].split()[1])
-        shape = tuple(int(t) for t in lines[2].split()[1:])
-        spacing = tuple(float(t) for t in lines[3].split()[1:])
-        if len(shape) != dim or len(spacing) != dim:
-            raise DataFormatError(f"{path}: inconsistent header")
-        extent = tuple(h * (n - 1) for h, n in zip(spacing, shape))
-        grid = Grid(extent, shape)
-        vals = np.array([float(t) for t in lines[4:]])
-    except (ValueError, IndexError) as exc:
-        raise DataFormatError(f"{path}: malformed header or value: {exc}") from None
-    if vals.size != grid.n_nodes:
-        raise DataFormatError(f"{path}: {vals.size} values for {grid.n_nodes} nodes")
+        if not len(shape) == len(spacing) == dim:
+            raise ValueError("dim, shape and spacing disagree")
+        grid = Grid(tuple(h * (n - 1) for h, n in zip(spacing, shape)), shape)
+    except ValueError as exc:
+        raise lines.error(1, f"malformed header: {exc}") from None
+    n = grid.n_nodes
+    if len(lines) - 4 != n:
+        raise lines.error(4 + n, f"{len(lines) - 4} values for {n} nodes")
+    vals = np.empty(n)
+    for k in range(n):
+        try:
+            vals[k] = float(lines[4 + k])
+        except ValueError:
+            raise lines.error(4 + k, f"malformed value {lines[4 + k]!r}") from None
     if not np.isfinite(vals).all():
-        raise DataFormatError(f"{path}: non-finite value")
+        raise lines.error(4 + int(np.argmin(np.isfinite(vals))), "non-finite value")
     return NodalField(grid, vals)
 
 

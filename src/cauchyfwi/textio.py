@@ -1,7 +1,48 @@
-"""Atomic text-file writes, shared by every writer in the package."""
+"""Text-file reads and atomic writes for every reader and writer in the
+package; a byte that is not UTF-8 reads as U+FFFD, which no parser accepts."""
 
 import contextlib
 import os
+
+from .errors import DataFormatError
+
+
+def read_text(path):
+    """The text of path, decoded as every file the package reads is."""
+    with open(path, "rb") as f:
+        return f.read().decode("utf-8", errors="replace")
+
+
+class TextLines(list):
+    """The non-blank lines of a file, each stripped; offsets[i] is the byte
+    offset where line i starts.  Lines end at \\n, \\r\\n or \\r."""
+
+    def __init__(self, path):
+        with open(path, "rb") as f:
+            raw = f.read()
+        self.path, self.size, self.offsets, offset = path, len(raw), [], 0
+        for chunk in raw.splitlines(keepends=True):
+            if text := chunk.decode("utf-8", errors="replace").strip():
+                self.append(text)
+                self.offsets.append(offset)
+            offset += len(chunk)
+
+    def error(self, i, message):
+        """DataFormatError at line i's byte offset, or the file size past the last line."""
+        return DataFormatError(f"{self.path}: {message}",
+                               self.offsets[i] if i < len(self) else self.size)
+
+    def take(self, i, label, parse=str):
+        """parse of the rest of line i, whose first word must be label."""
+        if i >= len(self):
+            raise self.error(i, f"truncated before {label!r}")
+        word, *rest = self[i].split(None, 1)
+        if word != label:
+            raise self.error(i, f"expected {label!r}, got {self[i]!r}")
+        try:
+            return parse("".join(rest))
+        except ValueError:
+            raise self.error(i, f"malformed {label!r} line {self[i]!r}") from None
 
 
 def write_text_atomic(path, text):

@@ -460,6 +460,21 @@ class TestDataFiles:
             read_data(path, data.receivers, data.obs_sources, data.freq_hz)
         assert err.value.byte_offset == sum(len(ln) + 1 for ln in lines[:row])
 
+    @pytest.mark.parametrize("label", ["cauchy", "freq", "nsrc", "nrcv", "snr", "seed", "grid",
+                                       "source", "receiver"])
+    def test_label_glued_to_its_value_names_its_byte_offset(self, tmp_path, label):
+        # a label is its line's first word: 'nsrc2' is not 'nsrc 2'
+        data = small_dataset()
+        path = tmp_path / "data.txt"
+        write_data(data, path)
+        lines = path.read_bytes().split(b"\n")
+        row = next(i for i, ln in enumerate(lines) if ln.startswith(label.encode() + b" "))
+        lines[row] = lines[row].replace(b" ", b"", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataFormatError, match=f"expected '{label}'") as err:
+            read_data(path, data.receivers, data.obs_sources, data.freq_hz)
+        assert err.value.byte_offset == sum(len(ln) + 1 for ln in lines[:row])
+
     def test_negative_snr_round_trips(self, tmp_path):
         noisy = add_noise(small_dataset(), -3.0, seed=2)
         path = tmp_path / "data.txt"

@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import re
 import shutil
 import warnings
@@ -113,7 +114,7 @@ class TestConfigParsing:
     def test_render_parse_round_trip(self):
         cfg = parse_config(FAST_CONFIG)
         again = parse_config(render_config(cfg))
-        assert again.values == cfg.values
+        assert vars(again) == vars(cfg)
 
     def test_unknown_keys_listed_exhaustively(self):
         text = FAST_CONFIG + "\n[grid]\nbogus_key = 1\n[physics]\nother_bogus = 2\n"
@@ -139,6 +140,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert "duplicate" in str(err.value)
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("nodes_x = 25", "nodes_x = abc", "grid.nodes_x"),
+        ("freq_hz = 25", "freq_hz = nan", "physics.freq_hz"),
+    ])
+    def test_unparsable_value_is_not_also_reported_missing(self, old, new, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(FAST_CONFIG.replace(old, new))
+        assert len(err.value.problems) == 1, err.value.problems
+        assert str(err.value).count(key) == 1, str(err.value)
 
     def test_missing_required_keys_listed(self):
         with pytest.raises(ConfigError) as err:
@@ -326,8 +337,9 @@ class TestFileSweep:
     def test_every_mutation_reads_or_raises_a_package_error(self, tmp_path):
         outcomes = {}
         for name, path, read, rows in self.readers(tmp_path):
-            with open(path) as f:
-                lines = f.read().splitlines()
+            with open(path, "rb") as f:
+                raw = f.read()
+            lines = raw.decode().splitlines()
             original = read(path)
             for case, edited in self.mutations(lines, rows):
                 with open(path, "w") as f:
@@ -340,11 +352,27 @@ class TestFileSweep:
                         outcomes[name, case] = exc.category
                         continue
                 outcomes[name, case] = "same" if value == original else "changed"
-        assert len(outcomes) == 661
+            # one byte that is not UTF-8 in the middle of a line fails at
+            # that line
+            for row in rows:
+                start = sum(len(ln) + 1 for ln in lines[:row])
+                middle = start + len(lines[row]) // 2
+                with open(path, "wb") as f:
+                    f.write(raw[:middle] + b"\xff" + raw[middle:])
+                with pytest.raises(errors.DataFormatError) as err:
+                    read(path)
+                assert start <= err.value.byte_offset <= middle, (name, row, str(err.value))
+                outcomes[name, (row, "\xff")] = err.value.category
+        assert len(outcomes) == 661 + 23  # the edits, then one byte per row
         # both read without a word before: a negative seed, and a frozen
         # flag other than 0 or 1 on subdomain 0, which is frozen
         assert outcomes["data", (5, 1, "-1")] == "io"
         assert outcomes["model", (1, 4, "-1")] == "io"
+        # a header line is read by its label, its first word: every edit of
+        # a label ends as io
+        headers = {"data": range(7), "model": range(1), "field": range(4)}
+        assert {outcome for (name, case), outcome in outcomes.items()
+                if len(case) == 3 and case[0] in headers[name] and case[1] == 0} == {"io"}
         # every change read back is one the writer could have written: an snr
         # noise_factor takes, seed 0, a trace, coefficient or field value of
         # -1 or 0, or a field value cut to fewer digits
@@ -355,6 +383,30 @@ class TestFileSweep:
                 assert case[2] == "0"
             else:
                 assert case[-1] in ("-1", "0") or (name, case[1]) == ("field", "halve")
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_ends_read_as_in_text_mode(self, tmp_path, end):
+        for name, path, read, _ in self.readers(tmp_path):
+            original = read(path)
+            with open(path, "rb") as f:
+                text = f.read().replace(b"\n", end)
+            with open(path, "wb") as f:
+                f.write(text)
+            assert read(path) == original, name
+            # offsets count every byte of a line end
+            last = text.rstrip(end).rfind(end) + len(end)
+            with open(path, "wb") as f:
+                f.write(text[:last] + b"abc" + end)
+            with pytest.raises(errors.DataFormatError) as err:
+                read(path)
+            assert err.value.byte_offset == last, (name, str(err.value))
+
+
+def test_only_textio_opens_files():
+    # every file the package reads or writes goes through textio
+    package = pathlib.Path(cli.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py"))
+            if "open(" in p.read_text()] == ["textio.py"]
 
 
 class TestCliFlow:
@@ -940,6 +992,38 @@ class TestCliFlow:
         assert cli_main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: io:"), err
+        assert not list(tmp_path.glob("again.*"))
+
+    def test_byte_that_is_not_utf8_in_a_config_value_is_a_config_error(self, tmp_path,
+                                                                        capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(FAST_CONFIG.encode().replace(b"nodes_x = 25", b"nodes_x = 2\xff5"))
+        assert cli_main(["synth", "--config", str(path),
+                         "--out-prefix", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and err.count("grid.nodes_x") == 1, err
+        assert not list(tmp_path.glob("x.*"))
+
+    @pytest.mark.parametrize("name, row", [("result.model.txt", 1),
+                                           ("run.true_speed.txt", 10)])
+    def test_byte_that_is_not_utf8_in_an_input_file_is_an_io_error(self, tmp_path, capsys,
+                                                                    run_outputs, name, row):
+        for f in ("run.cfg", "result.model.txt", "run.cauchy.txt", "run.true_speed.txt"):
+            shutil.copy(run_outputs / f, tmp_path / f)
+        path = tmp_path / name
+        raw = path.read_bytes()
+        start = sum(len(ln) + 1 for ln in raw.split(b"\n")[:row])
+        path.write_bytes(raw[:start + 1] + b"\xff" + raw[start + 1:])
+        cfg = str(tmp_path / "run.cfg")
+        if name == "result.model.txt":
+            args = ["export", "--config", cfg, "--model", str(path),
+                    "--out", str(tmp_path / "again.txt")]
+        else:
+            args = ["invert", "--config", cfg, "--data-prefix", str(tmp_path / "run"),
+                    "--out-prefix", str(tmp_path / "again"), "--truth-field", str(path)]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: io: {path}: ") and f"(byte offset {start})" in err, err
         assert not list(tmp_path.glob("again.*"))
 
     def test_each_error_names_its_category(self):
